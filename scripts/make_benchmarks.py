@@ -34,7 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from growbp.dataset import (  # noqa: E402
     DatasetHeader,
-    Example,
+    Partition,
     SplitDataset,
     save_dataset,
 )
@@ -129,7 +129,6 @@ def emit(name, X, T, split):
     X = to_unit_interval(X)
     order = np.random.default_rng(SHUFFLE_SEEDS[name]).permutation(len(X))
     X, T = X[order], T[order]
-    examples = [Example(x, t) for x, t in zip(X, T)]
     n_outputs = T.shape[1]
     header = DatasetHeader(
         n_inputs=X.shape[1],
@@ -139,11 +138,12 @@ def emit(name, X, T, split):
         n_valid=n_valid,
         n_test=n_test,
     )
+    a, b = n_train, n_train + n_valid
     data = SplitDataset(
         header,
-        tuple(examples[:n_train]),
-        tuple(examples[n_train:n_train + n_valid]),
-        tuple(examples[n_train + n_valid:]),
+        Partition(X[:a], T[:a]),
+        Partition(X[a:b], T[a:b]),
+        Partition(X[b:], T[b:]),
     )
     OUT.mkdir(parents=True, exist_ok=True)
     save_dataset(data, OUT / f"{name}.dt")

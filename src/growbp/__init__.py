@@ -1,110 +1,28 @@
 """Constructive single-hidden-layer networks trained by online backprop.
 
-The library grows a 1-hidden-layer sigmoid network one unit at a time,
+The library grows a 1-hidden-layer logistic network one unit at a time,
 training each topology online with hold-out early stopping, until the
 validation error and the classification efficiency reach configured
 acceptance levels.  Bundled Proben1-style benchmark files (cancer1,
 heart1, diabetes1) reproduce classic medical-diagnosis experiments.
+
+The top-level names are the ones the README's Library section uses;
+everything else lives in the submodules.
 """
 
-from .cli import (
-    ExperimentConfig,
-    main,
-    parse_table_csv,
-    render_table,
-    run_experiment,
-)
-from .dataset import (
-    DatasetHeader,
-    Example,
-    SplitDataset,
-    load_dataset,
-    load_raw_csv,
-    normalize_raw,
-    parse_dataset,
-    parse_header,
-    save_dataset,
-)
-from .metrics import (
-    DecisionRule,
-    EfficiencyReport,
-    classify,
-    efficiency,
-    overall_efficiency,
-    rule_for_outputs,
-)
-from .network import (
-    Activations,
-    Network,
-    add_hidden_unit,
-    forward,
-    init_network,
-    load_network,
-    save_network,
-    sigmoid,
-)
-from .profiles import (
-    BUNDLED,
-    EXPECTED_HEADERS,
-    PRESETS,
-    bundled_dataset_path,
-    match_profile,
-)
-from .trainer import (
-    GrowthHistory,
-    PhaseRecord,
-    TrainConfig,
-    average_error,
-    backprop_step,
-    constructive_train,
-    pattern_error,
-    train_epoch,
-    train_phase,
-)
+from .dataset import DatasetHeader, Partition, SplitDataset, load_dataset
+from .network import load_network, save_network
+from .trainer import TrainConfig, constructive_train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activations",
-    "BUNDLED",
     "DatasetHeader",
-    "DecisionRule",
-    "EXPECTED_HEADERS",
-    "EfficiencyReport",
-    "Example",
-    "ExperimentConfig",
-    "GrowthHistory",
-    "Network",
-    "PRESETS",
-    "PhaseRecord",
+    "Partition",
     "SplitDataset",
     "TrainConfig",
-    "add_hidden_unit",
-    "average_error",
-    "backprop_step",
-    "bundled_dataset_path",
-    "classify",
     "constructive_train",
-    "efficiency",
-    "forward",
-    "init_network",
     "load_dataset",
     "load_network",
-    "load_raw_csv",
-    "main",
-    "match_profile",
-    "normalize_raw",
-    "overall_efficiency",
-    "parse_dataset",
-    "parse_header",
-    "parse_table_csv",
-    "pattern_error",
-    "render_table",
-    "rule_for_outputs",
-    "run_experiment",
-    "save_dataset",
     "save_network",
-    "sigmoid",
-    "train_epoch",
-    "train_phase",
 ]

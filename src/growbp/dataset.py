@@ -11,6 +11,9 @@ test set.  Files ship pre-normalized; values are taken as-is.
 A secondary path ingests a raw CSV (header row, last k columns are 0/1
 targets) plus a JSON manifest with the split counts, min-max scaling the
 feature columns with statistics computed on the training partition only.
+
+In memory each partition is one ``Partition``: an input matrix and a
+target matrix with one row per pattern.
 """
 
 import json
@@ -38,13 +41,32 @@ HEADER_KEYS = (
     "test_examples",
 )
 
+MANIFEST_KEYS = HEADER_KEYS[4:] + ("target_columns",)
+
 
 @dataclass(frozen=True)
-class Example:
-    """One pattern: a feature vector and its 0/1-encoded target vector."""
+class Partition:
+    """The patterns of one partition: input rows ``X``, 0/1 target rows ``T``.
 
-    inputs: np.ndarray
-    targets: np.ndarray
+    Both are stored as C-contiguous float64 copies of what was passed.
+    """
+
+    X: np.ndarray
+    T: np.ndarray
+
+    def __post_init__(self):
+        X = np.array(self.X, dtype=np.float64, order="C")
+        T = np.array(self.T, dtype=np.float64, order="C")
+        if X.ndim != 2 or T.ndim != 2 or len(X) != len(T):
+            raise MalformedValueError(
+                f"a partition needs 2-D inputs and targets with equal row "
+                f"counts, got {X.shape} and {T.shape}"
+            )
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "T", T)
+
+    def __len__(self):
+        return len(self.X)
 
 
 @dataclass(frozen=True)
@@ -79,18 +101,35 @@ class SplitDataset:
     """Train/validation/test partitions plus the header that sized them."""
 
     header: DatasetHeader
-    train: tuple
-    valid: tuple
-    test: tuple
+    train: Partition
+    valid: Partition
+    test: Partition
 
     def __post_init__(self):
-        declared = (self.header.n_train, self.header.n_valid,
-                    self.header.n_test)
-        actual = (len(self.train), len(self.valid), len(self.test))
+        h = self.header
+        declared = [(n, h.n_inputs, h.n_outputs)
+                    for n in (h.n_train, h.n_valid, h.n_test)]
+        actual = [(len(p), p.X.shape[1], p.T.shape[1])
+                  for p in (self.train, self.valid, self.test)]
         if declared != actual:
             raise CountMismatchError(
-                f"partition sizes {actual} do not match header {declared}"
+                f"partition (rows, inputs, outputs) {actual} do not match "
+                f"header {declared}"
             )
+
+
+def _count(key, value):
+    """A count given as ASCII digits or as a JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedValueError(
+        f"value for {key!r} is not a non-negative integer: {value!r}"
+    )
 
 
 def parse_header(text_lines):
@@ -107,15 +146,8 @@ def parse_header(text_lines):
             continue
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in HEADER_KEYS:
-            continue
-        if not raw.isdigit():
-            raise MalformedValueError(
-                f"header value for {key!r} is not a non-negative integer: "
-                f"{raw!r}"
-            )
-        values[key] = int(raw)
+        if key in HEADER_KEYS:
+            values[key] = _count(key, raw.strip())
     for key in HEADER_KEYS:
         if key not in values:
             raise MissingKeyError(key)
@@ -131,67 +163,80 @@ def parse_header(text_lines):
     )
 
 
-def _parse_row(line, line_no, n_inputs, n_outputs):
-    tokens = line.split()
-    expected = n_inputs + n_outputs
-    if len(tokens) != expected:
-        raise RowArityError(line_no, expected, len(tokens))
-    try:
-        nums = [float(t) for t in tokens]
-    except ValueError:
-        raise MalformedValueError(
-            f"line {line_no}: non-numeric value"
-        ) from None
-    if not all(math.isfinite(v) for v in nums):
-        raise NonFiniteError(line_no)
-    targets = nums[n_inputs:]
-    if any(t != 0.0 and t != 1.0 for t in targets):
-        raise MalformedValueError(
-            f"line {line_no}: target components must be exactly 0 or 1"
-        )
-    return Example(
-        inputs=np.array(nums[:n_inputs], dtype=np.float64),
-        targets=np.array(targets, dtype=np.float64),
+def _matrix(body, sep, n_inputs, width):
+    """Validate ``(line_no, line)`` rows and fill one float64 matrix.
+
+    Each line is split on ``sep`` and must hold ``width`` finite numbers,
+    the ones after the first ``n_inputs`` exactly 0 or 1.
+    """
+    matrix = np.empty((len(body), width))
+    for i, (line_no, line) in enumerate(body):
+        tokens = line.split(sep)
+        if len(tokens) != width:
+            raise RowArityError(line_no, width, len(tokens))
+        try:
+            nums = [float(t) for t in tokens]
+        except ValueError:
+            raise MalformedValueError(
+                f"line {line_no}: non-numeric value"
+            ) from None
+        if not all(math.isfinite(v) for v in nums):
+            raise NonFiniteError(line_no)
+        if any(t != 0.0 and t != 1.0 for t in nums[n_inputs:]):
+            raise MalformedValueError(
+                f"line {line_no}: target components must be exactly 0 or 1"
+            )
+        matrix[i] = nums
+    return matrix
+
+
+def _split(header, X, T):
+    """Cut full input and target matrices into the header's partitions."""
+    a, b = header.n_train, header.n_train + header.n_valid
+    return SplitDataset(
+        header,
+        Partition(X[:a], T[:a]),
+        Partition(X[a:b], T[a:b]),
+        Partition(X[b:], T[b:]),
     )
 
 
 def parse_dataset(text):
     """Parse the full text of a ``.dt`` file into a SplitDataset."""
-    lines = text.splitlines()
     header_lines = []
     body = []
-    in_header = True
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        if in_header and "=" in stripped:
+        if not body and "=" in stripped:
             header_lines.append(stripped)
-            continue
-        in_header = False
-        body.append((line_no, stripped))
+        else:
+            body.append((line_no, stripped))
     header = parse_header(header_lines)
     if len(body) != header.total:
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"
         )
-    examples = [
-        _parse_row(line, line_no, header.n_inputs, header.n_outputs)
-        for line_no, line in body
-    ]
-    a, b = header.n_train, header.n_train + header.n_valid
-    return SplitDataset(
-        header=header,
-        train=tuple(examples[:a]),
-        valid=tuple(examples[a:b]),
-        test=tuple(examples[b:]),
-    )
+    n = header.n_inputs
+    matrix = _matrix(body, None, n, n + header.n_outputs)
+    return _split(header, matrix[:, :n], matrix[:, n:])
+
+
+def _read_ascii(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedValueError(
+            f"{path}: non-ASCII byte at offset {exc.start}"
+        ) from None
 
 
 def load_dataset(path):
     """Read a Proben1-style ``.dt`` file from disk."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_dataset(fh.read())
+    return parse_dataset(_read_ascii(path))
 
 
 def format_dataset(ds):
@@ -211,10 +256,8 @@ def format_dataset(ds):
         f"test_examples={header.n_test}",
     ]
     for part in (ds.train, ds.valid, ds.test):
-        for ex in part:
-            values = [repr(float(v)) for v in ex.inputs]
-            values += [repr(float(v)) for v in ex.targets]
-            lines.append(" ".join(values))
+        for row in np.hstack([part.X, part.T]).tolist():
+            lines.append(" ".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -253,20 +296,25 @@ def load_raw_csv(path, manifest_path=None):
     """
     if manifest_path is None:
         manifest_path = str(path) + ".manifest.json"
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    for key in ("training_examples", "validation_examples",
-                "test_examples", "target_columns"):
+    try:
+        manifest = json.loads(_read_ascii(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise MalformedValueError(
+            f"{manifest_path}: not valid JSON: {exc}"
+        ) from None
+    if not isinstance(manifest, dict):
+        raise MalformedValueError(f"{manifest_path}: not a JSON object")
+    for key in MANIFEST_KEYS:
         if key not in manifest:
             raise MissingKeyError(key)
+    counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
 
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    text = _read_ascii(path)
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CountMismatchError("CSV file has no rows")
-    columns = [c.strip() for c in lines[0].split(",")]
-    n_targets = int(manifest["target_columns"])
-    n_inputs = len(columns) - n_targets
+    n_targets = counts["target_columns"]
+    n_inputs = len(lines[0].split(",")) - n_targets
     if n_inputs < 1:
         raise MalformedValueError("CSV must have at least one feature column")
 
@@ -274,56 +322,17 @@ def load_raw_csv(path, manifest_path=None):
         n_inputs=n_inputs,
         n_outputs=n_targets,
         n_classes=n_targets if n_targets >= 2 else 2,
-        n_train=int(manifest["training_examples"]),
-        n_valid=int(manifest["validation_examples"]),
-        n_test=int(manifest["test_examples"]),
+        n_train=counts["training_examples"],
+        n_valid=counts["validation_examples"],
+        n_test=counts["test_examples"],
     )
     body = lines[1:]
     if len(body) != header.total:
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"
         )
-
-    rows = []
-    for line_no, line in enumerate(body, start=2):
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != len(columns):
-            raise RowArityError(line_no, len(columns), len(tokens))
-        try:
-            nums = [float(t) for t in tokens]
-        except ValueError:
-            raise MalformedValueError(
-                f"line {line_no}: non-numeric value"
-            ) from None
-        if not all(math.isfinite(v) for v in nums):
-            raise NonFiniteError(line_no)
-        rows.append(nums)
-    matrix = np.array(rows, dtype=np.float64)
-    raw_features = matrix[:, :n_inputs]
-    targets = matrix[:, n_inputs:]
-    bad = (targets != 0.0) & (targets != 1.0)
-    if bad.any():
-        line_no = int(np.argwhere(bad.any(axis=1))[0][0]) + 2
-        raise MalformedValueError(
-            f"line {line_no}: target components must be exactly 0 or 1"
-        )
-
-    features = normalize_raw(raw_features, raw_features[:header.n_train])
-    examples = [
-        Example(inputs=features[i].copy(), targets=targets[i].copy())
-        for i in range(len(matrix))
-    ]
-    a, b = header.n_train, header.n_train + header.n_valid
-    return SplitDataset(
-        header=header,
-        train=tuple(examples[:a]),
-        valid=tuple(examples[a:b]),
-        test=tuple(examples[b:]),
-    )
-
-
-def stack_examples(examples):
-    """Stack a sequence of Examples into (inputs, targets) matrices."""
-    X = np.stack([ex.inputs for ex in examples])
-    T = np.stack([ex.targets for ex in examples])
-    return X, T
+    rows = list(enumerate(body, start=2))
+    matrix = _matrix(rows, ",", n_inputs, n_inputs + n_targets)
+    raw = matrix[:, :n_inputs]
+    features = normalize_raw(raw, raw[:header.n_train])
+    return _split(header, features, matrix[:, n_inputs:])

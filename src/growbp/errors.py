@@ -32,7 +32,7 @@ class RowArityError(DatasetError):
 
 
 class CountMismatchError(DatasetError):
-    """The number of data rows disagrees with the declared partition sizes."""
+    """Rows or columns of the data disagree with the declared header."""
 
 
 class NonFiniteError(DatasetError):

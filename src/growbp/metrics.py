@@ -11,7 +11,6 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import stack_examples
 from .errors import ArityMismatchError, EmptySetError
 from .network import forward_outputs
 
@@ -40,45 +39,33 @@ class EfficiencyReport:
         return 100.0 * self.classified / self.total
 
 
-def classify(outputs, rule):
-    """Map an output vector to a class index.
+def classify(M, rule):
+    """Class index of each row of an output or 0/1 target matrix.
 
-    Argmax breaks ties toward the lowest index; the threshold rule returns
-    class 1 when the single output is >= 0.5.
+    Argmax breaks ties toward the lowest index; the threshold rule gives
+    class 1 where the single column is >= 0.5.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
     if rule is DecisionRule.THRESHOLD:
-        if outputs.shape != (1,):
+        if M.ndim != 2 or M.shape[1] != 1:
             raise ArityMismatchError(
-                f"threshold rule needs exactly 1 output, got {outputs.shape}"
+                f"threshold rule needs exactly 1 column, got {M.shape}"
             )
-        return int(outputs[0] >= 0.5)
-    if outputs.ndim != 1 or outputs.shape[0] < 2:
+        return (M[:, 0] >= 0.5).astype(int)
+    if M.ndim != 2 or M.shape[1] < 2:
         raise ArityMismatchError(
-            f"argmax rule needs >= 2 outputs, got {outputs.shape}"
+            f"argmax rule needs >= 2 columns, got {M.shape}"
         )
-    return int(np.argmax(outputs))
+    return np.argmax(M, axis=1)
 
 
-def target_class(targets, rule):
-    """Class index encoded by a 0/1 target vector."""
-    return classify(targets, rule)
-
-
-def efficiency(net, examples, rule):
-    """Count patterns whose predicted class equals the target class."""
-    if len(examples) == 0:
+def efficiency(net, part, rule):
+    """Count patterns of a partition whose predicted class is the target's."""
+    if len(part) == 0:
         raise EmptySetError("efficiency over an empty pattern set")
-    X, T = stack_examples(examples)
-    Y = forward_outputs(net, X)
-    if rule is DecisionRule.THRESHOLD:
-        predicted = (Y[:, 0] >= 0.5).astype(int)
-        actual = (T[:, 0] >= 0.5).astype(int)
-    else:
-        predicted = np.argmax(Y, axis=1)
-        actual = np.argmax(T, axis=1)
-    classified = int(np.count_nonzero(predicted == actual))
-    return EfficiencyReport(classified=classified, total=len(examples))
+    predicted = classify(forward_outputs(net, part.X), rule)
+    classified = int(np.count_nonzero(predicted == classify(part.T, rule)))
+    return EfficiencyReport(classified=classified, total=len(part))
 
 
 def overall_efficiency(reports):

@@ -4,8 +4,8 @@ Weights live in two matrices.  ``hidden_weights`` has one row per hidden
 unit and ``n_inputs + 1`` columns, the last column being the bias against a
 constant-1 input.  ``output_weights`` has one row per output unit and
 ``h + 1`` columns, again with the bias last.  All units use the logistic
-sigmoid.  Growth appends one hidden unit while leaving every existing
-weight untouched.
+function 1 / (1 + exp(-x)).  Growth appends one hidden unit while leaving
+every existing weight untouched.
 """
 
 from dataclasses import dataclass
@@ -14,15 +14,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
-
-
-def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)).
-
-    Saturates smoothly for large |x|; the derivative is available as
-    y * (1 - y).  Accepts scalars or arrays.
-    """
-    return expit(x)
 
 
 @dataclass(eq=False)
@@ -64,16 +55,6 @@ class Network:
         return Network(self.hidden_weights.copy(), self.output_weights.copy())
 
 
-@dataclass(frozen=True)
-class Activations:
-    """Pre-activation sums and sigmoid outputs of one forward pass."""
-
-    hidden_net: np.ndarray
-    hidden: np.ndarray
-    output_net: np.ndarray
-    output: np.ndarray
-
-
 def init_network(n_inputs, n_outputs, init_range, rng):
     """Create an h=1 network with uniform random weights.
 
@@ -93,7 +74,10 @@ def init_network(n_inputs, n_outputs, init_range, rng):
 
 
 def forward(net, inputs):
-    """Evaluate the network on one input vector."""
+    """Evaluate the network on one input vector.
+
+    Returns ``(hidden, output)``, the logistic activations of both layers.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape != (net.n_inputs,):
         raise ArityMismatchError(
@@ -103,12 +87,9 @@ def forward(net, inputs):
     # when h changes, which breaks bit-equality of grown nets whose new
     # output weight is exactly zero.
     xb = np.append(x, 1.0)
-    hidden_net = np.cumsum(net.hidden_weights * xb, axis=1)[:, -1]
-    hidden = expit(hidden_net)
+    hidden = expit(np.cumsum(net.hidden_weights * xb, axis=1)[:, -1])
     hb = np.append(hidden, 1.0)
-    output_net = np.cumsum(net.output_weights * hb, axis=1)[:, -1]
-    output = expit(output_net)
-    return Activations(hidden_net, hidden, output_net, output)
+    return hidden, expit(np.cumsum(net.output_weights * hb, axis=1)[:, -1])
 
 
 def forward_outputs(net, X):

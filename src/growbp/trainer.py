@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import stack_examples
 from .errors import ArityMismatchError, ConfigError, EmptySetError
 from .metrics import (
     efficiency,
@@ -117,45 +116,31 @@ class GrowthHistory:
         return best
 
 
-def pattern_error(targets, outputs):
-    """Per-output errors d - y and the half-sum-of-squares xi for one pattern."""
-    t = np.asarray(targets, dtype=np.float64)
-    y = np.asarray(outputs, dtype=np.float64)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ArityMismatchError(
-            f"targets {t.shape} and outputs {y.shape} must be equal-length vectors"
-        )
-    errors = t - y
-    xi = 0.5 * float(errors @ errors)
-    return errors, xi
-
-
-def average_error(net, examples):
-    """Mean of the per-pattern error xi over a pattern set."""
-    if len(examples) == 0:
+def average_error(net, part):
+    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
+    if len(part) == 0:
         raise EmptySetError("average error over an empty pattern set")
-    X, T = stack_examples(examples)
-    Y = forward_outputs(net, X)
-    E = T - Y
+    if part.T.shape[1] != net.n_outputs:
+        raise ArityMismatchError(
+            f"expected {net.n_outputs} targets, got {part.T.shape[1]}"
+        )
+    E = part.T - forward_outputs(net, part.X)
     return float((0.5 * (E * E).sum(axis=1)).mean())
 
 
-def backprop_step(net, example, eta):
-    """Apply one online gradient step for one pattern, in place.
+def backprop_step(net, x, d, eta):
+    """Apply one online gradient step for input ``x`` and target ``d``.
 
-    Output-layer weights are updated first; the hidden-layer deltas use
-    the original (pre-update) output weights, so the whole step equals
-    -eta times the gradient of this pattern's xi.  Returns the network.
+    The network is updated in place.  Output-layer weights are updated
+    first; the hidden-layer deltas use the original (pre-update) output
+    weights, so the whole step equals -eta times the gradient of this
+    pattern's xi.  Returns the network.
     """
-    x = example.inputs
-    d = example.targets
     if len(d) != net.n_outputs:
         raise ArityMismatchError(
             f"expected {net.n_outputs} targets, got {len(d)}"
         )
-    act = forward(net, x)
-    y = act.output
-    hidden = act.hidden
+    hidden, y = forward(net, x)
     delta_o = (d - y) * y * (1.0 - y)
     back = net.output_weights[:, :-1].T @ delta_o
     delta_h = back * hidden * (1.0 - hidden)
@@ -177,8 +162,9 @@ def train_epoch(net, train, eta, order):
         np.sort(order), np.arange(len(train))
     ):
         raise ValueError("order must be a permutation of the train indices")
+    X, T = train.X, train.T
     for i in order:
-        backprop_step(net, train[i], eta)
+        backprop_step(net, X[i], T[i], eta)
     return net
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growbp.dataset import DatasetHeader, Example, SplitDataset
+from growbp.dataset import DatasetHeader, Partition, SplitDataset
 
 
 def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
@@ -18,14 +18,7 @@ def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
     X = centers[labels] + rng.uniform(-gap / 2.5, gap / 2.5,
                                       size=(total, n_inputs))
     X = np.clip(X, 0.0, 1.0)
-    examples = []
-    for x, lab in zip(X, labels):
-        if one_hot:
-            t = np.zeros(2)
-            t[lab] = 1.0
-        else:
-            t = np.array([float(lab)])
-        examples.append(Example(inputs=x.copy(), targets=t))
+    T = np.eye(2)[labels] if one_hot else labels[:, None].astype(np.float64)
     header = DatasetHeader(
         n_inputs=n_inputs,
         n_outputs=2 if one_hot else 1,
@@ -37,9 +30,9 @@ def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
     a, b = n_train, n_train + n_valid
     return SplitDataset(
         header=header,
-        train=tuple(examples[:a]),
-        valid=tuple(examples[a:b]),
-        test=tuple(examples[b:]),
+        train=Partition(X[:a], T[:a]),
+        valid=Partition(X[a:b], T[a:b]),
+        test=Partition(X[b:], T[b:]),
     )
 
 

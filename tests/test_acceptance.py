@@ -13,7 +13,7 @@ import pytest
 from growbp.cli import ExperimentConfig, run_experiment
 from growbp.dataset import (
     DatasetHeader,
-    Example,
+    Partition,
     SplitDataset,
     load_dataset,
 )
@@ -30,7 +30,6 @@ from growbp.trainer import (
     TrainConfig,
     backprop_step,
     constructive_train,
-    pattern_error,
 )
 
 
@@ -122,21 +121,21 @@ def test_4_diabetes1_reproduction(report):
            f"in {elapsed:.1f}s")
 
 
-def pattern_xi(net, example):
-    _, xi = pattern_error(example.targets, forward(net, example.inputs).output)
-    return xi
+def pattern_xi(net, x, d):
+    e = d - forward(net, x)[1]
+    return 0.5 * float(e @ e)
 
 
-def central_difference_gradient(net, example, step=1e-5):
+def central_difference_gradient(net, x, d, step=1e-5):
     grads = []
     for mat in (net.hidden_weights, net.output_weights):
         g = np.zeros_like(mat)
         for idx in np.ndindex(mat.shape):
             orig = mat[idx]
             mat[idx] = orig + step
-            plus = pattern_xi(net, example)
+            plus = pattern_xi(net, x, d)
             mat[idx] = orig - step
-            minus = pattern_xi(net, example)
+            minus = pattern_xi(net, x, d)
             mat[idx] = orig
             g[idx] = (plus - minus) / (2 * step)
         grads.append(g)
@@ -156,13 +155,11 @@ def test_5_gradient_oracle(report):
             rng.uniform(-1, 1, (h, n_in + 1)),
             rng.uniform(-1, 1, (n_out, h + 1)),
         )
-        ex = Example(
-            rng.uniform(-1, 1, n_in),
-            rng.integers(0, 2, n_out).astype(np.float64),
-        )
-        grads = central_difference_gradient(net, ex)
+        x = rng.uniform(-1, 1, n_in)
+        d = rng.integers(0, 2, n_out).astype(np.float64)
+        grads = central_difference_gradient(net, x, d)
         before = (net.hidden_weights.copy(), net.output_weights.copy())
-        backprop_step(net, ex, eta)
+        backprop_step(net, x, d, eta)
         after = (net.hidden_weights, net.output_weights)
         for b, a, g in zip(before, after, grads):
             taken = (a - b) / eta
@@ -216,12 +213,8 @@ def test_6_growth_invariants(blob_dataset, report):
 
 
 def test_7_xor_oracle(report):
-    patterns = (
-        Example(np.array([0.0, 0.0]), np.array([0.0])),
-        Example(np.array([0.0, 1.0]), np.array([1.0])),
-        Example(np.array([1.0, 0.0]), np.array([1.0])),
-        Example(np.array([1.0, 1.0]), np.array([0.0])),
-    )
+    patterns = Partition([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                         [[0.0], [1.0], [1.0], [0.0]])
     header = DatasetHeader(2, 1, 2, 4, 4, 4)
     data = SplitDataset(header, patterns, patterns, patterns)
     t0 = time.perf_counter()

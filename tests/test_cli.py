@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +366,60 @@ class TestMain:
         ])
         assert status == 0
         assert (outdir / "seed_0.csv").exists()
+
+
+def write_bad_input(case, blob_dataset, tmp_path):
+    """Write one malformed input; return its path and dataset kind."""
+    if case in ("non-ascii-dt", "unicode-digit-header"):
+        path = write_blob_file(blob_dataset, tmp_path)
+        text = path.read_text()
+        if case == "non-ascii-dt":
+            path.write_bytes(text.replace("0.", "é0.", 1).encode())
+        else:
+            path.write_text(text.replace("test_examples=10",
+                                         "test_examples=²"))
+        return path, "proben1"
+    csv_path = tmp_path / "raw.csv"
+    header = "é,b,t" if case == "non-ascii-csv" else "a,b,t"
+    rows = [header] + [f"{i},{i % 3},{i % 2}" for i in range(5)]
+    csv_path.write_bytes(("\n".join(rows) + "\n").encode())
+    manifest = json.dumps({"training_examples": 3, "validation_examples": 1,
+                           "test_examples": 1, "target_columns": 1})
+    if case == "manifest-not-json":
+        manifest = "{training_examples: 3"
+    elif case == "manifest-count-not-integer":
+        manifest = manifest.replace("3", '"three"')
+    (tmp_path / "raw.csv.manifest.json").write_text(manifest)
+    return csv_path, "raw-csv"
+
+
+class TestBadInputExitsTwo:
+    @pytest.mark.parametrize("command", ["inspect", "train"])
+    @pytest.mark.parametrize("case", [
+        "non-ascii-dt", "non-ascii-csv", "manifest-not-json",
+        "manifest-count-not-integer", "unicode-digit-header",
+    ])
+    def test_no_traceback(self, case, command, blob_dataset, tmp_path,
+                          capsys):
+        path, kind = write_bad_input(case, blob_dataset, tmp_path)
+        argv = [command, str(path), "--dataset-kind", kind]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "res")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMakeBenchmarks:
+    def test_regenerates_shipped_files_byte_for_byte(self, tmp_path,
+                                                     monkeypatch, capsys):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "make_benchmarks", root / "scripts" / "make_benchmarks.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        script.main()
+        shipped = root / "src" / "growbp" / "data"
+        for name in ("cancer1", "heart1", "diabetes1"):
+            assert ((tmp_path / f"{name}.dt").read_bytes()
+                    == (shipped / f"{name}.dt").read_bytes())

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbp.dataset import (
+    DatasetHeader,
+    Partition,
     SplitDataset,
     format_dataset,
     load_dataset,
@@ -12,11 +16,12 @@ from growbp.dataset import (
     parse_dataset,
     parse_header,
     save_dataset,
-    stack_examples,
 )
 from growbp.errors import (
     CountMismatchError,
+    DatasetError,
     EmptyTrainingError,
+    GrowbpError,
     MalformedValueError,
     MissingKeyError,
     NonFiniteError,
@@ -85,6 +90,12 @@ class TestParseHeader:
         with pytest.raises(MalformedValueError):
             parse_header(lines)
 
+    def test_unicode_digits_rejected(self):
+        # "\u00b2" passes str.isdigit() but int() cannot convert it.
+        lines = CANCER1_HEADER[:-1] + ["test_examples=\u00b2"]
+        with pytest.raises(MalformedValueError):
+            parse_header(lines)
+
     def test_unknown_keys_ignored(self):
         h = parse_header(CANCER1_HEADER + ["comment=whatever"])
         assert h.n_inputs == 9
@@ -95,9 +106,10 @@ class TestParseDataset:
         ds = parse_dataset(tiny_dt())
         assert (len(ds.train), len(ds.valid), len(ds.test)) == (3, 2, 2)
         # first input component encodes the row index
-        firsts = [ex.inputs[0] for ex in ds.train + ds.valid + ds.test]
-        assert firsts == sorted(firsts)
-        assert np.isclose(ds.valid[0].inputs[0], 0.3)
+        firsts = np.concatenate([ds.train.X[:, 0], ds.valid.X[:, 0],
+                                 ds.test.X[:, 0]])
+        assert np.array_equal(firsts, np.sort(firsts))
+        assert np.isclose(ds.valid.X[0, 0], 0.3)
 
     def test_count_mismatch(self):
         text = tiny_dt(rows=[f"0.{i} 0.{i} 1 0" for i in range(6)])
@@ -126,6 +138,12 @@ class TestParseDataset:
         ds = load_dataset(p)
         assert ds.header.total == 7
 
+    def test_non_ascii_file(self, tmp_path):
+        p = tmp_path / "tiny.dt"
+        p.write_bytes(tiny_dt().encode("ascii") + "0.\u00e9 1 1 0\n".encode())
+        with pytest.raises(DatasetError):
+            load_dataset(p)
+
 
 class TestRoundTrip:
     def test_bit_for_bit(self):
@@ -138,13 +156,7 @@ class TestRoundTrip:
                 f"{float(x[0])!r} {float(x[1])!r} {t[0]} {t[1]}"
             )
         ds = parse_dataset(tiny_dt(3, 3, 3, rows=rows))
-        again = parse_dataset(format_dataset(ds))
-        assert again.header == ds.header
-        for p1, p2 in zip((ds.train, ds.valid, ds.test),
-                          (again.train, again.valid, again.test)):
-            for e1, e2 in zip(p1, p2):
-                assert np.array_equal(e1.inputs, e2.inputs)
-                assert np.array_equal(e1.targets, e2.targets)
+        assert_same_dataset(parse_dataset(format_dataset(ds)), ds)
 
     def test_save_and_reload(self, tmp_path):
         ds = parse_dataset(tiny_dt())
@@ -157,9 +169,97 @@ class TestRoundTrip:
 class TestSplitDatasetInvariants:
     def test_partition_length_mismatch_rejected(self):
         ds = parse_dataset(tiny_dt())
+        short = Partition(ds.train.X[:-1], ds.train.T[:-1])
         with pytest.raises(CountMismatchError):
-            SplitDataset(header=ds.header, train=ds.train[:-1],
+            SplitDataset(header=ds.header, train=short,
                          valid=ds.valid, test=ds.test)
+
+    def test_partition_column_mismatch_rejected(self):
+        ds = parse_dataset(tiny_dt())
+        wide = Partition(np.hstack([ds.test.X, ds.test.X]), ds.test.T)
+        with pytest.raises(CountMismatchError):
+            SplitDataset(header=ds.header, train=ds.train,
+                         valid=ds.valid, test=wide)
+
+    def test_built_from_arrays(self):
+        X = np.arange(12.0).reshape(6, 2)
+        T = np.eye(2)[[0, 1, 0, 1, 1, 0]]
+        ds = SplitDataset(DatasetHeader(2, 2, 2, 3, 2, 1),
+                          Partition(X[:3], T[:3]), Partition(X[3:5], T[3:5]),
+                          Partition(X[5:], T[5:]))
+        assert len(ds.valid) == 2
+        assert np.array_equal(ds.test.X, [[10.0, 11.0]])
+
+
+class TestPartition:
+    def test_copies_to_c_contiguous_float64(self):
+        X = np.asfortranarray(np.arange(6).reshape(3, 2))
+        part = Partition(X, np.ones((3, 1)))
+        for M in (part.X, part.T):
+            assert M.dtype == np.float64
+            assert M.flags.c_contiguous and M.flags.owndata
+        assert not np.shares_memory(part.X, X)
+        assert len(part) == 3
+
+    @pytest.mark.parametrize("X, T", [
+        (np.zeros(3), np.zeros((3, 1))),
+        (np.zeros((3, 2)), np.zeros(3)),
+        (np.zeros((3, 2)), np.zeros((2, 1))),
+    ])
+    def test_rejects_bad_shapes(self, X, T):
+        with pytest.raises(MalformedValueError):
+            Partition(X, T)
+
+
+def assert_same_dataset(got, want):
+    assert got.header == want.header
+    for p1, p2 in zip((got.train, got.valid, got.test),
+                      (want.train, want.valid, want.test)):
+        # Bitwise, so -0.0 and 0.0 count as different values.
+        assert p1.X.tobytes() == p2.X.tobytes()
+        assert p1.T.tobytes() == p2.T.tobytes()
+
+
+@st.composite
+def split_datasets(draw):
+    n_inputs = draw(st.integers(1, 4))
+    n_outputs = draw(st.sampled_from([1, 2, 3]))
+    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+    total = sum(sizes)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(floats, min_size=n_inputs,
+                                        max_size=n_inputs),
+                               min_size=total, max_size=total)))
+    T = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=n_outputs,
+                                        max_size=n_outputs),
+                               min_size=total, max_size=total)))
+    header = DatasetHeader(n_inputs, n_outputs, max(n_outputs, 2), *sizes)
+    a, b = sizes[0], sizes[0] + sizes[1]
+    return SplitDataset(header, Partition(X[:a], T[:a]),
+                        Partition(X[a:b], T[a:b]), Partition(X[b:], T[b:]))
+
+
+class TestProperties:
+    @given(split_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_format_parse_round_trip_is_bitwise(self, ds):
+        assert_same_dataset(parse_dataset(format_dataset(ds)), ds)
+
+    # Arbitrary text, and lines drawn from near-valid .dt fragments so that
+    # inputs reach the row parser and not only the header checks.
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(
+        ["bool_in=0", "real_in=1", "bool_out=1", "real_out=0",
+         "training_examples=1", "validation_examples=1", "test_examples=1",
+         "real_in=\u00b2", "0.5 1", "0.5 0.5", "nan 0", "1e999 1", "x 1",
+         "0.5", "", "= ="]), max_size=12).map("\n".join)))
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_parses_or_raises_growbp_error(self, text):
+        try:
+            ds = parse_dataset(text)
+        except GrowbpError:
+            return
+        assert isinstance(ds, SplitDataset)
 
 
 class TestNormalizeRaw:
@@ -213,12 +313,11 @@ class TestRawCsv:
     def test_normalizes_with_train_stats_only(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path))
         assert (ds.header.n_inputs, ds.header.n_outputs) == (2, 2)
-        X, _ = stack_examples(ds.train)
-        assert np.allclose(X[:, 0], [0.0, 1.0, 0.5])
+        assert np.allclose(ds.train.X[:, 0], [0.0, 1.0, 0.5])
         # validation row a=20 exceeds the train max of 10: not clamped
-        assert np.isclose(ds.valid[0].inputs[0], 2.0)
+        assert np.isclose(ds.valid.X[0, 0], 2.0)
         # test row b=8 with train span [2, 4]
-        assert np.isclose(ds.test[0].inputs[1], 3.0)
+        assert np.isclose(ds.test.X[0, 1], 3.0)
 
     def test_single_target_column(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path, n_targets=1))
@@ -230,4 +329,26 @@ class TestRawCsv:
             json.dumps({"training_examples": 3})
         )
         with pytest.raises(MissingKeyError):
+            load_raw_csv(csv_path)
+
+    def test_non_ascii_csv(self, tmp_path):
+        csv_path = self.write_csv(tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"a,b", b"\xc3\xa9,b"))
+        with pytest.raises(DatasetError):
+            load_raw_csv(csv_path)
+
+    def test_manifest_not_json(self, tmp_path):
+        csv_path = self.write_csv(tmp_path)
+        (tmp_path / "raw.csv.manifest.json").write_text("{training: 3")
+        with pytest.raises(DatasetError):
+            load_raw_csv(csv_path)
+
+    @pytest.mark.parametrize("count", ["three", "3.5", None])
+    def test_manifest_count_not_integer(self, tmp_path, count):
+        csv_path = self.write_csv(tmp_path)
+        manifest = json.loads(
+            (tmp_path / "raw.csv.manifest.json").read_text())
+        manifest["training_examples"] = count
+        (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError):
             load_raw_csv(csv_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growbp.dataset import Example
+from growbp.dataset import Partition
 from growbp.errors import ArityMismatchError, EmptySetError
 from growbp.metrics import (
     DecisionRule,
@@ -10,9 +10,14 @@ from growbp.metrics import (
     efficiency,
     overall_efficiency,
     rule_for_outputs,
-    target_class,
 )
 from growbp.network import Network, forward
+
+
+def classify_row(row, rule):
+    """Class of a single output or target vector, as a one-row matrix."""
+    (cls,) = classify([row], rule)
+    return cls
 
 
 class TestRuleForOutputs:
@@ -26,38 +31,46 @@ class TestRuleForOutputs:
 
 class TestClassify:
     def test_argmax_picks_largest(self):
-        assert classify([0.9, 0.2], DecisionRule.ARGMAX) == 0
-        assert classify([0.2, 0.9], DecisionRule.ARGMAX) == 1
-        assert classify([0.1, 0.3, 0.8], DecisionRule.ARGMAX) == 2
+        assert classify_row([0.9, 0.2], DecisionRule.ARGMAX) == 0
+        assert classify_row([0.2, 0.9], DecisionRule.ARGMAX) == 1
+        assert classify_row([0.1, 0.3, 0.8], DecisionRule.ARGMAX) == 2
 
     def test_argmax_tie_goes_to_lowest_index(self):
-        assert classify([0.5, 0.5], DecisionRule.ARGMAX) == 0
-        assert classify([0.2, 0.7, 0.7], DecisionRule.ARGMAX) == 1
+        assert classify_row([0.5, 0.5], DecisionRule.ARGMAX) == 0
+        assert classify_row([0.2, 0.7, 0.7], DecisionRule.ARGMAX) == 1
 
     def test_threshold_cutoff_is_inclusive(self):
-        assert classify([0.5], DecisionRule.THRESHOLD) == 1
-        assert classify([0.4999], DecisionRule.THRESHOLD) == 0
-        assert classify([0.9], DecisionRule.THRESHOLD) == 1
+        assert classify_row([0.5], DecisionRule.THRESHOLD) == 1
+        assert classify_row([0.4999], DecisionRule.THRESHOLD) == 0
+        assert classify_row([0.9], DecisionRule.THRESHOLD) == 1
 
     def test_monotone_transform_keeps_argmax_class(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             y = rng.uniform(0, 1, size=int(rng.integers(2, 6)))
-            assert classify(y, DecisionRule.ARGMAX) == classify(
+            assert classify_row(y, DecisionRule.ARGMAX) == classify_row(
                 y ** 3, DecisionRule.ARGMAX
             )
 
+    def test_rows_classified_independently(self):
+        M = np.array([[0.9, 0.2], [0.5, 0.5], [0.1, 0.3]])
+        assert classify(M, DecisionRule.ARGMAX).tolist() == [0, 0, 1]
+        col = np.array([[0.5], [0.2], [1.0]])
+        assert classify(col, DecisionRule.THRESHOLD).tolist() == [1, 0, 1]
+
     def test_arity_errors(self):
         with pytest.raises(ArityMismatchError):
-            classify([0.2, 0.8], DecisionRule.THRESHOLD)
+            classify_row([0.2, 0.8], DecisionRule.THRESHOLD)
         with pytest.raises(ArityMismatchError):
-            classify([0.7], DecisionRule.ARGMAX)
+            classify_row([0.7], DecisionRule.ARGMAX)
+        with pytest.raises(ArityMismatchError):
+            classify([0.2, 0.8], DecisionRule.ARGMAX)
 
     def test_target_class_decodes_encodings(self):
-        assert target_class([1.0, 0.0], DecisionRule.ARGMAX) == 0
-        assert target_class([0.0, 1.0], DecisionRule.ARGMAX) == 1
-        assert target_class([1.0], DecisionRule.THRESHOLD) == 1
-        assert target_class([0.0], DecisionRule.THRESHOLD) == 0
+        assert classify_row([1.0, 0.0], DecisionRule.ARGMAX) == 0
+        assert classify_row([0.0, 1.0], DecisionRule.ARGMAX) == 1
+        assert classify_row([1.0], DecisionRule.THRESHOLD) == 1
+        assert classify_row([0.0], DecisionRule.THRESHOLD) == 0
 
 
 class TestEfficiency:
@@ -66,15 +79,13 @@ class TestEfficiency:
         net = Network(
             rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (2, 4))
         )
-        examples = [
-            Example(rng.uniform(0, 1, 4), np.eye(2)[int(rng.integers(0, 2))])
-            for _ in range(40)
-        ]
-        rep = efficiency(net, examples, DecisionRule.ARGMAX)
+        part = Partition(rng.uniform(0, 1, (40, 4)),
+                         np.eye(2)[rng.integers(0, 2, 40)])
+        rep = efficiency(net, part, DecisionRule.ARGMAX)
         expected = sum(
-            classify(forward(net, ex.inputs).output, DecisionRule.ARGMAX)
-            == target_class(ex.targets, DecisionRule.ARGMAX)
-            for ex in examples
+            classify_row(forward(net, x)[1], DecisionRule.ARGMAX)
+            == classify_row(t, DecisionRule.ARGMAX)
+            for x, t in zip(part.X, part.T)
         )
         assert rep.classified == expected
         assert rep.total == 40
@@ -84,16 +95,13 @@ class TestEfficiency:
         net = Network(
             rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (1, 3))
         )
-        examples = [
-            Example(rng.uniform(0, 1, 3),
-                    np.array([float(rng.integers(0, 2))]))
-            for _ in range(40)
-        ]
-        rep = efficiency(net, examples, DecisionRule.THRESHOLD)
+        part = Partition(rng.uniform(0, 1, (40, 3)),
+                         rng.integers(0, 2, (40, 1)))
+        rep = efficiency(net, part, DecisionRule.THRESHOLD)
         expected = sum(
-            classify(forward(net, ex.inputs).output, DecisionRule.THRESHOLD)
-            == target_class(ex.targets, DecisionRule.THRESHOLD)
-            for ex in examples
+            classify_row(forward(net, x)[1], DecisionRule.THRESHOLD)
+            == classify_row(t, DecisionRule.THRESHOLD)
+            for x, t in zip(part.X, part.T)
         )
         assert rep.classified == expected
 
@@ -109,7 +117,8 @@ class TestEfficiency:
     def test_empty_set(self):
         net = Network(np.zeros((1, 3)), np.zeros((2, 2)))
         with pytest.raises(EmptySetError):
-            efficiency(net, [], DecisionRule.ARGMAX)
+            efficiency(net, Partition(np.empty((0, 2)), np.empty((0, 2))),
+                       DecisionRule.ARGMAX)
 
 
 class TestOverallEfficiency:

@@ -18,7 +18,6 @@ from growbp.network import (
     load_network,
     parse_network,
     save_network,
-    sigmoid,
 )
 
 
@@ -46,9 +45,22 @@ def random_network(rng, n_inputs, h, n_outputs, scale=1.0):
     )
 
 
+def sigmoid(x):
+    """The hidden activations of a net whose unit j computes sigmoid(x[j]).
+
+    Each hidden unit has weight 1 on its own input, 0 elsewhere and bias
+    0, so its net input is exactly x[j].
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    n = len(x)
+    net = Network(np.hstack([np.eye(n), np.zeros((n, 1))]),
+                  np.zeros((1, n + 1)))
+    return forward(net, x)[0]
+
+
 class TestSigmoid:
     def test_zero_is_half(self):
-        assert sigmoid(0.0) == 0.5
+        assert sigmoid(0.0)[0] == 0.5
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -56,7 +68,7 @@ class TestSigmoid:
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
     def test_derivative_form_at_zero(self):
-        y = sigmoid(0.0)
+        y = sigmoid(0.0)[0]
         assert y * (1 - y) == 0.25
 
     def test_derivative_matches_finite_differences(self):
@@ -67,8 +79,7 @@ class TestSigmoid:
         np.testing.assert_allclose(y * (1 - y), numeric, atol=1e-9)
 
     def test_saturation_without_error(self):
-        assert sigmoid(1000.0) == 1.0
-        assert sigmoid(-1000.0) == 0.0
+        assert np.array_equal(sigmoid([1000.0, -1000.0]), [1.0, 0.0])
 
 
 class TestInitNetwork:
@@ -107,15 +118,15 @@ class TestInitNetwork:
 class TestForward:
     def test_zero_weights_give_half(self):
         net = Network(np.zeros((3, 5)), np.zeros((2, 4)))
-        act = forward(net, [0.1, 0.9, 0.4, 0.2])
-        assert np.array_equal(act.output, [0.5, 0.5])
-        assert np.array_equal(act.hidden, [0.5, 0.5, 0.5])
+        hidden, output = forward(net, [0.1, 0.9, 0.4, 0.2])
+        assert np.array_equal(output, [0.5, 0.5])
+        assert np.array_equal(hidden, [0.5, 0.5, 0.5])
 
     def test_hand_set_single_unit(self):
         net = Network(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        act = forward(net, [1.0])
-        assert np.isclose(act.hidden[0], 0.7310585786300049)
-        assert np.isclose(act.output[0], sigmoid(act.hidden[0]))
+        hidden, output = forward(net, [1.0])
+        assert np.isclose(hidden[0], 0.7310585786300049)
+        assert np.isclose(output[0], sigmoid(hidden[0])[0])
 
     def test_arity_mismatch(self):
         net = init_network(4, 1, 1.0, np.random.default_rng(0))
@@ -130,10 +141,10 @@ class TestForward:
             n_out = int(rng.integers(1, 4))
             net = random_network(rng, n_in, h, n_out, scale=2.0)
             x = rng.uniform(-1, 1, size=n_in)
-            act = forward(net, x)
+            hidden, output = forward(net, x)
             ref_hidden, ref_out = reference_forward(net, x)
-            np.testing.assert_allclose(act.hidden, ref_hidden, atol=1e-12)
-            np.testing.assert_allclose(act.output, ref_out, atol=1e-12)
+            np.testing.assert_allclose(hidden, ref_hidden, atol=1e-12)
+            np.testing.assert_allclose(output, ref_out, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -142,16 +153,16 @@ class TestForward:
         Y = forward_outputs(net, X)
         for i in range(25):
             np.testing.assert_allclose(
-                Y[i], forward(net, X[i]).output, atol=1e-12
+                Y[i], forward(net, X[i])[1], atol=1e-12
             )
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
             net = random_network(rng, 5, 3, 2, scale=3.0)
-            act = forward(net, rng.uniform(0, 1, size=5))
-            assert np.all(act.output > 0) and np.all(act.output < 1)
-            assert np.all(act.hidden > 0) and np.all(act.hidden < 1)
+            hidden, output = forward(net, rng.uniform(0, 1, size=5))
+            assert np.all(output > 0) and np.all(output < 1)
+            assert np.all(hidden > 0) and np.all(hidden < 1)
 
 
 class TestAddHiddenUnit:
@@ -176,8 +187,8 @@ class TestAddHiddenUnit:
             grown = add_hidden_unit(net, 1.0, rng, zero_output=True)
             for _ in range(10):
                 x = rng.uniform(-1, 1, size=4)
-                before = forward(net, x).output
-                after = forward(grown, x).output
+                before = forward(net, x)[1]
+                after = forward(grown, x)[1]
                 assert np.array_equal(before, after)
 
     def test_three_grows_dimension_bookkeeping(self):

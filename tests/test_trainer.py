@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from growbp.dataset import DatasetHeader, Example, SplitDataset
+from growbp.dataset import DatasetHeader, Partition, SplitDataset
 from growbp.errors import ArityMismatchError, ConfigError, EmptySetError
 from growbp.network import Network, forward, init_network
 from growbp.trainer import (
@@ -15,7 +15,6 @@ from growbp.trainer import (
     average_error,
     backprop_step,
     constructive_train,
-    pattern_error,
     train_epoch,
     train_phase,
 )
@@ -28,19 +27,23 @@ def random_network(rng, n_inputs, h, n_outputs, scale=1.0):
     )
 
 
-def pattern_xi(net, example):
-    _, xi = pattern_error(example.targets, forward(net, example.inputs).output)
-    return xi
+def pattern_xi(net, x, d):
+    """Half the sum of squared output errors for one pattern."""
+    e = np.asarray(d) - forward(net, x)[1]
+    return 0.5 * float(e @ e)
+
+
+def one_row(x, d):
+    return Partition([x], [d])
 
 
 def one_pattern_dataset(x, train_target, valid_target, test_target):
     header = DatasetHeader(len(x), 1, 2, 1, 1, 1)
-    x = np.asarray(x, dtype=np.float64)
     return SplitDataset(
         header,
-        (Example(x, np.array([train_target], dtype=np.float64)),),
-        (Example(x, np.array([valid_target], dtype=np.float64)),),
-        (Example(x, np.array([test_target], dtype=np.float64)),),
+        one_row(x, [train_target]),
+        one_row(x, [valid_target]),
+        one_row(x, [test_target]),
     )
 
 
@@ -73,51 +76,47 @@ class TestTrainConfig:
 
 class TestPatternError:
     def test_perfect_pattern(self):
-        errors, xi = pattern_error([1.0, 0.0], [1.0, 0.0])
-        assert np.array_equal(errors, [0.0, 0.0])
-        assert xi == 0.0
+        net = Network(np.zeros((1, 2)), np.array([[0.0, 800.0]]))
+        assert average_error(net, one_row([0.3], [1.0])) == 0.0
 
     def test_single_output(self):
-        errors, xi = pattern_error([1.0], [0.8])
-        assert np.isclose(errors[0], 0.2)
-        assert np.isclose(xi, 0.02)
+        # Output bias log(4) gives y = 0.8, so xi = 0.2**2 / 2.
+        net = Network(np.zeros((1, 2)), np.array([[0.0, np.log(4.0)]]))
+        assert np.isclose(average_error(net, one_row([0.3], [1.0])), 0.02)
 
     def test_maximally_wrong_one_hot(self):
-        _, xi = pattern_error([1.0, 0.0], [0.0, 1.0])
-        assert xi == 1.0
+        net = Network(np.zeros((1, 2)), np.array([[0.0, -800.0],
+                                                  [0.0, 800.0]]))
+        assert average_error(net, one_row([0.3], [1.0, 0.0])) == 1.0
 
     def test_arity_mismatch(self):
+        net = Network(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ArityMismatchError):
-            pattern_error([1.0, 0.0], [0.5])
+            average_error(net, one_row([0.3], [1.0, 0.0]))
 
 
 class TestAverageError:
     def test_zero_weight_one_hot_quarter(self):
         net = Network(np.zeros((1, 3)), np.zeros((2, 2)))
-        examples = [
-            Example(np.array([0.2, 0.4]), np.array([1.0, 0.0])),
-            Example(np.array([0.9, 0.1]), np.array([0.0, 1.0])),
-        ]
-        assert average_error(net, examples) == 0.25
+        part = Partition([[0.2, 0.4], [0.9, 0.1]], [[1.0, 0.0], [0.0, 1.0]])
+        assert average_error(net, part) == 0.25
 
     def test_matches_per_pattern_mean(self):
         rng = np.random.default_rng(3)
         net = random_network(rng, 4, 3, 2)
-        examples = [
-            Example(rng.uniform(0, 1, 4),
-                    np.eye(2)[int(rng.integers(0, 2))])
-            for _ in range(17)
-        ]
-        direct = sum(pattern_xi(net, ex) for ex in examples) / len(examples)
-        assert np.isclose(average_error(net, examples), direct, atol=1e-12)
+        part = Partition(rng.uniform(0, 1, (17, 4)),
+                         np.eye(2)[rng.integers(0, 2, 17)])
+        direct = sum(pattern_xi(net, x, d) for x, d in zip(part.X, part.T))
+        assert np.isclose(average_error(net, part), direct / 17, atol=1e-12)
 
     def test_empty_set(self):
         net = Network(np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(EmptySetError):
-            average_error(net, [])
+            average_error(net, Partition(np.empty((0, 2)),
+                                         np.empty((0, 1))))
 
 
-def numeric_gradient(net, example, step=1e-5):
+def numeric_gradient(net, x, d, step=1e-5):
     """Central-difference gradient of this pattern's xi in each weight."""
     grads = []
     for mat in (net.hidden_weights, net.output_weights):
@@ -125,9 +124,9 @@ def numeric_gradient(net, example, step=1e-5):
         for idx in np.ndindex(mat.shape):
             orig = mat[idx]
             mat[idx] = orig + step
-            plus = pattern_xi(net, example)
+            plus = pattern_xi(net, x, d)
             mat[idx] = orig - step
-            minus = pattern_xi(net, example)
+            minus = pattern_xi(net, x, d)
             mat[idx] = orig
             g[idx] = (plus - minus) / (2 * step)
         grads.append(g)
@@ -139,13 +138,13 @@ class TestBackpropStep:
         rng = np.random.default_rng(42)
         for _ in range(20):
             net = random_network(rng, 3, 4, 2)
-            ex = Example(rng.uniform(-1, 1, 3),
-                         np.eye(2)[int(rng.integers(0, 2))])
-            g_hidden, g_output = numeric_gradient(net, ex)
+            x = rng.uniform(-1, 1, 3)
+            d = np.eye(2)[int(rng.integers(0, 2))]
+            g_hidden, g_output = numeric_gradient(net, x, d)
             before_hw = net.hidden_weights.copy()
             before_ow = net.output_weights.copy()
             eta = 0.7
-            backprop_step(net, ex, eta)
+            backprop_step(net, x, d, eta)
             step_hw = (net.hidden_weights - before_hw) / eta
             step_ow = (net.output_weights - before_ow) / eta
             for taken, grad in ((step_hw, g_hidden), (step_ow, g_output)):
@@ -156,19 +155,17 @@ class TestBackpropStep:
     def test_updates_in_place_and_returns_net(self):
         rng = np.random.default_rng(1)
         net = random_network(rng, 2, 2, 1)
-        out = backprop_step(
-            net, Example(np.array([0.1, 0.9]), np.array([1.0])), 0.5
-        )
+        out = backprop_step(net, np.array([0.1, 0.9]), np.array([1.0]), 0.5)
         assert out is net
 
     def test_zero_error_is_fixed_point(self):
         rng = np.random.default_rng(5)
         net = random_network(rng, 3, 2, 2)
         x = rng.uniform(0, 1, 3)
-        d = forward(net, x).output.copy()
+        d = forward(net, x)[1].copy()
         hw = net.hidden_weights.copy()
         ow = net.output_weights.copy()
-        backprop_step(net, Example(x, d), 0.7)
+        backprop_step(net, x, d, 0.7)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
 
@@ -177,9 +174,7 @@ class TestBackpropStep:
         net = random_network(rng, 3, 2, 2)
         hw = net.hidden_weights.copy()
         ow = net.output_weights.copy()
-        backprop_step(
-            net, Example(rng.uniform(0, 1, 3), np.array([1.0, 0.0])), 0.0
-        )
+        backprop_step(net, rng.uniform(0, 1, 3), np.array([1.0, 0.0]), 0.0)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
 
@@ -187,59 +182,55 @@ class TestBackpropStep:
         rng = np.random.default_rng(7)
         for _ in range(10):
             net = random_network(rng, 4, 3, 2)
-            ex = Example(rng.uniform(0, 1, 4),
-                         np.eye(2)[int(rng.integers(0, 2))])
-            before = pattern_xi(net, ex)
-            backprop_step(net, ex, 1e-4)
-            assert pattern_xi(net, ex) < before
+            x = rng.uniform(0, 1, 4)
+            d = np.eye(2)[int(rng.integers(0, 2))]
+            before = pattern_xi(net, x, d)
+            backprop_step(net, x, d, 1e-4)
+            assert pattern_xi(net, x, d) < before
 
     def test_target_arity_checked(self):
         net = init_network(3, 2, 1.0, np.random.default_rng(0))
         with pytest.raises(ArityMismatchError):
-            backprop_step(
-                net, Example(np.array([0.1, 0.2, 0.3]), np.array([1.0])), 0.7
-            )
+            backprop_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]), 0.7)
 
 
 class TestTrainEpoch:
     def test_single_pattern_epoch_equals_one_step(self):
         rng = np.random.default_rng(8)
-        ex = Example(rng.uniform(0, 1, 3), np.array([0.0, 1.0]))
+        x = rng.uniform(0, 1, 3)
+        d = np.array([0.0, 1.0])
         a = random_network(rng, 3, 2, 2)
         b = a.copy()
-        train_epoch(a, [ex], 0.7, [0])
-        backprop_step(b, ex, 0.7)
+        train_epoch(a, one_row(x, d), 0.7, [0])
+        backprop_step(b, x, d, 0.7)
         assert np.array_equal(a.hidden_weights, b.hidden_weights)
         assert np.array_equal(a.output_weights, b.output_weights)
 
     def test_epoch_equals_sequential_steps(self):
         rng = np.random.default_rng(9)
-        examples = [
-            Example(rng.uniform(0, 1, 3), np.eye(2)[i % 2]) for i in range(6)
-        ]
+        part = Partition(rng.uniform(0, 1, (6, 3)), np.eye(2)[np.arange(6) % 2])
         a = random_network(rng, 3, 2, 2)
         b = a.copy()
         order = [3, 0, 5, 1, 4, 2]
-        train_epoch(a, examples, 0.7, order)
+        train_epoch(a, part, 0.7, order)
         for i in order:
-            backprop_step(b, examples[i], 0.7)
+            backprop_step(b, part.X[i], part.T[i], 0.7)
         assert np.array_equal(a.hidden_weights, b.hidden_weights)
         assert np.array_equal(a.output_weights, b.output_weights)
 
     @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [1, 2, 3]])
     def test_rejects_non_permutations(self, order):
         rng = np.random.default_rng(10)
-        examples = [
-            Example(rng.uniform(0, 1, 2), np.array([1.0])) for _ in range(3)
-        ]
+        part = Partition(rng.uniform(0, 1, (3, 2)), np.ones((3, 1)))
         net = random_network(rng, 2, 1, 1)
         with pytest.raises(ValueError):
-            train_epoch(net, examples, 0.7, order)
+            train_epoch(net, part, 0.7, order)
 
     def test_empty_train_set(self):
         net = init_network(2, 1, 1.0, np.random.default_rng(0))
         with pytest.raises(EmptySetError):
-            train_epoch(net, [], 0.7, [])
+            train_epoch(net, Partition(np.empty((0, 2)), np.empty((0, 1))),
+                        0.7, [])
 
 
 class TestTrainPhase:
@@ -332,7 +323,8 @@ class TestConstructiveTrain:
         broken = SplitDataset.__new__(SplitDataset)
         object.__setattr__(broken, "header", blob_dataset.header)
         object.__setattr__(broken, "train", blob_dataset.train)
-        object.__setattr__(broken, "valid", ())
+        object.__setattr__(broken, "valid",
+                           Partition(np.empty((0, 2)), np.empty((0, 2))))
         object.__setattr__(broken, "test", blob_dataset.test)
         cfg = TrainConfig(epochs_per_phase=2, patience=2)
         with pytest.raises(EmptySetError):
