@@ -4,16 +4,17 @@ Weights live in two matrices.  ``hidden_weights`` has one row per hidden
 unit and ``n_inputs + 1`` columns, the last column being the bias against a
 constant-1 input.  ``output_weights`` has one row per output unit and
 ``h + 1`` columns, again with the bias last.  All units use the logistic
-function 1 / (1 + exp(-x)).  Growth appends one hidden unit while leaving
-every existing weight untouched.
+function 1 / (1 + exp(-x)), evaluated in the order ``growbp.kernel``
+states.  Growth appends one hidden unit while leaving every existing
+weight untouched.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
+from .kernel import batch_activations, kernel
 
 
 @dataclass(eq=False)
@@ -83,26 +84,28 @@ def forward(net, inputs):
         raise ArityMismatchError(
             f"expected {net.n_inputs} inputs, got {x.shape}"
         )
-    # Left-to-right accumulation, not matmul: BLAS reblocks the reduction
-    # when h changes, which breaks bit-equality of grown nets whose new
-    # output weight is exactly zero.
-    xb = np.append(x, 1.0)
-    hidden = expit(np.cumsum(net.hidden_weights * xb, axis=1)[:, -1])
-    hb = np.append(hidden, 1.0)
-    return hidden, expit(np.cumsum(net.output_weights * hb, axis=1)[:, -1])
+    fwd, _ = kernel(net.n_inputs, net.h, net.n_outputs)
+    hidden, output = fwd(net.hidden_weights.tolist(),
+                         net.output_weights.tolist(), x.tolist())
+    return np.array(hidden), np.array(output)
 
 
 def forward_outputs(net, X):
-    """Evaluate the network on a matrix of inputs, one row per pattern."""
+    """Evaluate the network on a matrix of inputs, one row per pattern.
+
+    Row ``i`` of the result equals ``forward(net, X[i])[1]`` bitwise.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n_inputs:
         raise ArityMismatchError(
             f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
         )
-    hw = net.hidden_weights
-    ow = net.output_weights
-    hidden = expit(X @ hw[:, :-1].T + hw[:, -1])
-    return expit(hidden @ ow[:, :-1].T + ow[:, -1])
+    # One contiguous row per input, so every step of the kernel's sums
+    # runs over a long row of patterns: faster than per-column access and,
+    # at these sizes, than matmul.
+    hidden = batch_activations(np.ascontiguousarray(X.T), net.hidden_weights)
+    output = batch_activations(hidden, net.output_weights)
+    return np.ascontiguousarray(output.T)
 
 
 def add_hidden_unit(net, init_range, rng, zero_output=False):

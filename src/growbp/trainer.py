@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Partition
 from .errors import ArityMismatchError, ConfigError, EmptySetError
+from .kernel import kernel
 from .metrics import (
     efficiency,
     overall_efficiency,
     rule_for_outputs,
 )
-from .network import add_hidden_unit, forward, forward_outputs, init_network
+from .network import add_hidden_unit, forward_outputs, init_network
 
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
@@ -134,27 +136,19 @@ def backprop_step(net, x, d, eta):
     The network is updated in place.  Output-layer weights are updated
     first; the hidden-layer deltas use the original (pre-update) output
     weights, so the whole step equals -eta times the gradient of this
-    pattern's xi.  Returns the network.
+    pattern's xi.  This is a one-pattern :func:`train_epoch`.  Returns
+    the network.
     """
-    if len(d) != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_outputs} targets, got {len(d)}"
-        )
-    hidden, y = forward(net, x)
-    delta_o = (d - y) * y * (1.0 - y)
-    back = net.output_weights[:, :-1].T @ delta_o
-    delta_h = back * hidden * (1.0 - hidden)
-    ow = net.output_weights
-    hw = net.hidden_weights
-    ow[:, :-1] += eta * np.outer(delta_o, hidden)
-    ow[:, -1] += eta * delta_o
-    hw[:, :-1] += eta * np.outer(delta_h, x)
-    hw[:, -1] += eta * delta_h
-    return net
+    return train_epoch(net, Partition([x], [d]), eta, [0])
 
 
 def train_epoch(net, train, eta, order):
-    """One pass of online updates over the training set in the given order."""
+    """One pass of online updates over the training set in the given order.
+
+    The weights and patterns are converted to lists of floats once, every
+    step runs the kernel on them, and the weights are written back into
+    the network at the end.
+    """
     if len(train) == 0:
         raise EmptySetError("cannot train on an empty set")
     order = np.asarray(order)
@@ -162,9 +156,21 @@ def train_epoch(net, train, eta, order):
         np.sort(order), np.arange(len(train))
     ):
         raise ValueError("order must be a permutation of the train indices")
-    X, T = train.X, train.T
-    for i in order:
-        backprop_step(net, X[i], T[i], eta)
+    if train.X.shape[1] != net.n_inputs or train.T.shape[1] != net.n_outputs:
+        raise ArityMismatchError(
+            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
+            f"got {train.X.shape[1]} and {train.T.shape[1]}"
+        )
+    _, step = kernel(net.n_inputs, net.h, net.n_outputs)
+    hw = net.hidden_weights.tolist()
+    ow = net.output_weights.tolist()
+    X = train.X.tolist()
+    T = train.T.tolist()
+    eta = float(eta)
+    for i in order.tolist():
+        step(hw, ow, X[i], T[i], eta)
+    net.hidden_weights[:] = hw
+    net.output_weights[:] = ow
     return net
 
 

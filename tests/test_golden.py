@@ -1,8 +1,8 @@
 """Result files stay byte-identical to the stored golden copies.
 
 ``tests/golden/<name>/`` holds the ``seed_<n>.csv``, ``summary.csv`` and
-``histories.jsonl`` files that the two short runs below wrote.  A
-refactor must reproduce every byte; a change that means to alter results
+``histories.jsonl`` files that the short runs below wrote.  A refactor
+must reproduce every byte; a change that means to alter results
 regenerates the copies with ``PYTHONPATH=src python3 tests/test_golden.py``
 and says so in its changelog.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from growbp.cli import ExperimentConfig, run_experiment
+from growbp.cli import ExperimentConfig, main, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,29 +34,62 @@ def result_files(name, workdir):
         cfg = ExperimentConfig(dataset_path=name, output_path=str(outdir),
                                output_format=fmt, n_jobs=1, **RUNS[name])
         run_experiment(cfg, log=lambda *a: None)
-        for path in outdir.iterdir():
-            if path.name != "config.json":
-                files[path.name] = path.read_bytes()
+        files.update(written(outdir))
     return files
+
+
+# Command lines run through the CLI, with their expected exit status.
+# At eta=1e300 every unit of heart1's preset saturates and net inputs pass
+# the point where exp overflows; no seed is accepted.
+CLI_RUNS = {
+    "heart1-eta1e300": (["train", "heart1", "--seeds", "0:2",
+                         "--eta", "1e300"], 1),
+}
+
+
+def written(outdir):
+    return {path.name: path.read_bytes() for path in outdir.iterdir()
+            if path.name != "config.json"}
+
+
+def cli_result_files(name, workdir):
+    """Run ``name`` through the CLI; return its exit status and files."""
+    argv, _ = CLI_RUNS[name]
+    outdir = workdir / name
+    status = main([*argv, "--output", str(outdir)])
+    return status, written(outdir)
+
+
+def assert_same_files(name, got):
+    expected = {p.name: p.read_bytes()
+                for p in sorted((GOLDEN / name).iterdir())}
+    assert sorted(got) == sorted(expected)
+    for fname, data in expected.items():
+        assert got[fname] == data, f"{name}/{fname} differs from golden copy"
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_results_match_golden_bytes(name, tmp_path):
-    expected = {p.name: p.read_bytes()
-                for p in sorted((GOLDEN / name).iterdir())}
-    got = result_files(name, tmp_path)
-    assert sorted(got) == sorted(expected)
-    for fname, data in expected.items():
-        assert got[fname] == data, f"{name}/{fname} differs from golden copy"
+    assert_same_files(name, result_files(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_results_match_golden_bytes(name, tmp_path):
+    status, got = cli_result_files(name, tmp_path)
+    assert status == CLI_RUNS[name][1]
+    assert_same_files(name, got)
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in RUNS:
+        runs = {name: result_files(name, Path(tmp)) for name in RUNS}
+        for name in CLI_RUNS:
+            runs[name] = cli_result_files(name, Path(tmp))[1]
+        for name, files in runs.items():
             target = GOLDEN / name
             target.mkdir(parents=True, exist_ok=True)
-            for fname, data in result_files(name, Path(tmp)).items():
+            for fname, data in files.items():
                 (target / fname).write_bytes(data)
                 print(f"wrote {target / fname}", file=sys.stderr)
