@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import load_dataset, load_raw_csv
@@ -31,16 +31,17 @@ from .trainer import (
     GrowthHistory,
     PhaseRecord,
     TrainConfig,
+    check_fields,
     constructive_train,
 )
 
 DATASET_KINDS = ("proben1", "raw-csv")
 OUTPUT_FORMATS = ("csv", "markdown", "json-lines")
 
-# TrainConfig fields the experiment layer exposes; seed comes from the sweep.
-_TRAIN_FIELDS = (
-    "eta", "epochs_per_phase", "patience", "xi_target", "eff_target",
-    "h_max", "init_range", "stopping_set", "shuffle", "grow_zero_output",
+# Each TrainConfig field is a train flag and a config key of the same name;
+# seed comes from the sweep.
+TRAIN_OPTIONS = tuple(
+    f for f in dataclasses.fields(TrainConfig) if f.name != "seed"
 )
 
 _CSV_COLUMNS = (
@@ -52,6 +53,10 @@ _CSV_COLUMNS = (
 _INT_COLUMNS = {"h", "epochs", "train_classified", "valid_classified",
                 "test_classified", "best"}
 
+_JSONL_KEYS = {f.name for f in dataclasses.fields(PhaseRecord)} | {
+    "selected", "stop_reason",
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -59,25 +64,18 @@ class ExperimentConfig:
 
     dataset_path: str
     dataset_kind: str = "proben1"
-    eta: float = 0.7
-    epochs_per_phase: int = 500
-    patience: int = 50
-    xi_target: float = 0.0
-    eff_target: float = 100.0
-    h_max: int = 8
-    init_range: float = 1.0
-    stopping_set: str = "validation"
-    shuffle: bool = False
-    grow_zero_output: bool = False
+    train: TrainConfig = field(default_factory=TrainConfig)
     sweep_seeds: tuple = tuple(range(10))
     output_path: str = "results"
     output_format: str = "csv"
     n_jobs: int = 0
-    report_only: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if not self.dataset_path:
             raise ConfigError("a dataset path is required")
+        if "\0" in self.dataset_path + self.output_path:
+            raise ConfigError("paths must not contain NUL characters")
         if self.dataset_kind not in DATASET_KINDS:
             raise ConfigError(
                 f"dataset_kind must be one of {DATASET_KINDS}, "
@@ -88,23 +86,25 @@ class ExperimentConfig:
                 f"output_format must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}"
             )
-        self.sweep_seeds = tuple(int(s) for s in self.sweep_seeds)
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError(
+                f"train must be a TrainConfig, got {self.train!r}"
+            )
+        if not isinstance(self.sweep_seeds, (list, tuple, range)):
+            raise ConfigError(f"sweep_seeds must be a list of seeds, "
+                              f"got {self.sweep_seeds!r}")
+        # Every seed is checked as a TrainConfig seed, so a bad sweep fails
+        # before anything is written.
+        self.sweep_seeds = tuple(
+            self.train_config(s).seed for s in self.sweep_seeds
+        )
         if len(self.sweep_seeds) == 0:
             raise ConfigError("sweep_seeds must not be empty")
         if self.n_jobs < 0:
             raise ConfigError(f"n_jobs must be >= 0, got {self.n_jobs}")
-        # Validate the training fields eagerly so a bad config fails
-        # before any training starts.
-        self.train_config(self.sweep_seeds[0])
 
     def train_config(self, seed):
-        kwargs = {name: getattr(self, name) for name in _TRAIN_FIELDS}
-        if self.report_only:
-            # Sentinel targets nothing can reach: every run explores all
-            # h up to h_max and reports the best network found.
-            kwargs["xi_target"] = 0.0
-            kwargs["eff_target"] = 101.0
-        return TrainConfig(seed=seed, **kwargs)
+        return dataclasses.replace(self.train, seed=seed)
 
     def jobs(self):
         if self.n_jobs:
@@ -125,6 +125,16 @@ def load_any(cfg):
     if cfg.dataset_kind == "raw-csv":
         return load_raw_csv(path)
     return load_dataset(path)
+
+
+def config_record(cfg):
+    """The flat object ``config.json`` holds, which ``--config`` reads back."""
+    record = dataclasses.asdict(cfg)
+    record.update(record.pop("train"))
+    del record["seed"]
+    record["dataset_path"] = str(resolve_dataset_path(cfg.dataset_path))
+    record["sweep_seeds"] = list(cfg.sweep_seeds)
+    return record
 
 
 def _fmt(value):
@@ -204,23 +214,34 @@ def _json_line(record, selected, stop_reason, seed=None):
 
 
 def parse_table_csv(text):
-    """Rebuild a GrowthHistory from :func:`render_table` CSV output."""
+    """Rebuild a GrowthHistory from :func:`render_table` CSV output.
+
+    A row with the wrong number of cells or a non-numeric cell raises
+    :class:`ConfigError` naming its line.
+    """
     records = []
     stop_reason = None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(_CSV_COLUMNS):
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != ",".join(_CSV_COLUMNS):
         raise ConfigError("not a growth-table CSV")
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln.lstrip("# ").partition("=")
             if key == "stop_reason":
                 stop_reason = value
             continue
         cells = ln.split(",")
-        values = {
-            name: (int(cell) if name in _INT_COLUMNS else float(cell))
-            for name, cell in zip(_CSV_COLUMNS, cells)
-        }
+        if len(cells) != len(_CSV_COLUMNS):
+            raise ConfigError(f"line {line_no}: expected "
+                              f"{len(_CSV_COLUMNS)} cells, got {len(cells)}")
+        try:
+            values = {
+                name: (int(cell) if name in _INT_COLUMNS else float(cell))
+                for name, cell in zip(_CSV_COLUMNS, cells)
+            }
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
         values.pop("best")
         values["epochs_cumulative"] = values.pop("epochs")
         records.append(PhaseRecord(**values))
@@ -291,11 +312,8 @@ def run_experiment(cfg, log=print):
     data = load_any(cfg)
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dataclasses.asdict(cfg)
-    resolved["dataset_path"] = str(resolve_dataset_path(cfg.dataset_path))
-    resolved["sweep_seeds"] = list(cfg.sweep_seeds)
     _write(outdir / "config.json",
-           json.dumps(resolved, sort_keys=True, indent=2) + "\n")
+           json.dumps(config_record(cfg), sort_keys=True, indent=2) + "\n")
 
     results = []
     tasks = [(data, cfg, seed) for seed in cfg.sweep_seeds]
@@ -327,17 +345,24 @@ def run_experiment(cfg, log=print):
     accepted = any(
         history.stop_reason == STOP_ACCEPTED for _, history in results
     )
-    return 0 if (accepted or cfg.report_only) else 1
+    return 0 if (accepted or cfg.train.report_only) else 1
 
 
 def parse_seeds(text):
     """Parse ``"3"``, ``"1,4,9"`` or the half-open range ``"0:10"``."""
     text = text.strip()
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        seeds = tuple(range(int(lo), int(hi)))
-    else:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        if ":" in text:
+            lo, _, hi = text.partition(":")
+            seeds = tuple(range(int(lo), int(hi)))
+        else:
+            seeds = tuple(
+                int(part) for part in text.split(",") if part.strip()
+            )
+    except ValueError:
+        raise ConfigError(
+            f"bad seeds {text!r}: expected 3, 1,4,9 or 0:10"
+        ) from None
     if not seeds:
         raise ConfigError(f"no seeds in {text!r}")
     return seeds
@@ -350,7 +375,8 @@ def _load_config_file(path):
         raise ConfigError(f"bad config file {path}: {exc}") from None
     if not isinstance(entries, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)
+             + TRAIN_OPTIONS if f.name != "train"}
     unknown = set(entries) - known
     if unknown:
         raise ConfigError(
@@ -365,14 +391,11 @@ def build_experiment_config(args):
     dataset = getattr(args, "dataset", None) or file_entries.get(
         "dataset_path"
     )
-    if not dataset:
+    if not dataset or not isinstance(dataset, str):
         raise ConfigError("no dataset given (argument or config file)")
-    merged = {"dataset_path": str(dataset)}
     profile = match_profile(dataset)
-    if profile:
-        merged.update(PRESETS[profile])
+    merged = dict(PRESETS[profile]) if profile else {}
     merged.update(file_entries)
-    merged["dataset_path"] = str(dataset)
     for name in list(vars(args)):
         if name in ("dataset", "config", "seed", "seeds", "func", "command"):
             continue
@@ -381,7 +404,10 @@ def build_experiment_config(args):
         merged["sweep_seeds"] = (args.seed,)
     elif getattr(args, "seeds", None) is not None:
         merged["sweep_seeds"] = parse_seeds(args.seeds)
-    return ExperimentConfig(**merged)
+    merged["dataset_path"] = dataset
+    train = {f.name: merged.pop(f.name) for f in TRAIN_OPTIONS
+             if f.name in merged}
+    return ExperimentConfig(train=TrainConfig(**train), **merged)
 
 
 def cmd_train(args):
@@ -415,11 +441,14 @@ def cmd_inspect(args):
 
 
 def cmd_render(args):
-    text = Path(args.results).read_text()
-    if text.startswith(",".join(_CSV_COLUMNS)):
-        histories = [(None, parse_table_csv(text))]
-    else:
-        histories = _histories_from_jsonl(text)
+    try:
+        text = Path(args.results).read_text(encoding="ascii")
+        if text.startswith(",".join(_CSV_COLUMNS)):
+            histories = [(None, parse_table_csv(text))]
+        else:
+            histories = _histories_from_jsonl(text)
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"{args.results}: {exc}") from None
     out = []
     for seed, history in histories:
         if seed is not None:
@@ -430,24 +459,46 @@ def cmd_render(args):
     return 0
 
 
+def _jsonl_row(ln):
+    """``(seed, stop_reason, PhaseRecord)`` of one ``histories.jsonl`` line."""
+    try:
+        obj = json.loads(ln)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError("not a JSON object")
+    wrong = sorted((_JSONL_KEYS - set(obj)) | (set(obj) - _JSONL_KEYS
+                                                - {"seed"}))
+    if wrong:
+        raise ConfigError(f"missing or unknown keys: {', '.join(wrong)}")
+    seed = obj.pop("seed", None)
+    stop_reason = obj.pop("stop_reason")
+    if (type(seed) not in (int, type(None)) or type(stop_reason) is not str
+            or type(obj.pop("selected")) is not bool):
+        raise ConfigError("seed must be an integer, stop_reason a string "
+                          "and selected a boolean")
+    record = PhaseRecord(**obj)
+    check_fields(record)
+    return seed, stop_reason, record
+
+
 def _histories_from_jsonl(text):
     by_seed = {}
-    for ln in text.splitlines():
+    for line_no, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():
             continue
-        obj = json.loads(ln)
-        seed = obj.pop("seed", None)
-        by_seed.setdefault(seed, []).append(obj)
-    histories = []
-    for seed in sorted(by_seed, key=lambda s: (s is None, s)):
-        phases = []
-        stop_reason = None
-        for obj in by_seed[seed]:
-            stop_reason = obj.pop("stop_reason")
-            obj.pop("selected")
-            phases.append(PhaseRecord(**obj))
-        histories.append((seed, GrowthHistory(tuple(phases), stop_reason)))
-    return histories
+        try:
+            seed, stop_reason, record = _jsonl_row(ln)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        by_seed.setdefault(seed, []).append((stop_reason, record))
+    if not by_seed:
+        raise ConfigError("no result rows")
+    return [
+        (seed, GrowthHistory(tuple(r for _, r in rows), rows[-1][0]))
+        for seed, rows in sorted(by_seed.items(),
+                                 key=lambda item: (item[0] is None, item[0]))
+    ]
 
 
 def build_parser():
@@ -473,30 +524,12 @@ def build_parser():
     )
     train.add_argument("--dataset-kind", dest="dataset_kind",
                        choices=DATASET_KINDS, default=argparse.SUPPRESS)
-    train.add_argument("--eta", type=float, default=argparse.SUPPRESS)
-    train.add_argument("--epochs-per-phase", dest="epochs_per_phase",
-                       type=int, default=argparse.SUPPRESS)
-    train.add_argument("--patience", type=int, default=argparse.SUPPRESS)
-    train.add_argument("--xi-target", dest="xi_target", type=float,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--eff-target", dest="eff_target", type=float,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--h-max", dest="h_max", type=int,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--init-range", dest="init_range", type=float,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--stopping-set", dest="stopping_set",
-                       choices=("validation", "test"),
-                       default=argparse.SUPPRESS)
-    train.add_argument("--shuffle", action=argparse.BooleanOptionalAction,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--grow-zero-output", dest="grow_zero_output",
-                       action=argparse.BooleanOptionalAction,
-                       default=argparse.SUPPRESS)
-    train.add_argument("--report-only", dest="report_only",
-                       action=argparse.BooleanOptionalAction,
-                       default=argparse.SUPPRESS,
-                       help="ignore acceptance targets, explore all h")
+    for f in TRAIN_OPTIONS:
+        kind = ({"action": argparse.BooleanOptionalAction}
+                if f.type is bool else {"type": f.type})
+        train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           default=argparse.SUPPRESS,
+                           help=f.metadata.get("help"), **kind)
     train.add_argument("--output", dest="output_path",
                        default=argparse.SUPPRESS,
                        help="directory for result files (default: results)")

@@ -16,7 +16,8 @@ and trains again, up to a hard cap.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,36 @@ STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
 
 
+def check_fields(obj):
+    """Check and normalise a dataclass's int, float, str and bool fields.
+
+    Bools and strings are rejected for numeric fields, numpy scalars are
+    accepted and stored as the matching Python type, and NaN is rejected
+    for every float field.  Raises :class:`ConfigError`.
+    """
+    accepted = {int: numbers.Integral, float: numbers.Real, str: str,
+                bool: (bool, np.bool_)}
+    for f in fields(obj):
+        if f.type not in accepted:
+            continue
+        value = getattr(obj, f.name)
+        if not isinstance(value, accepted[f.type]) or (
+            f.type in (int, float) and isinstance(value, bool)
+        ):
+            raise ConfigError(
+                f"{f.name} must be {f.type.__name__}, got {value!r}"
+            )
+        try:
+            value = f.type(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{f.name} is out of range: {value!r}"
+            ) from None
+        if f.type is float and math.isnan(value):
+            raise ConfigError(f"{f.name} must not be NaN")
+        object.__setattr__(obj, f.name, value)  # frozen dataclasses too
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters and acceptance thresholds for a constructive run.
@@ -43,7 +74,8 @@ class TrainConfig:
     ``xi_target`` and the efficiency on ``stopping_set`` reaches
     ``eff_target`` percent.  Defaults make acceptance effectively
     unreachable, so an unconfigured run explores every h up to ``h_max``
-    and reports the best network found.
+    and reports the best network found.  ``report_only`` never accepts,
+    whatever the targets, so every h up to ``h_max`` is trained.
     """
 
     eta: float = 0.7
@@ -57,10 +89,15 @@ class TrainConfig:
     stopping_set: str = "validation"
     shuffle: bool = False
     grow_zero_output: bool = False
+    report_only: bool = field(
+        default=False,
+        metadata={"help": "ignore acceptance targets, explore all h"},
+    )
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
+        check_fields(self)
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be > 0 and finite, got {self.eta}")
         if self.h_max < 1:
             raise ConfigError(f"h_max must be >= 1, got {self.h_max}")
         if self.epochs_per_phase < 1:
@@ -71,6 +108,12 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.xi_target < 0:
             raise ConfigError(f"xi_target must be >= 0, got {self.xi_target}")
+        if not 0 < self.init_range < math.inf:
+            raise ConfigError(
+                f"init_range must be > 0 and finite, got {self.init_range}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.stopping_set not in ("validation", "test"):
             raise ConfigError(
                 f"stopping_set must be 'validation' or 'test', "
@@ -233,6 +276,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
 
 
 def _acceptable(record, cfg):
+    if cfg.report_only:
+        return False
     eff = (
         record.valid_eff
         if cfg.stopping_set == "validation"

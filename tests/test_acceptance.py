@@ -86,7 +86,7 @@ def test_2_cancer1_reproduction(tmp_path, report):
         sweep_seeds=tuple(range(10)),
         output_path=str(outdir),
         n_jobs=1,
-        **PRESETS["cancer1"],
+        train=TrainConfig(**PRESETS["cancer1"]),
     )
     run_experiment(cfg, log=lambda *a: None)
     elapsed = time.perf_counter() - t0
@@ -241,11 +241,13 @@ def test_8_determinism(tmp_path, report):
     cfg = ExperimentConfig(
         dataset_path="cancer1",
         sweep_seeds=(0, 1),
-        epochs_per_phase=20,
-        patience=5,
-        xi_target=0.03,
-        eff_target=95.0,
-        h_max=2,
+        train=TrainConfig(
+            epochs_per_phase=20,
+            patience=5,
+            xi_target=0.03,
+            eff_target=95.0,
+            h_max=2,
+        ),
         output_path=str(outdir),
         n_jobs=1,
     )

@@ -1,13 +1,21 @@
+import dataclasses
 import importlib.util
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbp.cli import (
+    TRAIN_OPTIONS,
     ExperimentConfig,
+    build_experiment_config,
     build_parser,
+    config_record,
     main,
     parse_seeds,
     parse_table_csv,
@@ -21,6 +29,7 @@ from growbp.trainer import (
     STOP_H_MAX,
     GrowthHistory,
     PhaseRecord,
+    TrainConfig,
     constructive_train,
 )
 
@@ -31,19 +40,24 @@ def write_blob_file(blob_dataset, tmp_path, name="blobs.dt"):
     return path
 
 
-def quick_config(path, outdir, **kw):
-    defaults = dict(
-        dataset_path=str(path),
+def quick_config(path, outdir, sweep_seeds=(0, 1), n_jobs=0,
+                 output_format="csv", **train):
+    settings = dict(
         epochs_per_phase=3,
         patience=3,
         xi_target=10.0,
         eff_target=0.0,
         h_max=2,
-        sweep_seeds=(0, 1),
-        output_path=str(outdir),
     )
-    defaults.update(kw)
-    return ExperimentConfig(**defaults)
+    settings.update(train)
+    return ExperimentConfig(
+        dataset_path=str(path),
+        train=TrainConfig(**settings),
+        sweep_seeds=sweep_seeds,
+        output_path=str(outdir),
+        output_format=output_format,
+        n_jobs=n_jobs,
+    )
 
 
 def snapshot(outdir, skip=("config.json",)):
@@ -84,14 +98,17 @@ class TestExperimentConfig:
 
     def test_bad_train_field_rejected_eagerly(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(dataset_path="x.dt", eta=-1.0)
+            ExperimentConfig(dataset_path="x.dt", train=TrainConfig(eta=-1.0))
 
-    def test_report_only_forces_unreachable_targets(self):
-        cfg = ExperimentConfig(dataset_path="x.dt", report_only=True,
-                               xi_target=10.0, eff_target=0.0)
-        tc = cfg.train_config(0)
-        assert tc.eff_target > 100.0
-        assert tc.xi_target == 0.0
+    def test_report_only_never_accepts(self, blob_dataset):
+        # Targets that every phase meets: only report_only stops acceptance.
+        cfg = ExperimentConfig(dataset_path="x.dt", train=TrainConfig(
+            report_only=True, xi_target=math.inf, eff_target=0.0,
+            epochs_per_phase=2, patience=2, h_max=3,
+        ))
+        _, hist = constructive_train(blob_dataset, cfg.train_config(0))
+        assert [r.h for r in hist.phases] == [1, 2, 3]
+        assert hist.stop_reason == STOP_H_MAX
 
 
 def make_history():
@@ -242,17 +259,17 @@ class TestBuildExperimentConfig:
     def test_bundled_name_picks_preset(self):
         from growbp.cli import build_experiment_config
         cfg = build_experiment_config(self.run_args(["train", "cancer1"]))
-        assert cfg.h_max == 2
-        assert cfg.xi_target == 0.03
-        assert cfg.eff_target == 95.0
+        assert cfg.train.h_max == 2
+        assert cfg.train.xi_target == 0.03
+        assert cfg.train.eff_target == 95.0
 
     def test_flag_overrides_preset(self):
         from growbp.cli import build_experiment_config
         cfg = build_experiment_config(
             self.run_args(["train", "cancer1", "--h-max", "5"])
         )
-        assert cfg.h_max == 5
-        assert cfg.xi_target == 0.03
+        assert cfg.train.h_max == 5
+        assert cfg.train.xi_target == 0.03
 
     def test_config_file_between_preset_and_flags(self, tmp_path):
         from growbp.cli import build_experiment_config
@@ -263,9 +280,9 @@ class TestBuildExperimentConfig:
         cfg = build_experiment_config(self.run_args(
             ["train", "cancer1", "--config", str(conf), "--patience", "9"]
         ))
-        assert cfg.h_max == 4       # file beats preset
-        assert cfg.patience == 9    # flag beats file
-        assert cfg.xi_target == 0.03  # preset still fills the rest
+        assert cfg.train.h_max == 4       # file beats preset
+        assert cfg.train.patience == 9    # flag beats file
+        assert cfg.train.xi_target == 0.03  # preset still fills the rest
 
     def test_unknown_config_key_rejected(self, tmp_path):
         from growbp.cli import build_experiment_config
@@ -423,3 +440,173 @@ class TestMakeBenchmarks:
         for name in ("cancer1", "heart1", "diabetes1"):
             assert ((tmp_path / f"{name}.dt").read_bytes()
                     == (shipped / f"{name}.dt").read_bytes())
+
+
+# A value other than the default for every train option.
+OPTION_VALUES = {
+    "eta": 0.25, "epochs_per_phase": 7, "patience": 3, "xi_target": 0.5,
+    "eff_target": 60.0, "h_max": 3, "init_range": 0.5,
+    "stopping_set": "test", "shuffle": True, "grow_zero_output": True,
+    "report_only": True,
+}
+
+# The keys config.json has always had; --config accepts exactly these.
+CONFIG_KEYS = (
+    "dataset_kind", "dataset_path", "eff_target", "epochs_per_phase", "eta",
+    "grow_zero_output", "h_max", "init_range", "n_jobs", "output_format",
+    "output_path", "patience", "report_only", "shuffle", "stopping_set",
+    "sweep_seeds", "xi_target",
+)
+
+
+class TestTrainOptions:
+    def test_every_field_but_seed_is_an_option(self):
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert {f.name for f in TRAIN_OPTIONS} == names - {"seed"}
+        assert set(OPTION_VALUES) == names - {"seed"}
+
+    @pytest.mark.parametrize("name", sorted(OPTION_VALUES))
+    def test_flag_config_key_and_config_json(self, name, tmp_path):
+        value = OPTION_VALUES[name]
+        flag = ["--" + name.replace("_", "-")]
+        if not isinstance(value, bool):
+            flag.append(str(value))
+        from_flag = build_experiment_config(
+            build_parser().parse_args(["train", "x.dt", *flag]))
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({name: value}))
+        from_file = build_experiment_config(build_parser().parse_args(
+            ["train", "x.dt", "--config", str(conf)]))
+        assert getattr(from_flag.train, name) == value
+        assert from_file == from_flag
+        assert config_record(from_flag)[name] == value
+
+    def test_config_json_keys_unchanged(self):
+        record = config_record(ExperimentConfig(dataset_path="x.dt"))
+        assert sorted(record) == list(CONFIG_KEYS)
+
+    def test_stored_config_reproduces_run(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ["train", "heart1", "--seeds", "0:2", "--h-max", "2",
+                "--epochs-per-phase", "20", "--report-only"]
+        assert main([*argv, "--output", str(first)]) == 0
+        assert main(["train", "--config", str(first / "config.json"),
+                     "--output", str(again)]) == 0
+        assert snapshot(again) == snapshot(first)
+        stored = [json.loads((d / "config.json").read_text())
+                  for d in (first, again)]
+        assert stored[1].pop("output_path") == str(again)
+        assert stored[0].pop("output_path") == str(first)
+        assert stored[0] == stored[1]
+
+
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner,
+                                         max_size=3)),
+        max_leaves=6,
+    )
+
+
+PLAUSIBLE = st.sampled_from([
+    0, 1, 2, -1, 0.5, 95.0, 2 ** 70, "2", "a.dt", "a\0b", "test",
+    "raw-csv", "json-lines", True, [0, 1], [], [-1], [0.5], "abc",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                               PLAUSIBLE | json_values(), max_size=6),
+       positional=st.booleans())
+def test_any_config_object_builds_or_exits_two(entries, positional):
+    """Construction only: a config builds, or main exits 2 writing nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "c.json"
+        conf.write_text(json.dumps(entries))
+        argv = ["train", *(["x.dt"] if positional else []),
+                "--config", str(conf)]
+        try:
+            cfg = build_experiment_config(build_parser().parse_args(argv))
+        except ConfigError:
+            out = Path(tmp) / "res"
+            assert main([*argv, "--output", str(out)]) == 2
+            assert not out.exists()
+        else:
+            json.dumps(config_record(cfg), allow_nan=False)
+
+
+def write_config(entries, dataset=("heart1",)):
+    def make(tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(entries))
+        return ["train", *dataset, "--config", str(conf)]
+    return make
+
+
+def write_render_input(text):
+    def make(tmp_path):
+        path = tmp_path / ("r.csv" if text.startswith("h,") else "r.jsonl")
+        path.write_bytes(text.encode())
+        return ["render", str(path)]
+    return make
+
+
+CSV_HEADER = ("h,epochs,train_classified,train_eff,train_mse,"
+              "valid_classified,valid_eff,valid_mse,test_classified,"
+              "test_eff,overall_eff,best\n")
+JSON_ROW = dict(h=1, epochs_cumulative=5, train_classified=3, train_eff=75.0,
+                train_mse=0.1, valid_classified=2, valid_eff=50.0,
+                valid_mse=0.2, test_classified=1, test_eff=25.0,
+                overall_eff=60.0, selected=True, stop_reason="accepted")
+
+
+def json_row_without(key):
+    return json.dumps({k: v for k, v in JSON_ROW.items() if k != key}) + "\n"
+
+
+BAD_INPUTS = {
+    "seeds-not-integer": lambda tmp: ["train", "heart1", "--seeds", "a"],
+    "seeds-with-step": lambda tmp: ["train", "heart1", "--seeds", "0:3:2"],
+    "seeds-negative": lambda tmp: ["train", "heart1", "--seeds=-1"],
+    "seed-negative": lambda tmp: ["train", "heart1", "--seed", "-1"],
+    "init-range-negative": lambda tmp: ["train", "heart1",
+                                        "--init-range", "-1"],
+    "xi-target-nan": lambda tmp: ["train", "heart1", "--xi-target", "nan"],
+    "eta-inf": lambda tmp: ["train", "heart1", "--eta", "inf"],
+    "config-sweep-seeds-int": write_config({"sweep_seeds": 5}),
+    "config-sweep-seeds-str": write_config({"sweep_seeds": "abc"}),
+    "config-n-jobs-str": write_config({"n_jobs": "2"}),
+    "config-h-max-str": write_config({"h_max": "3"}),
+    "config-shuffle-int": write_config({"shuffle": 1}),
+    "config-dataset-nul": write_config({"dataset_path": "a\0b"}, ()),
+    "render-csv-short-row": write_render_input(
+        CSV_HEADER + "1,2,3\n# stop_reason=accepted\n"),
+    "render-csv-not-numeric": write_render_input(
+        CSV_HEADER + "1,5,3,x,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n"),
+    "render-jsonl-no-stop-reason": write_render_input(
+        json_row_without("stop_reason")),
+    "render-jsonl-no-selected": write_render_input(
+        json_row_without("selected")),
+    "render-jsonl-string-count": write_render_input(
+        json.dumps({**JSON_ROW, "h": "1"}) + "\n"),
+    "render-not-json": write_render_input("not json\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
+    out = tmp_path / "res"
+    argv = BAD_INPUTS[case](tmp_path)
+    if argv[0] == "train":
+        argv += ["--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    if argv[0] == "render":
+        assert f"{argv[1]}: line " in err

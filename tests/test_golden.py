@@ -13,16 +13,19 @@ from pathlib import Path
 import pytest
 
 from growbp.cli import ExperimentConfig, main, run_experiment
+from growbp.trainer import TrainConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # diabetes1 grows to h=2 with two argmax outputs; heart1 runs the
 # single-output threshold path and compares two seeds in the summary.
 RUNS = {
-    "diabetes1": dict(sweep_seeds=(0,), epochs_per_phase=40, patience=10,
-                      xi_target=0.23, eff_target=76.0, h_max=2),
-    "heart1": dict(sweep_seeds=(0, 1), epochs_per_phase=60, patience=15,
-                   xi_target=0.10, eff_target=84.0, h_max=2),
+    "diabetes1": dict(sweep_seeds=(0,), train=TrainConfig(
+        epochs_per_phase=40, patience=10, xi_target=0.23, eff_target=76.0,
+        h_max=2)),
+    "heart1": dict(sweep_seeds=(0, 1), train=TrainConfig(
+        epochs_per_phase=60, patience=15, xi_target=0.10, eff_target=84.0,
+        h_max=2)),
 }
 
 
@@ -41,9 +44,14 @@ def result_files(name, workdir):
 # Command lines run through the CLI, with their expected exit status.
 # At eta=1e300 every unit of heart1's preset saturates and net inputs pass
 # the point where exp overflows; no seed is accepted.
+# Report-only explores every h up to h_max and exits 0 although heart1's
+# preset accepts no phase here.
 CLI_RUNS = {
     "heart1-eta1e300": (["train", "heart1", "--seeds", "0:2",
                          "--eta", "1e300"], 1),
+    "heart1-report-only": (["train", "heart1", "--seeds", "0:2",
+                            "--report-only", "--h-max", "2",
+                            "--epochs-per-phase", "20"], 0),
 }
 
 

@@ -63,6 +63,21 @@ class TestTrainConfig:
             {"patience": 0},
             {"xi_target": -1e-9},
             {"stopping_set": "train"},
+            {"h_max": "3"},
+            {"h_max": True},
+            {"h_max": 3.0},
+            {"eta": True},
+            {"eta": math.inf},
+            {"eta": 10 ** 400},
+            {"xi_target": math.nan},
+            {"eff_target": math.nan},
+            {"init_range": 0.0},
+            {"init_range": math.nan},
+            {"init_range": math.inf},
+            {"seed": -1},
+            {"stopping_set": None},
+            {"shuffle": 1},
+            {"report_only": "yes"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -72,6 +87,15 @@ class TestTrainConfig:
     def test_unreachable_targets_allowed(self):
         TrainConfig(eff_target=101.0)
         TrainConfig(xi_target=math.inf, eff_target=0.0)
+        TrainConfig(xi_target=0.0, eff_target=-math.inf)
+
+    def test_numpy_scalars_become_python_values(self):
+        cfg = TrainConfig(eta=np.float32(0.5), h_max=np.int64(3),
+                          shuffle=np.bool_(True), eff_target=95)
+        assert (type(cfg.eta), type(cfg.h_max), type(cfg.shuffle)) == (
+            float, int, bool)
+        assert cfg.eta == 0.5 and cfg.h_max == 3 and cfg.shuffle is True
+        assert type(cfg.eff_target) is float
 
 
 class TestPatternError:
