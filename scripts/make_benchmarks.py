@@ -133,7 +133,6 @@ def emit(name, X, T, split):
     header = DatasetHeader(
         n_inputs=X.shape[1],
         n_outputs=n_outputs,
-        n_classes=2,
         n_train=n_train,
         n_valid=n_valid,
         n_test=n_test,

@@ -8,6 +8,7 @@ the dataset bytes and that configuration, so reruns are byte-identical.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -18,7 +19,6 @@ from pathlib import Path
 
 from .dataset import load_dataset, load_raw_csv
 from .errors import ConfigError, GrowbpError
-from .metrics import rule_for_outputs
 from .profiles import (
     BUNDLED,
     EXPECTED_HEADERS,
@@ -36,7 +36,9 @@ from .trainer import (
 )
 
 DATASET_KINDS = ("proben1", "raw-csv")
-OUTPUT_FORMATS = ("csv", "markdown", "json-lines")
+# train writes only what render reads back; render also prints markdown.
+OUTPUT_FORMATS = ("csv", "json-lines")
+TABLE_FORMATS = ("csv", "markdown", "json-lines")
 
 # Each TrainConfig field is a train flag and a config key of the same name;
 # seed comes from the sweep.
@@ -44,14 +46,22 @@ TRAIN_OPTIONS = tuple(
     f for f in dataclasses.fields(TrainConfig) if f.name != "seed"
 )
 
-_CSV_COLUMNS = (
-    "h", "epochs", "train_classified", "train_eff", "train_mse",
-    "valid_classified", "valid_eff", "valid_mse",
-    "test_classified", "test_eff", "overall_eff", "best",
+# For each PhaseRecord field in order: the CSV name, the markdown heading
+# and the markdown format.  A CSV row ends with the 0/1 ``best`` flag.
+_COLUMNS = (
+    ("h", "h", "d"),
+    ("epochs", "epochs", "d"),
+    ("train_classified", "train corr.", "d"),
+    ("train_eff", "train eff", ".2f"),
+    ("train_mse", "train mse", ".4f"),
+    ("valid_classified", "valid corr.", "d"),
+    ("valid_eff", "valid eff", ".2f"),
+    ("valid_mse", "valid mse", ".4f"),
+    ("test_classified", "test corr.", "d"),
+    ("test_eff", "test eff", ".2f"),
+    ("overall_eff", "overall eff", ".5f"),
 )
-
-_INT_COLUMNS = {"h", "epochs", "train_classified", "valid_classified",
-                "test_classified", "best"}
+_CSV_HEADER = ",".join([name for name, _, _ in _COLUMNS] + ["best"])
 
 _JSONL_KEYS = {f.name for f in dataclasses.fields(PhaseRecord)} | {
     "selected", "stop_reason",
@@ -100,6 +110,9 @@ class ExperimentConfig:
         )
         if len(self.sweep_seeds) == 0:
             raise ConfigError("sweep_seeds must not be empty")
+        if len(set(self.sweep_seeds)) != len(self.sweep_seeds):
+            raise ConfigError(f"sweep_seeds repeats a seed: "
+                              f"{list(self.sweep_seeds)}")
         if self.n_jobs < 0:
             raise ConfigError(f"n_jobs must be >= 0, got {self.n_jobs}")
 
@@ -137,24 +150,6 @@ def config_record(cfg):
     return record
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _record_row(record, best):
-    return [
-        record.h, record.epochs_cumulative,
-        record.train_classified, record.train_eff, record.train_mse,
-        record.valid_classified, record.valid_eff, record.valid_mse,
-        record.test_classified, record.test_eff, record.overall_eff,
-        int(best),
-    ]
-
-
 def render_table(history, fmt):
     """Format a growth history as one row per phase.
 
@@ -167,29 +162,19 @@ def render_table(history, fmt):
     """
     selected = history.selected_index()
     if fmt == "csv":
-        lines = [",".join(_CSV_COLUMNS)]
+        lines = [_CSV_HEADER]
         for i, rec in enumerate(history.phases):
-            lines.append(
-                ",".join(_fmt(v) for v in _record_row(rec, i == selected))
-            )
+            row = dataclasses.astuple(rec) + (int(i == selected),)
+            lines.append(",".join(map(str, row)))
         lines.append(f"# stop_reason={history.stop_reason}")
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
-        header = ("| h | epochs | train corr. | train eff | train mse "
-                  "| valid corr. | valid eff | valid mse "
-                  "| test corr. | test eff | overall eff |")
-        rule = "|" + "---|" * 11
-        lines = [header, rule]
+        headings = [heading for _, heading, _ in _COLUMNS]
+        lines = ["| " + " | ".join(headings) + " |",
+                 "|" + "---|" * len(_COLUMNS)]
         for i, rec in enumerate(history.phases):
-            cells = [
-                str(rec.h), str(rec.epochs_cumulative),
-                str(rec.train_classified), f"{rec.train_eff:.2f}",
-                f"{rec.train_mse:.4f}",
-                str(rec.valid_classified), f"{rec.valid_eff:.2f}",
-                f"{rec.valid_mse:.4f}",
-                str(rec.test_classified), f"{rec.test_eff:.2f}",
-                f"{rec.overall_eff:.5f}",
-            ]
+            cells = [format(value, spec) for value, (_, _, spec)
+                     in zip(dataclasses.astuple(rec), _COLUMNS)]
             if i == selected:
                 cells = [f"**{c}**" for c in cells]
             lines.append("| " + " | ".join(cells) + " |")
@@ -221,9 +206,10 @@ def parse_table_csv(text):
     """
     records = []
     stop_reason = None
+    types = [f.type for f in dataclasses.fields(PhaseRecord)] + [int]
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
-    if not lines or lines[0][1] != ",".join(_CSV_COLUMNS):
+    if not lines or lines[0][1] != _CSV_HEADER:
         raise ConfigError("not a growth-table CSV")
     for line_no, ln in lines[1:]:
         if ln.startswith("#"):
@@ -232,19 +218,14 @@ def parse_table_csv(text):
                 stop_reason = value
             continue
         cells = ln.split(",")
-        if len(cells) != len(_CSV_COLUMNS):
+        if len(cells) != len(types):
             raise ConfigError(f"line {line_no}: expected "
-                              f"{len(_CSV_COLUMNS)} cells, got {len(cells)}")
+                              f"{len(types)} cells, got {len(cells)}")
         try:
-            values = {
-                name: (int(cell) if name in _INT_COLUMNS else float(cell))
-                for name, cell in zip(_CSV_COLUMNS, cells)
-            }
+            *values, _best = [t(cell) for t, cell in zip(types, cells)]
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-        values.pop("best")
-        values["epochs_cumulative"] = values.pop("epochs")
-        records.append(PhaseRecord(**values))
+        records.append(PhaseRecord(*values))
     if stop_reason is None:
         raise ConfigError("growth-table CSV lacks a stop_reason line")
     return GrowthHistory(tuple(records), stop_reason)
@@ -292,10 +273,8 @@ def _flush_results(cfg, outdir, results):
             )
         _write(outdir / "histories.jsonl", "".join(chunks))
     else:
-        suffix = "csv" if cfg.output_format == "csv" else "md"
         for seed, history in results:
-            _write(outdir / f"seed_{seed}.{suffix}",
-                   render_table(history, cfg.output_format))
+            _write(outdir / f"seed_{seed}.csv", render_table(history, "csv"))
     lines, best_seed = _summary_lines(results)
     _write(outdir / "summary.csv", "\n".join(lines) + "\n")
     return best_seed
@@ -417,12 +396,9 @@ def cmd_train(args):
 
 def cmd_inspect(args):
     path = resolve_dataset_path(args.dataset)
-    if args.dataset_kind == "raw-csv":
-        data = load_raw_csv(path)
-    else:
-        data = load_dataset(path)
-    h = data.header
-    rule = rule_for_outputs(h.n_outputs).value
+    h = load_any(ExperimentConfig(dataset_path=args.dataset,
+                                  dataset_kind=args.dataset_kind)).header
+    rule = "threshold" if h.n_outputs == 1 else "argmax"
     print(f"dataset: {path}")
     print(f"inputs: {h.n_inputs}  outputs: {h.n_outputs} ({rule})  "
           f"classes: {h.n_classes}")
@@ -443,7 +419,7 @@ def cmd_inspect(args):
 def cmd_render(args):
     try:
         text = Path(args.results).read_text(encoding="ascii")
-        if text.startswith(",".join(_CSV_COLUMNS)):
+        if text.startswith(_CSV_HEADER):
             histories = [(None, parse_table_csv(text))]
         else:
             histories = _histories_from_jsonl(text)
@@ -534,7 +510,8 @@ def build_parser():
                        default=argparse.SUPPRESS,
                        help="directory for result files (default: results)")
     train.add_argument("--format", dest="output_format",
-                       choices=OUTPUT_FORMATS, default=argparse.SUPPRESS)
+                       default=argparse.SUPPRESS,
+                       help="csv or json-lines (render prints markdown)")
     train.add_argument("--jobs", dest="n_jobs", type=int,
                        default=argparse.SUPPRESS,
                        help="parallel seed runs (0 = one per core)")
@@ -552,7 +529,7 @@ def build_parser():
         "render", help="reformat a stored results file"
     )
     render.add_argument("results", help="growth-table CSV or histories.jsonl")
-    render.add_argument("--format", choices=OUTPUT_FORMATS,
+    render.add_argument("--format", choices=TABLE_FORMATS,
                         default="markdown")
     render.set_defaults(func=cmd_render)
     return parser
@@ -562,7 +539,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``growbp render ... | head``).
+        # Send what is still buffered to /dev/null, so the interpreter's
+        # last flush does not fail again.
+        with contextlib.suppress(OSError):  # stdout without a descriptor
+            stdout_fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
+        return 0
     except (GrowbpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,14 @@ target matrix with one row per pattern.
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
     CountMismatchError,
+    DatasetError,
     EmptyTrainingError,
     MalformedValueError,
     MissingKeyError,
@@ -75,21 +77,21 @@ class DatasetHeader:
 
     n_inputs: int
     n_outputs: int
-    n_classes: int
     n_train: int
     n_valid: int
     n_test: int
 
     def __post_init__(self):
-        for name in ("n_inputs", "n_outputs", "n_classes",
-                     "n_train", "n_valid", "n_test"):
-            if getattr(self, name) <= 0:
-                raise MalformedValueError(f"{name} must be strictly positive")
-        if self.n_outputs != 1 and self.n_outputs != self.n_classes:
-            raise MalformedValueError(
-                f"n_outputs={self.n_outputs} must be 1 or equal "
-                f"n_classes={self.n_classes}"
-            )
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise MalformedValueError(
+                    f"{f.name} must be strictly positive"
+                )
+
+    @property
+    def n_classes(self):
+        """One 0/1 output encodes two classes, else one output per class."""
+        return max(self.n_outputs, 2)
 
     @property
     def total(self):
@@ -151,12 +153,9 @@ def parse_header(text_lines):
     for key in HEADER_KEYS:
         if key not in values:
             raise MissingKeyError(key)
-    n_outputs = values["bool_out"] + values["real_out"]
-    n_classes = n_outputs if n_outputs >= 2 else 2
     return DatasetHeader(
         n_inputs=values["bool_in"] + values["real_in"],
-        n_outputs=n_outputs,
-        n_classes=n_classes,
+        n_outputs=values["bool_out"] + values["real_out"],
         n_train=values["training_examples"],
         n_valid=values["validation_examples"],
         n_test=values["test_examples"],
@@ -223,6 +222,16 @@ def parse_dataset(text):
     return _split(header, matrix[:, :n], matrix[:, n:])
 
 
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to a DatasetError raised inside, keeping its class."""
+    try:
+        yield
+    except DatasetError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_ascii(path):
     with open(path, "rb") as fh:
         data = fh.read()
@@ -230,13 +239,17 @@ def _read_ascii(path):
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedValueError(
-            f"{path}: non-ASCII byte at offset {exc.start}"
+            f"non-ASCII byte at offset {exc.start}"
         ) from None
 
 
 def load_dataset(path):
-    """Read a Proben1-style ``.dt`` file from disk."""
-    return parse_dataset(_read_ascii(path))
+    """Read a Proben1-style ``.dt`` file from disk.
+
+    A DatasetError names the file.
+    """
+    with _naming(path):
+        return parse_dataset(_read_ascii(path))
 
 
 def format_dataset(ds):
@@ -292,24 +305,26 @@ def load_raw_csv(path, manifest_path=None):
     columns hold 0/1 targets.  The manifest (default ``<path>.manifest.json``)
     declares training_examples, validation_examples, test_examples and
     target_columns.  Features are min-max normalized with statistics from
-    the training rows.
+    the training rows.  A DatasetError names the manifest or the CSV file.
     """
     if manifest_path is None:
         manifest_path = str(path) + ".manifest.json"
-    try:
-        manifest = json.loads(_read_ascii(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise MalformedValueError(
-            f"{manifest_path}: not valid JSON: {exc}"
-        ) from None
-    if not isinstance(manifest, dict):
-        raise MalformedValueError(f"{manifest_path}: not a JSON object")
-    for key in MANIFEST_KEYS:
-        if key not in manifest:
-            raise MissingKeyError(key)
-    counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
+    with _naming(manifest_path):
+        try:
+            manifest = json.loads(_read_ascii(manifest_path))
+        except json.JSONDecodeError as exc:
+            raise MalformedValueError(f"not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise MalformedValueError("not a JSON object")
+        for key in MANIFEST_KEYS:
+            if key not in manifest:
+                raise MissingKeyError(key)
+        counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
+    with _naming(path):
+        return _raw_csv_dataset(_read_ascii(path), counts)
 
-    text = _read_ascii(path)
+
+def _raw_csv_dataset(text, counts):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CountMismatchError("CSV file has no rows")
@@ -321,7 +336,6 @@ def load_raw_csv(path, manifest_path=None):
     header = DatasetHeader(
         n_inputs=n_inputs,
         n_outputs=n_targets,
-        n_classes=n_targets if n_targets >= 2 else 2,
         n_train=counts["training_examples"],
         n_valid=counts["validation_examples"],
         n_test=counts["test_examples"],

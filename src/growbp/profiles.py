@@ -18,18 +18,12 @@ from .dataset import DatasetHeader
 BUNDLED = ("cancer1", "heart1", "diabetes1")
 
 EXPECTED_HEADERS = {
-    "cancer1": DatasetHeader(
-        n_inputs=9, n_outputs=2, n_classes=2,
-        n_train=350, n_valid=175, n_test=174,
-    ),
-    "heart1": DatasetHeader(
-        n_inputs=13, n_outputs=1, n_classes=2,
-        n_train=152, n_valid=76, n_test=75,
-    ),
-    "diabetes1": DatasetHeader(
-        n_inputs=8, n_outputs=2, n_classes=2,
-        n_train=384, n_valid=192, n_test=192,
-    ),
+    "cancer1": DatasetHeader(n_inputs=9, n_outputs=2, n_train=350,
+                             n_valid=175, n_test=174),
+    "heart1": DatasetHeader(n_inputs=13, n_outputs=1, n_train=152,
+                            n_valid=76, n_test=75),
+    "diabetes1": DatasetHeader(n_inputs=8, n_outputs=2, n_train=384,
+                               n_valid=192, n_test=192),
 }
 
 PRESETS = {

@@ -24,11 +24,7 @@ import numpy as np
 from .dataset import Partition
 from .errors import ArityMismatchError, ConfigError, EmptySetError
 from .kernel import kernel
-from .metrics import (
-    efficiency,
-    overall_efficiency,
-    rule_for_outputs,
-)
+from .metrics import check_targets, efficiency, overall_efficiency
 from .network import add_hidden_unit, forward_outputs, init_network
 
 STOP_ACCEPTED = "accepted"
@@ -163,12 +159,7 @@ class GrowthHistory:
 
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
-    if len(part) == 0:
-        raise EmptySetError("average error over an empty pattern set")
-    if part.T.shape[1] != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_outputs} targets, got {part.T.shape[1]}"
-        )
+    check_targets(net, part, "average error")
     E = part.T - forward_outputs(net, part.X)
     return float((0.5 * (E * E).sum(axis=1)).mean())
 
@@ -218,10 +209,9 @@ def train_epoch(net, train, eta, order):
 
 
 def _phase_record(net, data, epochs_cumulative):
-    rule = rule_for_outputs(data.header.n_outputs)
-    rep_train = efficiency(net, data.train, rule)
-    rep_valid = efficiency(net, data.valid, rule)
-    rep_test = efficiency(net, data.test, rule)
+    rep_train = efficiency(net, data.train)
+    rep_valid = efficiency(net, data.valid)
+    rep_test = efficiency(net, data.test)
     return PhaseRecord(
         h=net.h,
         epochs_cumulative=epochs_cumulative,

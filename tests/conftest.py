@@ -22,7 +22,6 @@ def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
     header = DatasetHeader(
         n_inputs=n_inputs,
         n_outputs=2 if one_hot else 1,
-        n_classes=2,
         n_train=n_train,
         n_valid=n_valid,
         n_test=n_test,

@@ -18,7 +18,6 @@ from growbp.dataset import (
     load_dataset,
 )
 from growbp.metrics import (
-    DecisionRule,
     EfficiencyReport,
     efficiency,
     overall_efficiency,
@@ -215,7 +214,7 @@ def test_6_growth_invariants(blob_dataset, report):
 def test_7_xor_oracle(report):
     patterns = Partition([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
                          [[0.0], [1.0], [1.0], [0.0]])
-    header = DatasetHeader(2, 1, 2, 4, 4, 4)
+    header = DatasetHeader(2, 1, 4, 4, 4)
     data = SplitDataset(header, patterns, patterns, patterns)
     t0 = time.perf_counter()
     solved = 0
@@ -228,7 +227,7 @@ def test_7_xor_oracle(report):
         )
         net, history = constructive_train(data, cfg)
         grew = grew and history.phases[-1].h == 2
-        rep = efficiency(net, patterns, DecisionRule.THRESHOLD)
+        rep = efficiency(net, patterns)
         solved += rep.classified == 4
     elapsed = time.perf_counter() - t0
     ok = solved >= 1 and grew and elapsed < 60.0

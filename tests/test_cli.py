@@ -1,7 +1,11 @@
 import dataclasses
 import importlib.util
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import growbp
 from growbp.cli import (
     TRAIN_OPTIONS,
     ExperimentConfig,
@@ -347,6 +352,45 @@ class TestMain:
         out = capsys.readouterr().out
         assert "matches the cancer1 benchmark" in out
 
+    @pytest.mark.parametrize("name,rule", [("cancer1", "argmax"),
+                                           ("heart1", "threshold")])
+    def test_inspect_names_rule_from_output_width(self, name, rule, capsys):
+        assert main(["inspect", name]) == 0
+        assert f"({rule})  classes: 2" in capsys.readouterr().out
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, capsys,
+                                        monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stored = tmp_path / "r.csv"
+        stored.write_text(render_table(make_history(), "csv"))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["render", str(stored), "--format", "csv"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_at_exit_flush_ends_quietly(self, tmp_path):
+        # With buffered stdout, output this small reaches the pipe only
+        # when stdout is flushed; the read end is closed before the start.
+        stored = tmp_path / "r.csv"
+        stored.write_text(render_table(make_history(), "csv"))
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(growbp.__file__).parents[1]),
+             env.get("PYTHONPATH", "")])
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "growbp.cli", "render", str(stored)],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_fd)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
     def test_inspect_flags_header_mismatch(self, blob_dataset, tmp_path,
                                            capsys):
         path = write_blob_file(blob_dataset, tmp_path, name="cancer1-re.dt")
@@ -387,11 +431,18 @@ class TestMain:
 
 def write_bad_input(case, blob_dataset, tmp_path):
     """Write one malformed input; return its path and dataset kind."""
-    if case in ("non-ascii-dt", "unicode-digit-header"):
+    if case in ("non-ascii-dt", "unicode-digit-header", "short-row",
+                "missing-header-key"):
         path = write_blob_file(blob_dataset, tmp_path)
         text = path.read_text()
         if case == "non-ascii-dt":
             path.write_bytes(text.replace("0.", "é0.", 1).encode())
+        elif case == "short-row":
+            lines = text.splitlines()
+            lines[8] = lines[8].rsplit(" ", 1)[0]
+            path.write_text("\n".join(lines) + "\n")
+        elif case == "missing-header-key":
+            path.write_text(text.replace("test_examples=10\n", ""))
         else:
             path.write_text(text.replace("test_examples=10",
                                          "test_examples=²"))
@@ -406,6 +457,8 @@ def write_bad_input(case, blob_dataset, tmp_path):
         manifest = "{training_examples: 3"
     elif case == "manifest-count-not-integer":
         manifest = manifest.replace("3", '"three"')
+    elif case == "manifest-no-target-columns":
+        manifest = manifest.replace(', "target_columns": 1', "")
     (tmp_path / "raw.csv.manifest.json").write_text(manifest)
     return csv_path, "raw-csv"
 
@@ -414,7 +467,8 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("command", ["inspect", "train"])
     @pytest.mark.parametrize("case", [
         "non-ascii-dt", "non-ascii-csv", "manifest-not-json",
-        "manifest-count-not-integer", "unicode-digit-header",
+        "manifest-count-not-integer", "unicode-digit-header", "short-row",
+        "missing-header-key", "manifest-no-target-columns",
     ])
     def test_no_traceback(self, case, command, blob_dataset, tmp_path,
                           capsys):
@@ -423,7 +477,10 @@ class TestBadInputExitsTwo:
         if command == "train":
             argv += ["--output", str(tmp_path / "res")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        named = (f"{path}.manifest.json" if case.startswith("manifest")
+                 else path)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
 
 
 class TestMakeBenchmarks:
@@ -577,6 +634,10 @@ BAD_INPUTS = {
                                         "--init-range", "-1"],
     "xi-target-nan": lambda tmp: ["train", "heart1", "--xi-target", "nan"],
     "eta-inf": lambda tmp: ["train", "heart1", "--eta", "inf"],
+    "seeds-repeated": lambda tmp: ["train", "heart1", "--seeds", "0,0"],
+    "format-markdown": lambda tmp: ["train", "heart1", "--format", "markdown"],
+    "config-sweep-seeds-repeated": write_config({"sweep_seeds": [1, 1]}),
+    "config-format-markdown": write_config({"output_format": "markdown"}),
     "config-sweep-seeds-int": write_config({"sweep_seeds": 5}),
     "config-sweep-seeds-str": write_config({"sweep_seeds": "abc"}),
     "config-n-jobs-str": write_config({"n_jobs": "2"}),

@@ -77,6 +77,12 @@ class TestParseHeader:
         assert (h.n_inputs, h.n_outputs, h.n_classes) == (13, 1, 2)
         assert (h.n_train, h.n_valid, h.n_test) == (152, 76, 75)
 
+    @pytest.mark.parametrize("n_outputs,n_classes", [(1, 2), (2, 2), (3, 3)])
+    def test_classes_follow_output_width(self, n_outputs, n_classes):
+        assert DatasetHeader(2, n_outputs, 1, 1, 1).n_classes == n_classes
+        with pytest.raises(TypeError):  # derived, not a constructor field
+            DatasetHeader(2, n_outputs, n_classes, 1, 1, 1)
+
     def test_missing_key(self):
         lines = [l for l in CANCER1_HEADER if "training" not in l]
         with pytest.raises(MissingKeyError):
@@ -141,8 +147,17 @@ class TestParseDataset:
     def test_non_ascii_file(self, tmp_path):
         p = tmp_path / "tiny.dt"
         p.write_bytes(tiny_dt().encode("ascii") + "0.\u00e9 1 1 0\n".encode())
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError) as exc:
             load_dataset(p)
+        assert str(exc.value).startswith(f"{p}: non-ASCII byte")
+
+    def test_error_names_the_file_once(self, tmp_path):
+        p = tmp_path / "tiny.dt"
+        p.write_text(tiny_dt(rows=["0.1 0.2 1 0"] * 6 + ["0.1 0.2 1"]))
+        with pytest.raises(RowArityError) as exc:
+            load_dataset(p)
+        assert str(exc.value) == f"{p}: line 14: expected 4 columns, got 3"
+        assert exc.value.line_no == 14
 
 
 class TestRoundTrip:
@@ -184,7 +199,7 @@ class TestSplitDatasetInvariants:
     def test_built_from_arrays(self):
         X = np.arange(12.0).reshape(6, 2)
         T = np.eye(2)[[0, 1, 0, 1, 1, 0]]
-        ds = SplitDataset(DatasetHeader(2, 2, 2, 3, 2, 1),
+        ds = SplitDataset(DatasetHeader(2, 2, 3, 2, 1),
                           Partition(X[:3], T[:3]), Partition(X[3:5], T[3:5]),
                           Partition(X[5:], T[5:]))
         assert len(ds.valid) == 2
@@ -234,7 +249,7 @@ def split_datasets(draw):
                                         min_size=n_outputs,
                                         max_size=n_outputs),
                                min_size=total, max_size=total)))
-    header = DatasetHeader(n_inputs, n_outputs, max(n_outputs, 2), *sizes)
+    header = DatasetHeader(n_inputs, n_outputs, *sizes)
     a, b = sizes[0], sizes[0] + sizes[1]
     return SplitDataset(header, Partition(X[:a], T[:a]),
                         Partition(X[a:b], T[a:b]), Partition(X[b:], T[b:]))
@@ -328,8 +343,9 @@ class TestRawCsv:
         (tmp_path / "raw.csv.manifest.json").write_text(
             json.dumps({"training_examples": 3})
         )
-        with pytest.raises(MissingKeyError):
+        with pytest.raises(MissingKeyError) as exc:
             load_raw_csv(csv_path)
+        assert str(exc.value).startswith(f"{csv_path}.manifest.json: ")
 
     def test_non_ascii_csv(self, tmp_path):
         csv_path = self.write_csv(tmp_path)

@@ -4,73 +4,71 @@ import pytest
 from growbp.dataset import Partition
 from growbp.errors import ArityMismatchError, EmptySetError
 from growbp.metrics import (
-    DecisionRule,
     EfficiencyReport,
     classify,
     efficiency,
     overall_efficiency,
-    rule_for_outputs,
 )
 from growbp.network import Network, forward
 
 
-def classify_row(row, rule):
+def classify_row(row):
     """Class of a single output or target vector, as a one-row matrix."""
-    (cls,) = classify([row], rule)
+    (cls,) = classify([row])
     return cls
 
 
-class TestRuleForOutputs:
-    def test_single_output_thresholds(self):
-        assert rule_for_outputs(1) is DecisionRule.THRESHOLD
+class TestClassifyByWidth:
+    def test_single_column_thresholds(self):
+        assert classify([[0.5], [0.4999], [0.9]]).tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_multi_output_argmaxes(self, n):
-        assert rule_for_outputs(n) is DecisionRule.ARGMAX
+    def test_multi_column_argmaxes(self, n):
+        # A threshold on the first column would give 0 and 1 here.
+        M = np.full((2, n), 0.1)
+        M[0, -1] = 0.9
+        M[1, :2] = [0.7, 0.8]
+        assert classify(M).tolist() == [n - 1, 1]
 
 
 class TestClassify:
     def test_argmax_picks_largest(self):
-        assert classify_row([0.9, 0.2], DecisionRule.ARGMAX) == 0
-        assert classify_row([0.2, 0.9], DecisionRule.ARGMAX) == 1
-        assert classify_row([0.1, 0.3, 0.8], DecisionRule.ARGMAX) == 2
+        assert classify_row([0.9, 0.2]) == 0
+        assert classify_row([0.2, 0.9]) == 1
+        assert classify_row([0.1, 0.3, 0.8]) == 2
 
     def test_argmax_tie_goes_to_lowest_index(self):
-        assert classify_row([0.5, 0.5], DecisionRule.ARGMAX) == 0
-        assert classify_row([0.2, 0.7, 0.7], DecisionRule.ARGMAX) == 1
+        assert classify_row([0.5, 0.5]) == 0
+        assert classify_row([0.2, 0.7, 0.7]) == 1
 
     def test_threshold_cutoff_is_inclusive(self):
-        assert classify_row([0.5], DecisionRule.THRESHOLD) == 1
-        assert classify_row([0.4999], DecisionRule.THRESHOLD) == 0
-        assert classify_row([0.9], DecisionRule.THRESHOLD) == 1
+        assert classify_row([0.5]) == 1
+        assert classify_row([0.4999]) == 0
+        assert classify_row([0.9]) == 1
 
     def test_monotone_transform_keeps_argmax_class(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             y = rng.uniform(0, 1, size=int(rng.integers(2, 6)))
-            assert classify_row(y, DecisionRule.ARGMAX) == classify_row(
-                y ** 3, DecisionRule.ARGMAX
-            )
+            assert classify_row(y) == classify_row(y ** 3)
 
     def test_rows_classified_independently(self):
         M = np.array([[0.9, 0.2], [0.5, 0.5], [0.1, 0.3]])
-        assert classify(M, DecisionRule.ARGMAX).tolist() == [0, 0, 1]
+        assert classify(M).tolist() == [0, 0, 1]
         col = np.array([[0.5], [0.2], [1.0]])
-        assert classify(col, DecisionRule.THRESHOLD).tolist() == [1, 0, 1]
+        assert classify(col).tolist() == [1, 0, 1]
 
     def test_arity_errors(self):
         with pytest.raises(ArityMismatchError):
-            classify_row([0.2, 0.8], DecisionRule.THRESHOLD)
+            classify([0.2, 0.8])
         with pytest.raises(ArityMismatchError):
-            classify_row([0.7], DecisionRule.ARGMAX)
-        with pytest.raises(ArityMismatchError):
-            classify([0.2, 0.8], DecisionRule.ARGMAX)
+            classify(np.empty((3, 0)))
 
     def test_target_class_decodes_encodings(self):
-        assert classify_row([1.0, 0.0], DecisionRule.ARGMAX) == 0
-        assert classify_row([0.0, 1.0], DecisionRule.ARGMAX) == 1
-        assert classify_row([1.0], DecisionRule.THRESHOLD) == 1
-        assert classify_row([0.0], DecisionRule.THRESHOLD) == 0
+        assert classify_row([1.0, 0.0]) == 0
+        assert classify_row([0.0, 1.0]) == 1
+        assert classify_row([1.0]) == 1
+        assert classify_row([0.0]) == 0
 
 
 class TestEfficiency:
@@ -81,12 +79,9 @@ class TestEfficiency:
         )
         part = Partition(rng.uniform(0, 1, (40, 4)),
                          np.eye(2)[rng.integers(0, 2, 40)])
-        rep = efficiency(net, part, DecisionRule.ARGMAX)
-        expected = sum(
-            classify_row(forward(net, x)[1], DecisionRule.ARGMAX)
-            == classify_row(t, DecisionRule.ARGMAX)
-            for x, t in zip(part.X, part.T)
-        )
+        rep = efficiency(net, part)
+        expected = sum(classify_row(forward(net, x)[1]) == classify_row(t)
+                       for x, t in zip(part.X, part.T))
         assert rep.classified == expected
         assert rep.total == 40
 
@@ -97,12 +92,9 @@ class TestEfficiency:
         )
         part = Partition(rng.uniform(0, 1, (40, 3)),
                          rng.integers(0, 2, (40, 1)))
-        rep = efficiency(net, part, DecisionRule.THRESHOLD)
-        expected = sum(
-            classify_row(forward(net, x)[1], DecisionRule.THRESHOLD)
-            == classify_row(t, DecisionRule.THRESHOLD)
-            for x, t in zip(part.X, part.T)
-        )
+        rep = efficiency(net, part)
+        expected = sum(classify_row(forward(net, x)[1]) == classify_row(t)
+                       for x, t in zip(part.X, part.T))
         assert rep.classified == expected
 
     def test_all_correct_is_hundred_percent(self, blob_dataset):
@@ -111,14 +103,20 @@ class TestEfficiency:
         hw = np.array([[20.0, 20.0, -20.0]])
         ow = np.array([[-20.0, 10.0], [20.0, -10.0]])
         net = Network(hw, ow)
-        rep = efficiency(net, blob_dataset.train, DecisionRule.ARGMAX)
+        rep = efficiency(net, blob_dataset.train)
         assert rep.percent == 100.0
+
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_target_width_must_match_outputs(self, n_targets):
+        net = Network(np.zeros((1, 3)), np.zeros((2, 2)))
+        part = Partition(np.zeros((4, 2)), np.zeros((4, n_targets)))
+        with pytest.raises(ArityMismatchError):
+            efficiency(net, part)
 
     def test_empty_set(self):
         net = Network(np.zeros((1, 3)), np.zeros((2, 2)))
         with pytest.raises(EmptySetError):
-            efficiency(net, Partition(np.empty((0, 2)), np.empty((0, 2))),
-                       DecisionRule.ARGMAX)
+            efficiency(net, Partition(np.empty((0, 2)), np.empty((0, 2))))
 
 
 class TestOverallEfficiency:

@@ -38,7 +38,7 @@ def one_row(x, d):
 
 
 def one_pattern_dataset(x, train_target, valid_target, test_target):
-    header = DatasetHeader(len(x), 1, 2, 1, 1, 1)
+    header = DatasetHeader(len(x), 1, 1, 1, 1)
     return SplitDataset(
         header,
         one_row(x, [train_target]),
