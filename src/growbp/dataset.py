@@ -223,7 +223,7 @@ def parse_dataset(text):
 
 
 @contextmanager
-def _naming(path):
+def naming(path):
     """Prefix ``path`` to a DatasetError raised inside, keeping its class."""
     try:
         yield
@@ -232,7 +232,8 @@ def _naming(path):
         raise
 
 
-def _read_ascii(path):
+def read_ascii(path):
+    """The text of ``path``; a non-ASCII byte is a MalformedValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -248,8 +249,8 @@ def load_dataset(path):
 
     A DatasetError names the file.
     """
-    with _naming(path):
-        return parse_dataset(_read_ascii(path))
+    with naming(path):
+        return parse_dataset(read_ascii(path))
 
 
 def format_dataset(ds):
@@ -309,19 +310,19 @@ def load_raw_csv(path, manifest_path=None):
     """
     if manifest_path is None:
         manifest_path = str(path) + ".manifest.json"
-    with _naming(manifest_path):
+    with naming(manifest_path):
         try:
-            manifest = json.loads(_read_ascii(manifest_path))
+            manifest = json.loads(read_ascii(manifest_path))
         except json.JSONDecodeError as exc:
             raise MalformedValueError(f"not valid JSON: {exc}") from None
         if not isinstance(manifest, dict):
             raise MalformedValueError("not a JSON object")
         for key in MANIFEST_KEYS:
             if key not in manifest:
-                raise MissingKeyError(key)
+                raise MissingKeyError(key, "manifest")
         counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
-    with _naming(path):
-        return _raw_csv_dataset(_read_ascii(path), counts)
+    with naming(path):
+        return _raw_csv_dataset(read_ascii(path), counts)
 
 
 def _raw_csv_dataset(text, counts):

@@ -10,11 +10,11 @@ class DatasetError(GrowbpError):
 
 
 class MissingKeyError(DatasetError):
-    """A required header key is absent."""
+    """A required key is absent from a ``.dt`` header or a manifest."""
 
-    def __init__(self, key):
+    def __init__(self, key, place="header"):
         self.key = key
-        super().__init__(f"missing required header key: {key!r}")
+        super().__init__(f"missing required {place} key: {key!r}")
 
 
 class MalformedValueError(DatasetError):

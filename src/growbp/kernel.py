@@ -1,5 +1,5 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
-backprop step and the batch forward pass.
+backprop step, the epoch and the batch forward pass.
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine and any
@@ -11,25 +11,48 @@ BLAS build:
   ``back_j = ow[0][j]*e0 + ow[1][j]*e1 + ...``;
 - every product and sum is rounded on its own: nothing is fused into a
   multiply-add and no reduction is reblocked;
-- the logistic is ``1 / (1 + exp(-s))``, and 0.0 where ``exp`` overflows,
-  which equals ``scipy.special.expit`` bitwise, including at +-inf and NaN.
+- the logistic is ``1 / (1 + exp(-s))`` with the C library's ``exp``, and
+  0.0 where ``exp`` overflows, which equals ``scipy.special.expit``
+  bitwise, including at +-inf and NaN.
 
-The online step touches arrays of under a hundred elements, where numpy's
-per-call overhead costs more than the arithmetic, so the per-pattern
-functions work on Python floats.  :func:`kernel_source` writes them out
-for one network shape with every sum spelled out term by term (a Python
-loop per weight costs more than twice as much), and :func:`kernel`
-compiles them once per shape; ``print(kernel_source(2, 2, 1))`` shows
-the code for two inputs, two hidden units and one output.
+Training and batch evaluation run in ``kernel.c``, which :func:`epoch`
+and :func:`batch_forward` call through ``ctypes``.  The library is built
+with ``gcc -O2 -ffp-contract=off`` at first import into
+``$XDG_CACHE_HOME/growbp`` (default ``~/.cache/growbp``), under a name
+that hashes the source, the flags and the Python ABI, so later imports
+start no compiler.  If that directory cannot be written the build goes to
+a private temporary directory for the process.  Where no ``gcc`` is found
+or the build fails, both functions run the pure-Python kernel instead;
+:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
 
-The batch function evaluates many patterns at once with numpy,
-accumulating one input at a time in the same order.
+The pure-Python kernel is also the reference the tests compare the C
+code against.  The online step touches arrays of under a hundred
+elements, where numpy's per-call overhead costs more than the
+arithmetic, so it works on Python floats.  :func:`kernel_source` writes
+``forward`` and ``step`` out for one network shape with every sum spelled
+out term by term (a Python loop per weight costs more than twice as
+much), and :func:`kernel` compiles them once per shape;
+``print(kernel_source(2, 2, 1))`` shows the code for two inputs, two
+hidden units and one output.  Its batch forward, :func:`batch_activations`,
+evaluates many patterns at once with numpy, accumulating one input at a
+time in the same order.
 """
 
+import ctypes
+import hashlib
 import math
+import os
+import shutil
+import sysconfig
 from functools import lru_cache
+from pathlib import Path
 
-from scipy.special import expit
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("kernel.c")
+# Never -ffast-math or -march=native: either lets the compiler reorder or
+# fuse the arithmetic, and the results would stop matching the contract.
+_COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 # Terms per source line of a sum.  A longer sum continues on the next line
 # from the partial result: the order stays the same, and the expression
@@ -125,8 +148,161 @@ def batch_activations(A, W):
     in the kernel's order, so each column equals the per-pattern
     ``forward`` bitwise.
     """
+    from scipy.special import expit  # only the fallback pays this import
+
     acc = W[:, :1] * A[0]
     for i in range(1, len(A)):
         acc += W[:, i:i + 1] * A[i]
     acc += W[:, -1:]
     return expit(acc)
+
+
+def _cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "growbp")
+
+
+def _compile(source, directory, name):
+    """Build ``source`` into ``directory/name`` and return its path.
+
+    The compiler writes a temporary file that is then renamed into place,
+    so a process loading the library never sees a partial one, and two
+    processes building at once both end up with a whole library.
+    """
+    import subprocess
+    import tempfile
+
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run([*_COMPILE, "-x", "c", "-", "-o", tmp, "-lm"],
+                       input=source, capture_output=True, check=True,
+                       timeout=300)
+        path = os.path.join(directory, name)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _bind(lib):
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    lib.epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
+    lib.epoch.restype = size
+    lib.forward.argtypes = [ptr] * 4 + [size] * 4
+    lib.forward.restype = size
+    return lib
+
+
+def _load():
+    """The compiled ``kernel.c``, or None where it cannot be built."""
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None  # installed without its C source
+    key = hashlib.sha256(b"\0".join([
+        source, " ".join(_COMPILE).encode(),
+        str(sysconfig.get_config_var("SOABI")).encode(),
+    ])).hexdigest()
+    name = f"kernel-{key[:32]}.so"
+    cached = os.path.join(_cache_dir(), name)
+    if os.path.exists(cached):
+        try:
+            return _bind(ctypes.CDLL(cached))
+        except OSError:
+            pass  # unreadable or damaged: build it again
+    if shutil.which(_COMPILE[0]) is None:
+        return None
+    import subprocess
+    import tempfile
+
+    try:
+        return _bind(ctypes.CDLL(_compile(source, _cache_dir(), name)))
+    except subprocess.SubprocessError:
+        return None
+    except OSError:
+        pass  # the cache directory cannot be written
+    private = tempfile.mkdtemp(prefix="growbp-")
+    try:
+        return _bind(ctypes.CDLL(_compile(source, private, name)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        shutil.rmtree(private, ignore_errors=True)
+
+
+_lib = _load()
+BACKEND = "python" if _lib is None else "c"
+
+
+def _weights(hw, ow):
+    """``hw`` and ``ow`` as C-ordered float64 arrays, with their shape."""
+    hw = np.ascontiguousarray(hw, dtype=np.float64)
+    ow = np.ascontiguousarray(ow, dtype=np.float64)
+    h, cols = hw.shape
+    n_out, ow_cols = ow.shape
+    if cols < 2 or ow_cols != h + 1 or n_out < 1:
+        raise ValueError(f"inconsistent weight shapes {hw.shape}, {ow.shape}")
+    return hw, ow, cols - 1, h, n_out
+
+
+def epoch(hw, ow, X, T, order, eta):
+    """One online epoch over the rows of ``X`` and ``T`` in ``order``.
+
+    Every step updates ``hw`` and ``ow`` in place; ``order`` is an integer
+    array.  Returns False, with the weights untouched, when ``order`` is
+    not a permutation of the row indices, and True otherwise.
+    """
+    hw_c, ow_c, n_in, h, n_out = _weights(hw, ow)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    T = np.ascontiguousarray(T, dtype=np.float64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    n = len(X)
+    if X.shape != (n, n_in) or T.shape != (n, n_out) or order.shape != (n,):
+        raise ValueError(f"inconsistent shapes {X.shape}, {T.shape}, "
+                         f"{order.shape} for {n_in} inputs, {n_out} outputs")
+    if _lib is None:
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            return False
+        _, step = kernel(n_in, h, n_out)
+        hw_l, ow_l = hw_c.tolist(), ow_c.tolist()
+        X, T, eta = X.tolist(), T.tolist(), float(eta)
+        for i in order.tolist():
+            step(hw_l, ow_l, X[i], T[i], eta)
+        hw[...] = hw_l
+        ow[...] = ow_l
+        return True
+    status = _lib.epoch(hw_c.ctypes.data, ow_c.ctypes.data, X.ctypes.data,
+                        T.ctypes.data, order.ctypes.data, n, n_in, h, n_out,
+                        float(eta))
+    if status == 2:
+        raise MemoryError("kernel epoch")
+    if hw_c is not hw:
+        hw[...] = hw_c
+    if ow_c is not ow:
+        ow[...] = ow_c
+    return status == 0
+
+
+def batch_forward(hw, ow, X):
+    """Output activations for every row of ``X``, one row per pattern.
+
+    Row ``i`` equals the per-pattern ``forward`` on ``X[i]`` bitwise.
+    """
+    hw, ow, n_in, h, n_out = _weights(hw, ow)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_in:
+        raise ValueError(f"expected (n, {n_in}) inputs, got {X.shape}")
+    if _lib is None:
+        # One contiguous row per input, so every step of the sums runs
+        # over a long row of patterns.
+        hidden = batch_activations(np.ascontiguousarray(X.T), hw)
+        return np.ascontiguousarray(batch_activations(hidden, ow).T)
+    Y = np.empty((len(X), n_out))
+    if _lib.forward(hw.ctypes.data, ow.ctypes.data, X.ctypes.data,
+                    Y.ctypes.data, len(X), n_in, h, n_out) == 2:
+        raise MemoryError("kernel forward")
+    return Y

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import naming, read_ascii
 from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
-from .kernel import batch_activations, kernel
+from .kernel import batch_forward, kernel
 
 
 @dataclass(eq=False)
@@ -31,6 +32,8 @@ class Network:
             raise MalformedValueError("weight matrices must be 2-D")
         if hw.shape[0] < 1:
             raise MalformedValueError("need at least one hidden unit")
+        if ow.shape[0] < 1:
+            raise MalformedValueError("need at least one output unit")
         if hw.shape[1] < 2 or ow.shape[1] != hw.shape[0] + 1:
             raise MalformedValueError(
                 f"inconsistent shapes: hidden {hw.shape}, output {ow.shape}"
@@ -100,12 +103,7 @@ def forward_outputs(net, X):
         raise ArityMismatchError(
             f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
         )
-    # One contiguous row per input, so every step of the kernel's sums
-    # runs over a long row of patterns: faster than per-column access and,
-    # at these sizes, than matmul.
-    hidden = batch_activations(np.ascontiguousarray(X.T), net.hidden_weights)
-    output = batch_activations(hidden, net.output_weights)
-    return np.ascontiguousarray(output.T)
+    return batch_forward(net.hidden_weights, net.output_weights, X)
 
 
 def add_hidden_unit(net, init_range, rng, zero_output=False):
@@ -167,9 +165,9 @@ def parse_network(text):
             [float(v) for v in lines[5 + h + k].split()]
             for k in range(n_outputs)
         ]
+        net = Network(np.array(hw), np.array(ow))
     except (IndexError, ValueError) as exc:
         raise MalformedValueError(f"bad network file: {exc}") from None
-    net = Network(np.array(hw), np.array(ow))
     if net.n_inputs != n_inputs or net.n_outputs != n_outputs:
         raise MalformedValueError("network dimensions disagree with matrices")
     return net
@@ -181,5 +179,6 @@ def save_network(net, path):
 
 
 def load_network(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_network(fh.read())
+    """Read a network file; a :class:`GrowbpError` names the file."""
+    with naming(path):
+        return parse_network(read_ascii(path))

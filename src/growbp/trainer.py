@@ -23,12 +23,14 @@ import numpy as np
 
 from .dataset import Partition
 from .errors import ArityMismatchError, ConfigError, EmptySetError
-from .kernel import kernel
+from .kernel import epoch
 from .metrics import check_targets, efficiency, overall_efficiency
 from .network import add_hidden_unit, forward_outputs, init_network
 
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
+
+_NOT_A_PERMUTATION = "order must be a permutation of the train indices"
 
 
 def check_fields(obj):
@@ -179,32 +181,23 @@ def backprop_step(net, x, d, eta):
 def train_epoch(net, train, eta, order):
     """One pass of online updates over the training set in the given order.
 
-    The weights and patterns are converted to lists of floats once, every
-    step runs the kernel on them, and the weights are written back into
-    the network at the end.
+    ``order`` is an integer permutation of the partition's row indices.
+    The whole epoch runs in one call to :func:`growbp.kernel.epoch`, which
+    updates the network's weight arrays in place.  Returns the network.
     """
     if len(train) == 0:
         raise EmptySetError("cannot train on an empty set")
     order = np.asarray(order)
-    if order.shape != (len(train),) or not np.array_equal(
-        np.sort(order), np.arange(len(train))
-    ):
-        raise ValueError("order must be a permutation of the train indices")
+    if order.dtype.kind not in "iu" or order.shape != (len(train),):
+        raise ValueError(_NOT_A_PERMUTATION)
     if train.X.shape[1] != net.n_inputs or train.T.shape[1] != net.n_outputs:
         raise ArityMismatchError(
             f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
             f"got {train.X.shape[1]} and {train.T.shape[1]}"
         )
-    _, step = kernel(net.n_inputs, net.h, net.n_outputs)
-    hw = net.hidden_weights.tolist()
-    ow = net.output_weights.tolist()
-    X = train.X.tolist()
-    T = train.T.tolist()
-    eta = float(eta)
-    for i in order.tolist():
-        step(hw, ow, X[i], T[i], eta)
-    net.hidden_weights[:] = hw
-    net.output_weights[:] = ow
+    if not epoch(net.hidden_weights, net.output_weights, train.X, train.T,
+                 order, eta):
+        raise ValueError(_NOT_A_PERMUTATION)
     return net
 
 

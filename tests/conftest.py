@@ -1,3 +1,6 @@
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,3 +46,24 @@ def blob_dataset():
 @pytest.fixture
 def blob_dataset_single_output():
     return make_blob_dataset(one_hot=False)
+
+
+def _git_status():
+    try:
+        return subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all"],
+            cwd=Path(__file__).resolve().parent, capture_output=True,
+            text=True, check=True, timeout=60).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None  # not a git checkout
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_left_clean():
+    """The test run writes nothing into the checkout, build output included.
+
+    A failure shows as an error in the teardown of the last test.
+    """
+    before = _git_status()
+    yield
+    assert _git_status() == before, "the test run changed the checkout"

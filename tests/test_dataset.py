@@ -340,12 +340,14 @@ class TestRawCsv:
 
     def test_missing_manifest_key(self, tmp_path):
         csv_path = self.write_csv(tmp_path)
-        (tmp_path / "raw.csv.manifest.json").write_text(
-            json.dumps({"training_examples": 3})
-        )
+        (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(
+            {"training_examples": 3, "validation_examples": 1,
+             "test_examples": 1}
+        ))
         with pytest.raises(MissingKeyError) as exc:
             load_raw_csv(csv_path)
-        assert str(exc.value).startswith(f"{csv_path}.manifest.json: ")
+        assert str(exc.value) == (f"{csv_path}.manifest.json: missing "
+                                  "required manifest key: 'target_columns'")
 
     def test_non_ascii_csv(self, tmp_path):
         csv_path = self.write_csv(tmp_path)

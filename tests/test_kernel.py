@@ -2,10 +2,18 @@
 
 The scalar reference below is written with plain loops over Python
 floats, independently of the generated kernel: each sum starts from its
-first product, runs left to right and adds the bias last.
+first product, runs left to right and adds the bias last.  The compiled
+epoch and batch forward are checked against the generated Python kernel,
+which is also their fallback.
 """
 
+import glob
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import growbp
+from growbp import kernel as kernel_module
 from growbp.dataset import Partition
 from growbp.network import Network, add_hidden_unit, forward, forward_outputs
 from growbp.trainer import backprop_step, train_epoch
@@ -152,3 +162,177 @@ def test_long_sums_compile_and_keep_order():
     assert bits(hidden) == bits(want[0])
     assert bits(output) == bits(want[1])
     assert bits(forward_outputs(net, x[None, :])[0]) == bits(want[1])
+
+
+# The compiled kernel against the Python one.  Weight scales up to 1e300
+# and etas up to 1e300 push weights past the float range, so later steps
+# run on +-inf and NaN weights.
+big_scales = st.sampled_from([0.5, 30.0, 1000.0, 1e300])
+big_etas = st.sampled_from([0.05, 0.7, 1e4, 1e300])
+
+
+def random_arrays(rng, shape, scale, rows):
+    n_in, h, n_out = shape
+    hw = rng.uniform(-scale, scale, (h, n_in + 1))
+    ow = rng.uniform(-scale, scale, (n_out, h + 1))
+    X = rng.uniform(-1, 1, (rows, n_in))
+    T = rng.integers(0, 2, (rows, n_out)).astype(np.float64)
+    return hw, ow, X, T
+
+
+def nan_bits(a):
+    """Bytes of ``a`` with every NaN made the same NaN.
+
+    IEEE 754 fixes no sign or payload for a NaN made from two NaNs, and
+    CPython does not reproduce them either: its specialised float
+    instructions may add the operands in the other order.  No kernel
+    operation lets a NaN's bits reach a number, so only NaN-ness counts.
+    """
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def python_epoch(hw, ow, X, T, order, eta):
+    """The generated step applied pattern by pattern; new weight rows."""
+    _, step = kernel_module.kernel(X.shape[1], len(hw), len(ow))
+    hw, ow = hw.tolist(), ow.tolist()
+    for i in order:
+        step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
+    return hw, ow
+
+
+@given(shapes, big_scales, seeds, st.integers(1, 12), big_etas, st.data())
+@settings(max_examples=200, deadline=None)
+def test_epoch_matches_python_steps(shape, scale, seed, rows, eta, data):
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    order = np.array(data.draw(st.permutations(range(rows))))
+    for _ in range(3):  # later epochs start from saturated weights
+        want_hw, want_ow = python_epoch(hw, ow, X, T, order, eta)
+        assert kernel_module.epoch(hw, ow, X, T, order, eta)
+        assert nan_bits(hw) == nan_bits(want_hw)
+        assert nan_bits(ow) == nan_bits(want_ow)
+
+
+@given(shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
+                                              infinite):
+    rng = np.random.default_rng(seed)
+    hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
+    if infinite:
+        hw[rng.random(hw.shape) < 0.2] = math.inf
+        ow[rng.random(ow.shape) < 0.2] = -math.inf
+    fwd, _ = kernel_module.kernel(*shape)
+    Y = kernel_module.batch_forward(hw, ow, X)
+    assert Y.shape == (rows, shape[2])
+    for i in range(rows):
+        assert nan_bits(Y[i]) == nan_bits(fwd(hw.tolist(), ow.tolist(),
+                                              X[i].tolist())[1])
+
+
+@pytest.mark.parametrize("order", [[0, 0, 2], [2, 1, 3], [-1, 0, 1]])
+def test_rejected_order_leaves_weights_untouched(order):
+    rng = np.random.default_rng(4)
+    hw, ow, X, T = random_arrays(rng, (2, 3, 2), 1.0, 3)
+    before = bits(hw) + bits(ow)
+    assert not kernel_module.epoch(hw, ow, X, T, np.array(order), 0.7)
+    assert bits(hw) + bits(ow) == before
+
+
+def test_epoch_updates_non_contiguous_weights():
+    rng = np.random.default_rng(5)
+    hw, ow, X, T = random_arrays(rng, (3, 2, 2), 1.0, 4)
+    hw_f, ow_f = np.asfortranarray(hw), np.asfortranarray(ow)
+    order = np.arange(4)
+    kernel_module.epoch(hw, ow, X, T, order, 0.7)
+    kernel_module.epoch(hw_f, ow_f, X, T, order, 0.7)
+    assert bits(hw_f) == bits(hw) and bits(ow_f) == bits(ow)
+
+
+def test_compiled_whenever_gcc_is_found():
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH: the Python kernel is in use")
+    assert kernel_module.BACKEND == "c"
+
+
+SRC = Path(growbp.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(code, **env):
+    """Run ``code`` in a fresh interpreter with growbp importable."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = run_python("import sys, growbp.cli; print('scipy' in sys.modules)")
+    assert out == "False\n"
+
+
+def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
+    (tmp_path / "bin").mkdir()
+    out = run_python(
+        "import sys, tempfile\n"
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "import growbp.kernel, test_golden\n"
+        "print(growbp.kernel.BACKEND)\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    test_golden.assert_same_files(\n"
+        "        'heart1', test_golden.result_files('heart1', Path(tmp)))\n",
+        XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(tmp_path / "bin"))
+    assert out == "python\n"
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_build_is_cached_and_atomic(tmp_path):
+    cache = tmp_path / "cache"
+    code = "import growbp.kernel as k; print(k.BACKEND)"
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache))
+    # Two interpreters building into the same empty cache at once.
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert (out, err, proc.returncode) == ("c\n", "", 0)
+    built = os.listdir(cache / "growbp")
+    assert len(built) == 1 and built[0].startswith("kernel-")
+    # A cache hit starts no compiler, so it needs none on PATH.
+    (tmp_path / "bin").mkdir()
+    assert run_python(code, XDG_CACHE_HOME=str(cache),
+                      PATH=str(tmp_path / "bin")) == "c\n"
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_unwritable_cache_builds_privately(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    (tmp_path / "tmp").mkdir()
+    out = run_python("import growbp.kernel as k; print(k.BACKEND)",
+                     XDG_CACHE_HOME=str(blocker), TMPDIR=str(tmp_path / "tmp"))
+    assert out == "c\n"
+    assert os.listdir(tmp_path / "tmp") == []
+
+
+def test_every_package_file_is_shipped():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("growbp is installed, not a source checkout")
+    package = SRC / "growbp"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"][
+        "package-data"]["growbp"]
+    shipped = {f for g in globs for f in glob.glob(g, root_dir=package)}
+    files = {p.relative_to(package).as_posix() for p in package.rglob("*")
+             if p.is_file() and p.suffix not in (".py", ".pyc")
+             and "__pycache__" not in p.parts}
+    assert files <= shipped

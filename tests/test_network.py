@@ -1,10 +1,15 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growbp.errors import (
     ArityMismatchError,
+    GrowbpError,
     InvalidRangeError,
     MalformedValueError,
 )
@@ -229,6 +234,10 @@ class TestNetworkValidation:
         with pytest.raises(MalformedValueError):
             Network(hw, np.zeros((1, 2)))
 
+    def test_no_output_units_rejected(self):
+        with pytest.raises(MalformedValueError):
+            Network(np.zeros((1, 3)), np.zeros((0, 2)))
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
@@ -246,3 +255,35 @@ class TestSerialization:
     def test_bad_file_rejected(self):
         with pytest.raises(MalformedValueError):
             parse_network("n_inputs 2\nnothing else\n")
+
+    @pytest.mark.parametrize("data", [
+        "n_inputs 1\nh 1\nn_outputs 1\nhidden_weights\n1 \u00e9\n"
+        "output_weights\n1 2\n".encode("utf-8"),
+        b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n1 2\n"
+        b"output_weights\n1 2 3\n",
+    ], ids=["non-ascii", "ragged-hidden-rows"])
+    def test_load_names_the_file(self, tmp_path, data):
+        p = tmp_path / "net.txt"
+        p.write_bytes(data)
+        with pytest.raises(MalformedValueError) as exc:
+            load_network(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
+    @given(st.binary(max_size=300) | st.builds(
+        lambda net, junk: format_network(net).encode("ascii") + junk,
+        st.builds(lambda n_in, h, n_out, seed: random_network(
+            np.random.default_rng(seed), n_in, h, n_out),
+            st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+            st.integers(0, 1000)),
+        st.binary(max_size=20)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_give_network_or_growbp_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "net.txt"
+            p.write_bytes(data)
+            try:
+                net = load_network(p)
+            except GrowbpError as exc:
+                assert str(exc).startswith(f"{p}: ")
+            else:
+                assert isinstance(net, Network)

@@ -242,7 +242,10 @@ class TestTrainEpoch:
         assert np.array_equal(a.hidden_weights, b.hidden_weights)
         assert np.array_equal(a.output_weights, b.output_weights)
 
-    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [1, 2, 3]])
+    @pytest.mark.parametrize("order", [
+        [0, 0, 2], [0, 1], [1, 2, 3], [0.0, 1.0, 2.0], [[0, 1, 2]],
+        np.array([2**64 - 1, 0, 1], dtype=np.uint64),
+    ])
     def test_rejects_non_permutations(self, order):
         rng = np.random.default_rng(10)
         part = Partition(rng.uniform(0, 1, (3, 2)), np.ones((3, 1)))
