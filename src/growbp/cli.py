@@ -150,15 +150,15 @@ def config_record(cfg):
     return record
 
 
-def render_table(history, fmt):
+def render_table(history, fmt, seed=None):
     """Format a growth history as one row per phase.
 
     The selected phase (the accepting one, or the best found when growth
     hit the cap) is flagged in the ``best`` column in CSV, bolded in
-    markdown, and marked ``"selected": true`` in JSON lines.  CSV cells
-    keep full float precision and round-trip exactly; markdown rounds for
-    display (two decimals for set efficiencies, five for the overall
-    column).
+    markdown, and marked ``"selected": true`` in JSON lines, whose rows
+    also carry ``seed`` when one is given.  CSV cells keep full float
+    precision and round-trip exactly; markdown rounds for display (two
+    decimals for set efficiencies, five for the overall column).
     """
     selected = history.selected_index()
     if fmt == "csv":
@@ -183,7 +183,7 @@ def render_table(history, fmt):
         return "\n".join(lines) + "\n"
     if fmt == "json-lines":
         return "".join(
-            _json_line(rec, i == selected, history.stop_reason)
+            _json_line(rec, i == selected, history.stop_reason, seed)
             for i, rec in enumerate(history.phases)
         )
     raise ConfigError(f"unknown table format {fmt!r}")
@@ -264,14 +264,9 @@ def _summary_lines(results):
 
 def _flush_results(cfg, outdir, results):
     if cfg.output_format == "json-lines":
-        chunks = []
-        for seed, history in results:
-            selected = history.selected_index()
-            chunks.extend(
-                _json_line(rec, i == selected, history.stop_reason, seed)
-                for i, rec in enumerate(history.phases)
-            )
-        _write(outdir / "histories.jsonl", "".join(chunks))
+        _write(outdir / "histories.jsonl", "".join(
+            render_table(history, "json-lines", seed)
+            for seed, history in results))
     else:
         for seed, history in results:
             _write(outdir / f"seed_{seed}.csv", render_table(history, "csv"))
@@ -349,8 +344,8 @@ def parse_seeds(text):
 
 def _load_config_file(path):
     try:
-        entries = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from None
     if not isinstance(entries, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -427,11 +422,11 @@ def cmd_render(args):
         raise ConfigError(f"{args.results}: {exc}") from None
     out = []
     for seed, history in histories:
-        if seed is not None:
+        if seed is not None and args.format != "json-lines":
             marker = "#" if args.format == "csv" else "##"
-            out.append(f"{marker} seed {seed}")
-        out.append(render_table(history, args.format).rstrip("\n"))
-    print("\n".join(out))
+            out.append(f"{marker} seed {seed}\n")
+        out.append(render_table(history, args.format, seed))
+    sys.stdout.write("".join(out))
     return 0
 
 
@@ -439,7 +434,7 @@ def _jsonl_row(ln):
     """``(seed, stop_reason, PhaseRecord)`` of one ``histories.jsonl`` line."""
     try:
         obj = json.loads(ln)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("not a JSON object")

@@ -313,7 +313,7 @@ def load_raw_csv(path, manifest_path=None):
     with naming(manifest_path):
         try:
             manifest = json.loads(read_ascii(manifest_path))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedValueError(f"not valid JSON: {exc}") from None
         if not isinstance(manifest, dict):
             raise MalformedValueError("not a JSON object")

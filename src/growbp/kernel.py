@@ -1,6 +1,11 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
 backprop step, the epoch and the batch forward pass.
 
+The package enters through :func:`train_epoch` and
+:func:`forward_outputs`.  They check their arguments once, then run the
+compiled or the Python kernel on the C-contiguous float64 arrays that a
+``Network`` and a ``Partition`` hold.
+
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine and any
 BLAS build:
@@ -15,14 +20,14 @@ BLAS build:
   0.0 where ``exp`` overflows, which equals ``scipy.special.expit``
   bitwise, including at +-inf and NaN.
 
-Training and batch evaluation run in ``kernel.c``, which :func:`epoch`
-and :func:`batch_forward` call through ``ctypes``.  The library is built
-with ``gcc -O2 -ffp-contract=off`` at first import into
-``$XDG_CACHE_HOME/growbp`` (default ``~/.cache/growbp``), under a name
-that hashes the source, the flags and the Python ABI, so later imports
-start no compiler.  If that directory cannot be written the build goes to
-a private temporary directory for the process.  Where no ``gcc`` is found
-or the build fails, both functions run the pure-Python kernel instead;
+Training and batch evaluation run in ``kernel.c``, which both entry
+points call through ``ctypes``.  The library is built with ``gcc -O2
+-ffp-contract=off`` at first import into ``$XDG_CACHE_HOME/growbp``
+(default ``~/.cache/growbp``), under a name that hashes the source, the
+flags and the Python ABI, so later imports start no compiler.  If that
+directory cannot be written the build goes to a private temporary
+directory for the process.  Where no ``gcc`` is found or the build
+fails, both entry points run the pure-Python kernel instead;
 :data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
 
 The pure-Python kernel is also the reference the tests compare the C
@@ -48,6 +53,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ArityMismatchError, EmptySetError
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 # Never -ffast-math or -march=native: either lets the compiler reorder or
@@ -238,71 +245,69 @@ _lib = _load()
 BACKEND = "python" if _lib is None else "c"
 
 
-def _weights(hw, ow):
-    """``hw`` and ``ow`` as C-ordered float64 arrays, with their shape."""
-    hw = np.ascontiguousarray(hw, dtype=np.float64)
-    ow = np.ascontiguousarray(ow, dtype=np.float64)
-    h, cols = hw.shape
-    n_out, ow_cols = ow.shape
-    if cols < 2 or ow_cols != h + 1 or n_out < 1:
-        raise ValueError(f"inconsistent weight shapes {hw.shape}, {ow.shape}")
-    return hw, ow, cols - 1, h, n_out
+_NOT_A_PERMUTATION = "order must be a permutation of the train indices"
 
 
-def epoch(hw, ow, X, T, order, eta):
-    """One online epoch over the rows of ``X`` and ``T`` in ``order``.
+def train_epoch(net, train, eta, order):
+    """One pass of online updates over ``train`` in the given order.
 
-    Every step updates ``hw`` and ``ow`` in place; ``order`` is an integer
-    array.  Returns False, with the weights untouched, when ``order`` is
-    not a permutation of the row indices, and True otherwise.
+    ``order`` is an integer permutation of the partition's row indices.
+    Every step updates the network's weight arrays in place; a rejected
+    ``order`` leaves them untouched.  Returns the network.
     """
-    hw_c, ow_c, n_in, h, n_out = _weights(hw, ow)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    T = np.ascontiguousarray(T, dtype=np.float64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    n = len(X)
-    if X.shape != (n, n_in) or T.shape != (n, n_out) or order.shape != (n,):
-        raise ValueError(f"inconsistent shapes {X.shape}, {T.shape}, "
-                         f"{order.shape} for {n_in} inputs, {n_out} outputs")
+    if len(train) == 0:
+        raise EmptySetError("cannot train on an empty set")
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu" or order.shape != (len(train),):
+        raise ValueError(_NOT_A_PERMUTATION)
+    if train.X.shape[1] != net.n_inputs or train.T.shape[1] != net.n_outputs:
+        raise ArityMismatchError(
+            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
+            f"got {train.X.shape[1]} and {train.T.shape[1]}"
+        )
+    hw, ow = net.hidden_weights, net.output_weights
     if _lib is None:
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            return False
-        _, step = kernel(n_in, h, n_out)
-        hw_l, ow_l = hw_c.tolist(), ow_c.tolist()
-        X, T, eta = X.tolist(), T.tolist(), float(eta)
+        if not np.array_equal(np.sort(order), np.arange(len(train))):
+            raise ValueError(_NOT_A_PERMUTATION)
+        _, step = kernel(net.n_inputs, net.h, net.n_outputs)
+        hw_l, ow_l = hw.tolist(), ow.tolist()
+        X, T, eta = train.X.tolist(), train.T.tolist(), float(eta)
         for i in order.tolist():
             step(hw_l, ow_l, X[i], T[i], eta)
         hw[...] = hw_l
         ow[...] = ow_l
-        return True
-    status = _lib.epoch(hw_c.ctypes.data, ow_c.ctypes.data, X.ctypes.data,
-                        T.ctypes.data, order.ctypes.data, n, n_in, h, n_out,
-                        float(eta))
+        return net
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    status = _lib.epoch(hw.ctypes.data, ow.ctypes.data, train.X.ctypes.data,
+                        train.T.ctypes.data, order.ctypes.data, len(train),
+                        net.n_inputs, net.h, net.n_outputs, float(eta))
+    if status == 1:
+        raise ValueError(_NOT_A_PERMUTATION)
     if status == 2:
         raise MemoryError("kernel epoch")
-    if hw_c is not hw:
-        hw[...] = hw_c
-    if ow_c is not ow:
-        ow[...] = ow_c
-    return status == 0
+    return net
 
 
-def batch_forward(hw, ow, X):
-    """Output activations for every row of ``X``, one row per pattern.
+def forward_outputs(net, X):
+    """Evaluate the network on a matrix of inputs, one row per pattern.
 
-    Row ``i`` equals the per-pattern ``forward`` on ``X[i]`` bitwise.
+    Row ``i`` of the result equals ``growbp.network.forward(net, X[i])[1]``
+    bitwise.
     """
-    hw, ow, n_in, h, n_out = _weights(hw, ow)
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != n_in:
-        raise ValueError(f"expected (n, {n_in}) inputs, got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != net.n_inputs:
+        raise ArityMismatchError(
+            f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
+        )
+    hw, ow = net.hidden_weights, net.output_weights
     if _lib is None:
         # One contiguous row per input, so every step of the sums runs
         # over a long row of patterns.
         hidden = batch_activations(np.ascontiguousarray(X.T), hw)
         return np.ascontiguousarray(batch_activations(hidden, ow).T)
-    Y = np.empty((len(X), n_out))
+    Y = np.empty((len(X), net.n_outputs))
     if _lib.forward(hw.ctypes.data, ow.ctypes.data, X.ctypes.data,
-                    Y.ctypes.data, len(X), n_in, h, n_out) == 2:
+                    Y.ctypes.data, len(X), net.n_inputs, net.h,
+                    net.n_outputs) == 2:
         raise MemoryError("kernel forward")
     return Y

@@ -15,19 +15,23 @@ import numpy as np
 
 from .dataset import naming, read_ascii
 from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
-from .kernel import batch_forward, kernel
+from .kernel import forward_outputs, kernel
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Weights of a 1-hidden-layer feedforward net, biases included."""
+    """Weights of a 1-hidden-layer feedforward net, biases included.
+
+    Stored as C-contiguous, writeable float64 arrays: training updates
+    them in place.
+    """
 
     hidden_weights: np.ndarray
     output_weights: np.ndarray
 
     def __post_init__(self):
-        hw = np.asarray(self.hidden_weights, dtype=np.float64)
-        ow = np.asarray(self.output_weights, dtype=np.float64)
+        hw = np.require(self.hidden_weights, np.float64, "CWE")
+        ow = np.require(self.output_weights, np.float64, "CWE")
         if hw.ndim != 2 or ow.ndim != 2:
             raise MalformedValueError("weight matrices must be 2-D")
         if hw.shape[0] < 1:
@@ -40,8 +44,8 @@ class Network:
             )
         if not (np.isfinite(hw).all() and np.isfinite(ow).all()):
             raise MalformedValueError("weights must be finite")
-        self.hidden_weights = hw
-        self.output_weights = ow
+        object.__setattr__(self, "hidden_weights", hw)
+        object.__setattr__(self, "output_weights", ow)
 
     @property
     def n_inputs(self):
@@ -91,19 +95,6 @@ def forward(net, inputs):
     hidden, output = fwd(net.hidden_weights.tolist(),
                          net.output_weights.tolist(), x.tolist())
     return np.array(hidden), np.array(output)
-
-
-def forward_outputs(net, X):
-    """Evaluate the network on a matrix of inputs, one row per pattern.
-
-    Row ``i`` of the result equals ``forward(net, X[i])[1]`` bitwise.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n_inputs:
-        raise ArityMismatchError(
-            f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
-        )
-    return batch_forward(net.hidden_weights, net.output_weights, X)
 
 
 def add_hidden_unit(net, init_range, rng, zero_output=False):

@@ -22,15 +22,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import Partition
-from .errors import ArityMismatchError, ConfigError, EmptySetError
-from .kernel import epoch
+from .errors import ConfigError, EmptySetError
+from .kernel import forward_outputs, train_epoch
 from .metrics import check_targets, efficiency, overall_efficiency
-from .network import add_hidden_unit, forward_outputs, init_network
+from .network import add_hidden_unit, init_network
 
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
-
-_NOT_A_PERMUTATION = "order must be a permutation of the train indices"
 
 
 def check_fields(obj):
@@ -176,29 +174,6 @@ def backprop_step(net, x, d, eta):
     the network.
     """
     return train_epoch(net, Partition([x], [d]), eta, [0])
-
-
-def train_epoch(net, train, eta, order):
-    """One pass of online updates over the training set in the given order.
-
-    ``order`` is an integer permutation of the partition's row indices.
-    The whole epoch runs in one call to :func:`growbp.kernel.epoch`, which
-    updates the network's weight arrays in place.  Returns the network.
-    """
-    if len(train) == 0:
-        raise EmptySetError("cannot train on an empty set")
-    order = np.asarray(order)
-    if order.dtype.kind not in "iu" or order.shape != (len(train),):
-        raise ValueError(_NOT_A_PERMUTATION)
-    if train.X.shape[1] != net.n_inputs or train.T.shape[1] != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
-            f"got {train.X.shape[1]} and {train.T.shape[1]}"
-        )
-    if not epoch(net.hidden_weights, net.output_weights, train.X, train.T,
-                 order, eta):
-        raise ValueError(_NOT_A_PERMUTATION)
-    return net
 
 
 def _phase_record(net, data, epochs_cumulative):

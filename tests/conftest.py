@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from growbp import kernel
 from growbp.dataset import DatasetHeader, Partition, SplitDataset
 
 
@@ -36,6 +37,20 @@ def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
         valid=Partition(X[a:b], T[a:b]),
         test=Partition(X[b:], T[b:]),
     )
+
+
+@pytest.fixture
+def each_backend(monkeypatch):
+    """Loop over it to run a test body once per kernel backend.
+
+    The first pass runs on the backend in use (the compiled kernel
+    wherever it was built), the second on the pure-Python fallback.
+    """
+    def backends():
+        yield kernel.BACKEND
+        monkeypatch.setattr(kernel, "_lib", None)
+        yield "python"
+    return backends()
 
 
 @pytest.fixture

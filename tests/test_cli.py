@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib.util
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growbp
@@ -27,8 +28,9 @@ from growbp.cli import (
     render_table,
     run_experiment,
 )
-from growbp.dataset import save_dataset
-from growbp.errors import ConfigError
+from growbp.dataset import load_dataset, load_raw_csv, save_dataset
+from growbp.errors import ConfigError, GrowbpError
+from growbp.network import load_network
 from growbp.trainer import (
     STOP_ACCEPTED,
     STOP_H_MAX,
@@ -459,6 +461,8 @@ def write_bad_input(case, blob_dataset, tmp_path):
         manifest = manifest.replace("3", '"three"')
     elif case == "manifest-no-target-columns":
         manifest = manifest.replace(', "target_columns": 1', "")
+    elif case == "manifest-nested-deep":
+        manifest = "[" * 100000
     (tmp_path / "raw.csv.manifest.json").write_text(manifest)
     return csv_path, "raw-csv"
 
@@ -469,6 +473,7 @@ class TestBadInputExitsTwo:
         "non-ascii-dt", "non-ascii-csv", "manifest-not-json",
         "manifest-count-not-integer", "unicode-digit-header", "short-row",
         "missing-header-key", "manifest-no-target-columns",
+        "manifest-nested-deep",
     ])
     def test_no_traceback(self, case, command, blob_dataset, tmp_path,
                           capsys):
@@ -597,9 +602,13 @@ def test_any_config_object_builds_or_exits_two(entries, positional):
 
 
 def write_config(entries, dataset=("heart1",)):
+    return write_config_bytes(json.dumps(entries).encode(), dataset)
+
+
+def write_config_bytes(data, dataset=("heart1",)):
     def make(tmp_path):
         conf = tmp_path / "c.json"
-        conf.write_text(json.dumps(entries))
+        conf.write_bytes(data)
         return ["train", *dataset, "--config", str(conf)]
     return make
 
@@ -644,6 +653,8 @@ BAD_INPUTS = {
     "config-h-max-str": write_config({"h_max": "3"}),
     "config-shuffle-int": write_config({"shuffle": 1}),
     "config-dataset-nul": write_config({"dataset_path": "a\0b"}, ()),
+    "config-not-utf8": write_config_bytes(b'{"h_max": "\xff"}'),
+    "config-nested-deep": write_config_bytes(b"[" * 100000),
     "render-csv-short-row": write_render_input(
         CSV_HEADER + "1,2,3\n# stop_reason=accepted\n"),
     "render-csv-not-numeric": write_render_input(
@@ -656,6 +667,7 @@ BAD_INPUTS = {
     "render-jsonl-string-count": write_render_input(
         json.dumps({**JSON_ROW, "h": "1"}) + "\n"),
     "render-not-json": write_render_input("not json\n"),
+    "render-jsonl-nested-deep": write_render_input("[" * 100000),
 }
 
 
@@ -671,3 +683,46 @@ def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
     assert not out.exists()
     if argv[0] == "render":
         assert f"{argv[1]}: line " in err
+
+
+def build_from_config(path):
+    args = build_parser().parse_args(["train", "x.dt", "--config", str(path)])
+    return build_experiment_config(args)
+
+
+def render_quietly(path):
+    args = build_parser().parse_args(["render", str(path)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        return args.func(args)
+
+
+# Every loader of a file from outside the program: the file's name, the
+# bytes written before the drawn ones, and the call that reads it.  A
+# manifest is read next to a valid raw CSV; a config file is only built.
+LOADERS = {
+    "dataset": ("d.dt", b"", load_dataset),
+    "manifest": ("raw.csv.manifest.json", b"",
+                 lambda path: load_raw_csv(path.with_name("raw.csv"))),
+    "config": ("c.json", b"", build_from_config),
+    "table-csv": ("r.csv", CSV_HEADER.encode(), render_quietly),
+    "histories": ("histories.jsonl", b"", render_quietly),
+    "network": ("net.txt", b"", load_network),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=200))
+@example(data=b'{"h_max": "\xff"}')
+@example(data=b"[" * 100000)
+def test_any_bytes_give_a_value_or_growbp_error(kind, data):
+    name, prefix, load = LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(prefix + data)
+        path.with_name("raw.csv").write_text(
+            "a,b,t\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(5)))
+        try:
+            load(path)
+        except GrowbpError:
+            pass

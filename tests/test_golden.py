@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from growbp.cli import ExperimentConfig, main, run_experiment
+from growbp.cli import (
+    ExperimentConfig,
+    main,
+    parse_table_csv,
+    render_table,
+    run_experiment,
+)
 from growbp.trainer import TrainConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -86,6 +92,28 @@ def test_cli_results_match_golden_bytes(name, tmp_path):
     status, got = cli_result_files(name, tmp_path)
     assert status == CLI_RUNS[name][1]
     assert_same_files(name, got)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_render_reproduces_stored_files(name, tmp_path, capsys):
+    stored = GOLDEN / name / "histories.jsonl"
+    seeds = RUNS[name]["sweep_seeds"]
+    tables = [(GOLDEN / name / f"seed_{seed}.csv").read_text()
+              for seed in seeds]
+    assert main(["render", str(stored), "--format", "json-lines"]) == 0
+    out = capsys.readouterr().out
+    assert out == stored.read_text()
+    again = tmp_path / "again.jsonl"
+    again.write_text(out)
+    assert main(["render", str(again), "--format", "json-lines"]) == 0
+    assert capsys.readouterr().out == out
+    assert main(["render", str(stored), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"# seed {seed}\n{table}" for seed, table in zip(seeds, tables))
+    assert main(["render", str(stored)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"## seed {seed}\n{render_table(parse_table_csv(table), 'markdown')}"
+        for seed, table in zip(seeds, tables))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 The scalar reference below is written with plain loops over Python
 floats, independently of the generated kernel: each sum starts from its
-first product, runs left to right and adds the bias last.  The compiled
-epoch and batch forward are checked against the generated Python kernel,
-which is also their fallback.
+first product, runs left to right and adds the bias last.  The entry
+points ``train_epoch`` and ``forward_outputs`` are checked against the
+generated Python kernel, which is also their fallback.
 """
 
 import glob
@@ -193,12 +193,12 @@ def nan_bits(a):
     return a.tobytes()
 
 
-def python_epoch(hw, ow, X, T, order, eta):
+def python_epoch(net, part, order, eta):
     """The generated step applied pattern by pattern; new weight rows."""
-    _, step = kernel_module.kernel(X.shape[1], len(hw), len(ow))
-    hw, ow = hw.tolist(), ow.tolist()
+    _, step = kernel_module.kernel(net.n_inputs, net.h, net.n_outputs)
+    hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
     for i in order:
-        step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
+        step(hw, ow, part.X[i].tolist(), part.T[i].tolist(), eta)
     return hw, ow
 
 
@@ -207,12 +207,13 @@ def python_epoch(hw, ow, X, T, order, eta):
 def test_epoch_matches_python_steps(shape, scale, seed, rows, eta, data):
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
     order = np.array(data.draw(st.permutations(range(rows))))
     for _ in range(3):  # later epochs start from saturated weights
-        want_hw, want_ow = python_epoch(hw, ow, X, T, order, eta)
-        assert kernel_module.epoch(hw, ow, X, T, order, eta)
-        assert nan_bits(hw) == nan_bits(want_hw)
-        assert nan_bits(ow) == nan_bits(want_ow)
+        want_hw, want_ow = python_epoch(net, part, order, eta)
+        train_epoch(net, part, eta, order)
+        assert nan_bits(net.hidden_weights) == nan_bits(want_hw)
+        assert nan_bits(net.output_weights) == nan_bits(want_ow)
 
 
 @given(shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
@@ -221,34 +222,29 @@ def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
                                               infinite):
     rng = np.random.default_rng(seed)
     hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
-    if infinite:
-        hw[rng.random(hw.shape) < 0.2] = math.inf
-        ow[rng.random(ow.shape) < 0.2] = -math.inf
+    net = Network(hw, ow)
+    if infinite:  # a Network is built finite; training can make it not
+        net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
+        net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
     fwd, _ = kernel_module.kernel(*shape)
-    Y = kernel_module.batch_forward(hw, ow, X)
+    Y = forward_outputs(net, X)
     assert Y.shape == (rows, shape[2])
     for i in range(rows):
-        assert nan_bits(Y[i]) == nan_bits(fwd(hw.tolist(), ow.tolist(),
+        assert nan_bits(Y[i]) == nan_bits(fwd(net.hidden_weights.tolist(),
+                                              net.output_weights.tolist(),
                                               X[i].tolist())[1])
 
 
 @pytest.mark.parametrize("order", [[0, 0, 2], [2, 1, 3], [-1, 0, 1]])
-def test_rejected_order_leaves_weights_untouched(order):
+def test_rejected_order_leaves_weights_untouched(order, each_backend):
     rng = np.random.default_rng(4)
     hw, ow, X, T = random_arrays(rng, (2, 3, 2), 1.0, 3)
+    net = Network(hw, ow)
     before = bits(hw) + bits(ow)
-    assert not kernel_module.epoch(hw, ow, X, T, np.array(order), 0.7)
-    assert bits(hw) + bits(ow) == before
-
-
-def test_epoch_updates_non_contiguous_weights():
-    rng = np.random.default_rng(5)
-    hw, ow, X, T = random_arrays(rng, (3, 2, 2), 1.0, 4)
-    hw_f, ow_f = np.asfortranarray(hw), np.asfortranarray(ow)
-    order = np.arange(4)
-    kernel_module.epoch(hw, ow, X, T, order, 0.7)
-    kernel_module.epoch(hw_f, ow_f, X, T, order, 0.7)
-    assert bits(hw_f) == bits(hw) and bits(ow_f) == bits(ow)
+    for _ in each_backend:
+        with pytest.raises(ValueError, match="permutation"):
+            train_epoch(net, Partition(X, T), 0.7, np.array(order))
+        assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
 def test_compiled_whenever_gcc_is_found():

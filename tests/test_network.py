@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growbp.dataset import Partition
 from growbp.errors import (
     ArityMismatchError,
     GrowbpError,
@@ -24,6 +26,7 @@ from growbp.network import (
     parse_network,
     save_network,
 )
+from growbp.trainer import train_epoch
 
 
 def reference_forward(net, x):
@@ -133,10 +136,15 @@ class TestForward:
         assert np.isclose(hidden[0], 0.7310585786300049)
         assert np.isclose(output[0], sigmoid(hidden[0])[0])
 
-    def test_arity_mismatch(self):
+    def test_arity_mismatch(self, each_backend):
         net = init_network(4, 1, 1.0, np.random.default_rng(0))
         with pytest.raises(ArityMismatchError):
             forward(net, [0.1, 0.2, 0.3])
+        for _ in each_backend:
+            for X in ([[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3, 0.4],
+                      np.ones((2, 5))):
+                with pytest.raises(ArityMismatchError):
+                    forward_outputs(net, X)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(123)
@@ -237,6 +245,28 @@ class TestNetworkValidation:
     def test_no_output_units_rejected(self):
         with pytest.raises(MalformedValueError):
             Network(np.zeros((1, 3)), np.zeros((0, 2)))
+
+    def test_stores_c_contiguous_float64_and_is_frozen(self):
+        rng = np.random.default_rng(5)
+        hw = np.asfortranarray(rng.uniform(-1, 1, (2, 4)))
+        ow = np.asfortranarray(rng.uniform(-1, 1, (2, 3)))
+        read_only = np.array(hw, order="C")
+        read_only.flags.writeable = False
+        net = Network(hw, ow)
+        c_net = Network(np.ascontiguousarray(hw), np.ascontiguousarray(ow))
+        for a in (net.hidden_weights, net.output_weights,
+                  Network(read_only, ow).hidden_weights):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.flags.writeable
+        assert np.array_equal(net.hidden_weights, hw)
+        assert np.array_equal(net.output_weights, ow)
+        part = Partition(rng.uniform(0, 1, (4, 3)), np.eye(2)[[0, 1, 1, 0]])
+        train_epoch(net, part, 0.7, np.arange(4))
+        train_epoch(c_net, part, 0.7, np.arange(4))
+        assert net.hidden_weights.tobytes() == c_net.hidden_weights.tobytes()
+        assert net.output_weights.tobytes() == c_net.output_weights.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.hidden_weights = c_net.hidden_weights
 
 
 class TestSerialization:

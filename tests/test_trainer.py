@@ -113,10 +113,13 @@ class TestPatternError:
                                                   [0.0, 800.0]]))
         assert average_error(net, one_row([0.3], [1.0, 0.0])) == 1.0
 
-    def test_arity_mismatch(self):
+    def test_arity_mismatch(self, each_backend):
         net = Network(np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(ArityMismatchError):
-            average_error(net, one_row([0.3], [1.0, 0.0]))
+        for _ in each_backend:
+            with pytest.raises(ArityMismatchError):
+                average_error(net, one_row([0.3], [1.0, 0.0]))
+            with pytest.raises(ArityMismatchError):
+                average_error(net, one_row([0.3, 0.1], [1.0]))
 
 
 class TestAverageError:
@@ -212,10 +215,12 @@ class TestBackpropStep:
             backprop_step(net, x, d, 1e-4)
             assert pattern_xi(net, x, d) < before
 
-    def test_target_arity_checked(self):
+    def test_target_arity_checked(self, each_backend):
         net = init_network(3, 2, 1.0, np.random.default_rng(0))
-        with pytest.raises(ArityMismatchError):
-            backprop_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]), 0.7)
+        for _ in each_backend:
+            with pytest.raises(ArityMismatchError):
+                backprop_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]),
+                              0.7)
 
 
 class TestTrainEpoch:
@@ -246,18 +251,32 @@ class TestTrainEpoch:
         [0, 0, 2], [0, 1], [1, 2, 3], [0.0, 1.0, 2.0], [[0, 1, 2]],
         np.array([2**64 - 1, 0, 1], dtype=np.uint64),
     ])
-    def test_rejects_non_permutations(self, order):
+    def test_rejects_non_permutations(self, order, each_backend):
         rng = np.random.default_rng(10)
         part = Partition(rng.uniform(0, 1, (3, 2)), np.ones((3, 1)))
         net = random_network(rng, 2, 1, 1)
-        with pytest.raises(ValueError):
-            train_epoch(net, part, 0.7, order)
+        for _ in each_backend:
+            with pytest.raises(ValueError, match="permutation"):
+                train_epoch(net, part, 0.7, order)
 
-    def test_empty_train_set(self):
+    def test_empty_train_set(self, each_backend):
         net = init_network(2, 1, 1.0, np.random.default_rng(0))
-        with pytest.raises(EmptySetError):
-            train_epoch(net, Partition(np.empty((0, 2)), np.empty((0, 1))),
-                        0.7, [])
+        for _ in each_backend:
+            with pytest.raises(EmptySetError):
+                train_epoch(net, Partition(np.empty((0, 2)),
+                                           np.empty((0, 1))), 0.7, [])
+
+    @pytest.mark.parametrize("n_inputs,n_targets", [(3, 1), (2, 2), (1, 1)])
+    def test_arity_checked_before_the_kernel(self, n_inputs, n_targets,
+                                             each_backend):
+        net = init_network(2, 1, 1.0, np.random.default_rng(0))
+        before = net.copy()
+        part = Partition(np.ones((4, n_inputs)), np.ones((4, n_targets)))
+        for _ in each_backend:
+            with pytest.raises(ArityMismatchError):
+                train_epoch(net, part, 0.7, np.arange(4))
+            assert np.array_equal(net.hidden_weights, before.hidden_weights)
+            assert np.array_equal(net.output_weights, before.output_weights)
 
 
 class TestTrainPhase:
