@@ -20,6 +20,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -162,12 +163,42 @@ def parse_header(text_lines):
     )
 
 
+# Rows that _matrix converts at a time: enough to amortise the per-chunk
+# work, few enough that a chunk's token strings fit in the interpreter's
+# free small-object memory.  At 128 rows and more the wide-holdout sweep
+# needed about 1 MB more peak memory than a row-at-a-time parse.
+_CHUNK_ROWS = 64
+
+
 def _matrix(body, sep, n_inputs, width):
     """Validate ``(line_no, line)`` rows and fill one float64 matrix.
 
     Each line is split on ``sep`` and must hold ``width`` finite numbers,
-    the ones after the first ``n_inputs`` exactly 0 or 1.
+    the ones after the first ``n_inputs`` exactly 0 or 1.  Rows are
+    converted with ``float`` a chunk at a time and checked over the whole
+    matrix at once; on any fault :func:`_matrix_by_row` reads the rows
+    again and raises the error of the first bad row.
     """
+    matrix = np.empty((len(body), width))
+    for start in range(0, len(body), _CHUNK_ROWS):
+        chunk = body[start:start + _CHUNK_ROWS]
+        rows = [line.split(sep) for _, line in chunk]
+        if set(map(len, rows)) != {width}:
+            return _matrix_by_row(body, sep, n_inputs, width)
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(rows)),
+                                 np.float64, len(rows) * width)
+        except ValueError:
+            return _matrix_by_row(body, sep, n_inputs, width)
+        matrix[start:start + len(rows)] = values.reshape(len(rows), width)
+    T = matrix[:, n_inputs:]
+    if not (np.isfinite(matrix).all() and ((T == 0.0) | (T == 1.0)).all()):
+        return _matrix_by_row(body, sep, n_inputs, width)
+    return matrix
+
+
+def _matrix_by_row(body, sep, n_inputs, width):
+    """:func:`_matrix` one row at a time, checking each row in turn."""
     matrix = np.empty((len(body), width))
     for i, (line_no, line) in enumerate(body):
         tokens = line.split(sep)

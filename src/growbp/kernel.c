@@ -1,5 +1,6 @@
-/* The compiled form of growbp.kernel: a whole online epoch and the batch
- * forward pass, in the order that module's docstring states.
+/* The compiled form of growbp.kernel: a whole online epoch, the batch
+ * forward pass and the per-pattern error, in the order that module's
+ * docstring states.
  *
  * Every sum runs left to right with the bias last, every product and sum
  * is rounded on its own (build with -ffp-contract=off, never -ffast-math),
@@ -9,7 +10,8 @@
  * weights and outputs equal the Python kernel's bit for bit.
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
- * n_out x (h + 1), X is n x n_in and T and Y are n x n_out.
+ * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
+ * values.
  */
 
 #include <math.h>
@@ -105,6 +107,33 @@ int64_t forward(const double *hw, const double *ow, const double *X,
     for (int64_t p = 0; p < n; p++) {
         layer(hw, h, X + p * n_in, n_in, hidden);
         layer(ow, n_out, hidden, h, Y + p * n_out);
+    }
+    free(hidden);
+    return 0;
+}
+
+/* Each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...), e_k = T_k - y_k
+ * summed left to right over the outputs, written to E.  Returns 0, or 2
+ * when memory runs out. */
+int64_t error(const double *hw, const double *ow, const double *X,
+              const double *T, double *E, int64_t n, int64_t n_in, int64_t h,
+              int64_t n_out)
+{
+    double *hidden = malloc((size_t)(h + n_out) * sizeof(double));
+    if (hidden == NULL)
+        return 2;
+    double *y = hidden + h;
+    for (int64_t p = 0; p < n; p++) {
+        const double *d = T + p * n_out;
+        layer(hw, h, X + p * n_in, n_in, hidden);
+        layer(ow, n_out, hidden, h, y);
+        double e = d[0] - y[0];
+        double s = e * e;
+        for (int64_t k = 1; k < n_out; k++) {
+            e = d[k] - y[k];
+            s = s + e * e;
+        }
+        E[p] = 0.5 * s;
     }
     free(hidden);
     return 0;

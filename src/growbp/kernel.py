@@ -1,10 +1,10 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
-backprop step, the epoch and the batch forward pass.
+backprop step, the epoch, the batch forward pass and the per-pattern error.
 
-The package enters through :func:`train_epoch` and
-:func:`forward_outputs`.  They check their arguments once, then run the
-compiled or the Python kernel on the C-contiguous float64 arrays that a
-``Network`` and a ``Partition`` hold.
+The package enters through three functions: :func:`train_epoch`,
+:func:`forward_outputs` and :func:`pattern_errors`.  Each checks its
+arguments once, then runs the compiled or the Python kernel on the
+C-contiguous float64 arrays that a ``Network`` and a ``Partition`` hold.
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine and any
@@ -14,21 +14,26 @@ BLAS build:
   first and the bias (against a constant 1.0 input) last;
 - the hidden delta sums over the output units left to right,
   ``back_j = ow[0][j]*e0 + ow[1][j]*e1 + ...``;
+- a pattern's error is ``0.5 * (e0*e0 + e1*e1 + ...)`` with
+  ``ek = dk - yk``, its squares summed left to right over the outputs
+  (numpy's ``(E * E).sum(axis=1)`` gives the same bits up to seven
+  outputs, then reblocks the sum);
 - every product and sum is rounded on its own: nothing is fused into a
   multiply-add and no reduction is reblocked;
 - the logistic is ``1 / (1 + exp(-s))`` with the C library's ``exp``, and
   0.0 where ``exp`` overflows, which equals ``scipy.special.expit``
   bitwise, including at +-inf and NaN.
 
-Training and batch evaluation run in ``kernel.c``, which both entry
-points call through ``ctypes``.  The library is built with ``gcc -O2
--ffp-contract=off`` at first import into ``$XDG_CACHE_HOME/growbp``
-(default ``~/.cache/growbp``), under a name that hashes the source, the
-flags and the Python ABI, so later imports start no compiler.  If that
-directory cannot be written the build goes to a private temporary
-directory for the process.  Where no ``gcc`` is found or the build
-fails, both entry points run the pure-Python kernel instead;
-:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
+Training, batch evaluation and the error pass run in ``kernel.c``,
+which the entry points call through ``ctypes``.  The library is built
+with ``gcc -O2 -ffp-contract=off`` at first import into
+``$XDG_CACHE_HOME/growbp`` (default ``~/.cache/growbp``), under a name
+that hashes the source, the flags and the Python ABI, so later imports
+start no compiler.  If that directory cannot be written the build goes
+to a private temporary directory for the process.  Where no ``gcc`` is
+found or the build fails, the entry points run the pure-Python kernel
+instead; :data:`BACKEND` says which one is in use, ``"c"`` or
+``"python"``.
 
 The pure-Python kernel is also the reference the tests compare the C
 code against.  The online step touches arrays of under a hundred
@@ -40,7 +45,8 @@ much), and :func:`kernel` compiles them once per shape;
 ``print(kernel_source(2, 2, 1))`` shows the code for two inputs, two
 hidden units and one output.  Its batch forward, :func:`batch_activations`,
 evaluates many patterns at once with numpy, accumulating one input at a
-time in the same order.
+time in the same order, and the fallback error pass adds one output
+column of squares at a time.
 """
 
 import ctypes
@@ -201,6 +207,8 @@ def _bind(lib):
     lib.epoch.restype = size
     lib.forward.argtypes = [ptr] * 4 + [size] * 4
     lib.forward.restype = size
+    lib.error.argtypes = [ptr] * 5 + [size] * 4
+    lib.error.restype = size
     return lib
 
 
@@ -311,3 +319,30 @@ def forward_outputs(net, X):
                     net.n_outputs) == 2:
         raise MemoryError("kernel forward")
     return Y
+
+
+def pattern_errors(net, part):
+    """The error ``0.5 * (e0*e0 + e1*e1 + ...)`` of each pattern of ``part``.
+
+    ``ek = dk - yk`` is the pattern's target minus its output, and the
+    squares are summed left to right over the outputs.  Returns a vector
+    with one value per row of the partition.
+    """
+    if part.X.shape[1] != net.n_inputs or part.T.shape[1] != net.n_outputs:
+        raise ArityMismatchError(
+            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
+            f"got {part.X.shape[1]} and {part.T.shape[1]}"
+        )
+    if _lib is None:
+        E = part.T - forward_outputs(net, part.X)
+        s = E[:, 0] * E[:, 0]
+        for k in range(1, net.n_outputs):
+            s = s + E[:, k] * E[:, k]
+        return 0.5 * s
+    hw, ow = net.hidden_weights, net.output_weights
+    errors = np.empty(len(part))
+    if _lib.error(hw.ctypes.data, ow.ctypes.data, part.X.ctypes.data,
+                  part.T.ctypes.data, errors.ctypes.data, len(part),
+                  net.n_inputs, net.h, net.n_outputs) == 2:
+        raise MemoryError("kernel error")
+    return errors

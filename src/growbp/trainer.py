@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Partition
 from .errors import ConfigError, EmptySetError
-from .kernel import forward_outputs, train_epoch
+from .kernel import pattern_errors, train_epoch
 from .metrics import check_targets, efficiency, overall_efficiency
 from .network import add_hidden_unit, init_network
 
@@ -160,8 +160,7 @@ class GrowthHistory:
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
     check_targets(net, part, "average error")
-    E = part.T - forward_outputs(net, part.X)
-    return float((0.5 * (E * E).sum(axis=1)).mean())
+    return float(pattern_errors(net, part).mean())
 
 
 def backprop_step(net, x, d, eta):

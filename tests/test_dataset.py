@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growbp import dataset
 from growbp.dataset import (
     DatasetHeader,
     Partition,
@@ -275,6 +277,118 @@ class TestProperties:
         except GrowbpError:
             return
         assert isinstance(ds, SplitDataset)
+
+
+# Tokens float() reads that a stricter parser might not, and targets
+# written in more than one way.
+INPUT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", "+1e3", ".5", "-.5", "5.", "-0", "1E-3",
+                     "00012", "+.5e-2", "1_000.000_1"]))
+TARGET_TOKENS = st.sampled_from(["0", "1", "0.0", "1.0", "+1", "-0", "1e0",
+                                 "0_0", ".0", "1."])
+# Faults the per-row loop names, each with the token that injects it.
+FAULT_TOKENS = {
+    "non-numeric": ["x", "1..2", "0x10", "1,5", "--1", "_1"],
+    "non-finite": ["nan", "inf", "-inf", "1e400", "-Infinity"],
+    "target": ["0.5", "2", "-1", "1e-300"],
+}
+
+
+@st.composite
+def bodies(draw):
+    """``(body, sep, n_inputs, width)`` of a valid .dt or CSV data block."""
+    sep = draw(st.sampled_from([None, ","]))
+    n_inputs = draw(st.integers(1, 4))
+    width = n_inputs + draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.tuples(st.lists(INPUT_TOKENS, min_size=n_inputs,
+                           max_size=n_inputs),
+                  st.lists(TARGET_TOKENS, min_size=width - n_inputs,
+                           max_size=width - n_inputs)),
+        min_size=1, max_size=12))
+    joiner = " " if sep is None else draw(st.sampled_from([",", ", "]))
+    body = [(i + 3, joiner.join(x + t)) for i, (x, t) in enumerate(rows)]
+    return body, sep, n_inputs, width
+
+
+# Rows per chunk: small ones put chunk edges inside a short body.
+CHUNKS = st.sampled_from([1, 2, 3, dataset._CHUNK_ROWS])
+
+
+def raised(fn, *args):
+    with pytest.raises(DatasetError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value), getattr(exc.value, "line_no", None)
+
+
+class TestBulkParse:
+    """``_matrix`` converts in chunks; ``_matrix_by_row`` is its reference."""
+
+    @given(bodies(), CHUNKS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_row_loop_bitwise(self, case, chunk):
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(dataset, "_matrix_by_row") as by_row:
+            got = dataset._matrix(*case)
+        by_row.assert_not_called()  # valid rows never take the slow path
+        want = dataset._matrix_by_row(*case)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(bodies(), CHUNKS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_faults_raise_as_the_per_row_loop(self, case, chunk, data):
+        body, sep, n_inputs, width = case
+        body = list(body)
+        for row in data.draw(st.lists(st.integers(0, len(body) - 1),
+                                      min_size=1, max_size=2, unique=True)):
+            kind = data.draw(st.sampled_from(
+                ["arity"] + sorted(FAULT_TOKENS)))
+            line_no, line = body[row]
+            tokens = line.split(sep)
+            if kind == "arity":
+                tokens = tokens[:-1] if data.draw(st.booleans()) else (
+                    tokens + ["0"])
+            else:
+                column = (data.draw(st.integers(n_inputs, width - 1))
+                          if kind == "target" else
+                          data.draw(st.integers(0, width - 1)))
+                tokens[column] = data.draw(st.sampled_from(
+                    FAULT_TOKENS[kind]))
+            body[row] = (line_no, (" " if sep is None else ",").join(tokens))
+        case = body, sep, n_inputs, width
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk):
+            assert raised(dataset._matrix, *case) == raised(
+                dataset._matrix_by_row, *case)
+
+    @pytest.mark.parametrize("early, late, want", [
+        ("nan 0.2 1 0", "0.1 0.2 1", (NonFiniteError, 10)),
+        ("0.1 0.2 0.5 0", "0.1 x 1 0", (MalformedValueError, 10)),
+        ("0.1 0.2 1", "inf 0.2 1 0", (RowArityError, 10)),
+        ("0.1 0.2 1 0", "0.1 0.2 1 0 1", (RowArityError, 1210)),
+    ])
+    def test_the_earlier_faulty_row_wins_across_chunks(self, early, late,
+                                                       want):
+        # Lines 10 and 1210 are in different chunks.
+        rows = ["0.1 0.2 1 0"] * 1500
+        rows[2], rows[1202] = early, late
+        text = tiny_dt(500, 500, 500, rows)
+        cls, line_no = want
+        with pytest.raises(cls) as exc:
+            parse_dataset(text)
+        assert str(exc.value).startswith(f"line {line_no}: ")
+
+    def test_csv_fault_names_its_line(self, tmp_path):
+        rows = ["a,b,t"] + ["0.5,1_0,1"] * 1200
+        rows[700] = "0.5,1,0.5"
+        (tmp_path / "raw.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(
+            {"training_examples": 400, "validation_examples": 400,
+             "test_examples": 400, "target_columns": 1}))
+        with pytest.raises(MalformedValueError) as exc:
+            load_raw_csv(tmp_path / "raw.csv")
+        assert str(exc.value) == (f"{tmp_path / 'raw.csv'}: line 701: "
+                                  "target components must be exactly 0 or 1")
 
 
 class TestNormalizeRaw:

@@ -3,29 +3,33 @@
 The scalar reference below is written with plain loops over Python
 floats, independently of the generated kernel: each sum starts from its
 first product, runs left to right and adds the bias last.  The entry
-points ``train_epoch`` and ``forward_outputs`` are checked against the
-generated Python kernel, which is also their fallback.
+points ``train_epoch``, ``forward_outputs`` and ``pattern_errors`` are
+checked against the Python kernel, which is also their fallback.
 """
 
+import ctypes
 import glob
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import growbp
 from growbp import kernel as kernel_module
 from growbp.dataset import Partition
+from growbp.errors import ArityMismatchError
 from growbp.network import Network, add_hidden_unit, forward, forward_outputs
-from growbp.trainer import backprop_step, train_epoch
+from growbp.trainer import average_error, backprop_step, train_epoch
 
 
 def ref_sigmoid(s):
@@ -235,6 +239,75 @@ def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
                                               X[i].tolist())[1])
 
 
+def ref_pattern_error(net, x, d):
+    _, y = ref_forward(net.hidden_weights.tolist(),
+                       net.output_weights.tolist(), x)
+    s = (d[0] - y[0]) * (d[0] - y[0])
+    for k in range(1, len(y)):
+        s += (d[k] - y[k]) * (d[k] - y[k])
+    return 0.5 * s
+
+
+# Up to 12 outputs: from eight on, numpy's row sums reblock, so only the
+# kernel's own order can match across the backends.
+wide_shapes = st.tuples(st.integers(1, 6), st.integers(1, 8),
+                        st.integers(1, 12))
+per_example = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(wide_shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
+@settings(per_example, max_examples=150)
+def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
+                                               seed, rows, infinite):
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    if infinite:  # a Network is built finite; training can make it not
+        net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
+        net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
+    with np.errstate(all="ignore"):  # inf - inf in numpy's fallback
+        got = [kernel_module.pattern_errors(net, part) for _ in each_backend]
+    want = [ref_pattern_error(net, X[i].tolist(), T[i].tolist())
+            for i in range(rows)]
+    assert got[0].shape == (rows,)
+    assert nan_bits(got[0]) == nan_bits(got[1]) == nan_bits(want)
+
+
+@given(st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 7)),
+       scales, seeds, st.integers(1, 40))
+@settings(per_example, max_examples=100)
+def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
+                                            seed, rows):
+    # Up to seven outputs the kernel's order is numpy's, so the growth
+    # tables' train_mse and valid_mse keep their digits.
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    E = T - forward_outputs(net, X)
+    want = float((0.5 * (E * E).sum(axis=1)).mean())
+    for _ in each_backend:
+        assert bits(average_error(net, part)) == bits(want)
+
+
+@pytest.mark.parametrize("n_inputs, n_targets", [(3, 1), (1, 1), (2, 2)])
+def test_pattern_errors_check_widths_before_the_kernel(
+        n_inputs, n_targets, monkeypatch, each_backend):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    if kernel_module._lib is not None:
+        monkeypatch.setattr(kernel_module, "_lib",
+                            type("Lib", (), {"error": no_kernel})())
+    monkeypatch.setattr(kernel_module, "forward_outputs", no_kernel)
+    net = Network(np.ones((2, 3)), np.ones((1, 3)))
+    part = Partition(np.ones((4, n_inputs)), np.ones((4, n_targets)))
+    for _ in each_backend:
+        with pytest.raises(ArityMismatchError,
+                           match=f"got {n_inputs} and {n_targets}"):
+            kernel_module.pattern_errors(net, part)
+
+
 @pytest.mark.parametrize("order", [[0, 0, 2], [2, 1, 3], [-1, 0, 1]])
 def test_rejected_order_leaves_weights_untouched(order, each_backend):
     rng = np.random.default_rng(4)
@@ -245,6 +318,28 @@ def test_rejected_order_leaves_weights_untouched(order, each_backend):
         with pytest.raises(ValueError, match="permutation"):
             train_epoch(net, Partition(X, T), 0.7, np.array(order))
         assert bits(net.hidden_weights) + bits(net.output_weights) == before
+
+
+def c_type(param):
+    """The ctypes type that passes one C parameter, e.g. ``int64_t n``."""
+    declared = param.strip().rsplit(None, 1)[0] if "*" not in param else "*"
+    return {"*": ctypes.c_void_p, "int64_t": ctypes.c_int64,
+            "double": ctypes.c_double}[declared]
+
+
+def test_every_c_entry_point_is_bound_to_its_prototype():
+    # A binding with the wrong argument count or types makes ctypes pass
+    # garbage, which corrupts memory rather than raising.
+    source = kernel_module._SOURCE.read_text()
+    prototypes = re.findall(r"^int64_t\s+(\w+)\s*\(([^)]*)\)", source, re.M)
+    assert {name for name, _ in prototypes} >= {"epoch", "forward", "error"}
+    lib = SimpleNamespace(**{name: SimpleNamespace()
+                             for name, _ in prototypes})
+    kernel_module._bind(lib)
+    for name, params in prototypes:
+        entry = getattr(lib, name)
+        assert entry.argtypes == [c_type(p) for p in params.split(",")], name
+        assert entry.restype is ctypes.c_int64, name
 
 
 def test_compiled_whenever_gcc_is_found():
