@@ -15,7 +15,8 @@ import numpy as np
 
 from .dataset import naming, read_ascii
 from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
-from .kernel import forward_outputs, kernel
+from . import kernel
+from .kernel import forward_outputs
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +92,8 @@ def forward(net, inputs):
         raise ArityMismatchError(
             f"expected {net.n_inputs} inputs, got {x.shape}"
         )
-    fwd, _ = kernel(net.n_inputs, net.h, net.n_outputs)
-    hidden, output = fwd(net.hidden_weights.tolist(),
-                         net.output_weights.tolist(), x.tolist())
+    hidden, output = kernel.forward(net.hidden_weights.tolist(),
+                                    net.output_weights.tolist(), x.tolist())
     return np.array(hidden), np.array(output)
 
 

@@ -232,6 +232,26 @@ class TestRunExperiment:
                        log=lambda *a: None)
         assert snapshot(serial) == snapshot(parallel)
 
+    def test_failing_seed_keeps_earlier_results(self, blob_dataset, tmp_path,
+                                                monkeypatch):
+        def fail_on_seed_5(data, cfg):
+            if cfg.seed == 5:
+                raise RuntimeError("seed 5 failed")
+            return constructive_train(data, cfg)
+
+        monkeypatch.setattr(growbp.cli, "constructive_train", fail_on_seed_5)
+        path = write_blob_file(blob_dataset, tmp_path)
+        outdir = tmp_path / "res"
+        cfg = quick_config(path, outdir, sweep_seeds=(3, 5), n_jobs=1)
+        with pytest.raises(RuntimeError, match="seed 5 failed"):
+            run_experiment(cfg, log=lambda *a: None)
+        assert {p.name for p in outdir.iterdir()} == {
+            "config.json", "seed_3.csv", "summary.csv"}
+        _, hist = constructive_train(blob_dataset, cfg.train_config(3))
+        assert parse_table_csv((outdir / "seed_3.csv").read_text()) == hist
+        summary = (outdir / "summary.csv").read_text().splitlines()
+        assert len(summary) == 2 and summary[1].startswith("3,")
+
     def test_no_acceptance_exits_one(self, blob_dataset, tmp_path):
         path = write_blob_file(blob_dataset, tmp_path)
         cfg = quick_config(path, tmp_path / "res",

@@ -1,10 +1,11 @@
 """The order contract of ``growbp.kernel``, checked bitwise.
 
 The scalar reference below is written with plain loops over Python
-floats, independently of the generated kernel: each sum starts from its
+floats, independently of the Python kernel: each sum starts from its
 first product, runs left to right and adds the bias last.  The entry
 points ``train_epoch``, ``forward_outputs`` and ``pattern_errors`` are
-checked against the Python kernel, which is also their fallback.
+checked against it on both backends, and the compiled kernel is also
+checked against the Python one, which is its fallback.
 """
 
 import ctypes
@@ -79,6 +80,9 @@ def bits(a):
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3))
 scales = st.sampled_from([0.5, 2.0, 30.0, 1000.0])
 seeds = st.integers(0, 2**32 - 1)
+# Settings for a property that loops over the each_backend fixture.
+per_example = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def random_net(rng, shape, scale):
@@ -88,34 +92,42 @@ def random_net(rng, shape, scale):
 
 
 @given(shapes, scales, seeds, st.sampled_from([0.05, 0.7, 3.0, 1e4]))
-@settings(max_examples=200, deadline=None)
-def test_step_matches_scalar_reference(shape, scale, seed, eta):
+@settings(per_example, max_examples=200)
+def test_step_matches_scalar_reference(each_backend, shape, scale, seed,
+                                       eta):
     rng = np.random.default_rng(seed)
-    net = random_net(rng, shape, scale)
+    start = random_net(rng, shape, scale)
     x = rng.uniform(-1, 1, shape[0])
     d = rng.integers(0, 2, shape[2]).astype(np.float64)
-    want_hw, want_ow = ref_step(net.hidden_weights.tolist(),
-                                net.output_weights.tolist(),
+    want_hw, want_ow = ref_step(start.hidden_weights.tolist(),
+                                start.output_weights.tolist(),
                                 x.tolist(), d.tolist(), eta)
-    backprop_step(net, x, d, eta)
-    assert bits(net.hidden_weights) == bits(want_hw)
-    assert bits(net.output_weights) == bits(want_ow)
+    for _ in each_backend:
+        net = start.copy()
+        backprop_step(net, x, d, eta)
+        assert bits(net.hidden_weights) == bits(want_hw)
+        assert bits(net.output_weights) == bits(want_ow)
 
 
 @given(shapes, seeds, st.integers(1, 12), st.data())
-@settings(max_examples=60, deadline=None)
-def test_epoch_equals_loop_of_steps(shape, seed, rows, data):
+@settings(per_example, max_examples=60)
+def test_epoch_equals_loop_of_steps(each_backend, shape, seed, rows, data):
     rng = np.random.default_rng(seed)
-    a = random_net(rng, shape, 2.0)
-    b = a.copy()
+    start = random_net(rng, shape, 2.0)
     part = Partition(rng.uniform(0, 1, (rows, shape[0])),
                      rng.integers(0, 2, (rows, shape[2])).astype(float))
     order = data.draw(st.permutations(range(rows)))
-    train_epoch(a, part, 0.7, order)
+    hw, ow = start.hidden_weights.tolist(), start.output_weights.tolist()
     for i in order:
-        backprop_step(b, part.X[i], part.T[i], 0.7)
-    assert bits(a.hidden_weights) == bits(b.hidden_weights)
-    assert bits(a.output_weights) == bits(b.output_weights)
+        hw, ow = ref_step(hw, ow, part.X[i].tolist(), part.T[i].tolist(), 0.7)
+    for _ in each_backend:
+        a, b = start.copy(), start.copy()
+        train_epoch(a, part, 0.7, order)
+        for i in order:
+            backprop_step(b, part.X[i], part.T[i], 0.7)
+        for net in (a, b):
+            assert bits(net.hidden_weights) == bits(hw)
+            assert bits(net.output_weights) == bits(ow)
 
 
 @given(shapes, scales, seeds, st.integers(1, 20))
@@ -150,13 +162,14 @@ def test_zero_output_growth_keeps_batch_outputs(shape, seed):
                                math.nan])
 def test_sigmoid_equals_expit(s):
     # The hidden unit's net input is exactly 1.0 * s + 0.0 = s.
-    net = Network(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-    hidden, _ = forward(net, [s])
+    w = np.array([[1.0, 0.0]])
+    hidden, _ = forward(Network(w, np.zeros((1, 2))), [s])
     assert bits(hidden) == bits([expit(s)])
+    batch = kernel_module.batch_activations(np.array([[s, -s]]), w)
+    assert bits(batch) == bits([[expit(s), expit(-s)]])
 
 
-def test_long_sums_compile_and_keep_order():
-    # Sums longer than the compiler can nest continue on further lines.
+def test_long_sums_keep_order():
     rng = np.random.default_rng(0)
     net = random_net(rng, (3000, 2, 1), 0.05)
     x = rng.uniform(-1, 1, 3000)
@@ -198,11 +211,11 @@ def nan_bits(a):
 
 
 def python_epoch(net, part, order, eta):
-    """The generated step applied pattern by pattern; new weight rows."""
-    _, step = kernel_module.kernel(net.n_inputs, net.h, net.n_outputs)
+    """The Python step applied pattern by pattern; new weight rows."""
     hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
     for i in order:
-        step(hw, ow, part.X[i].tolist(), part.T[i].tolist(), eta)
+        kernel_module.step(hw, ow, part.X[i].tolist(), part.T[i].tolist(),
+                           eta)
     return hw, ow
 
 
@@ -230,13 +243,12 @@ def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
     if infinite:  # a Network is built finite; training can make it not
         net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
         net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
-    fwd, _ = kernel_module.kernel(*shape)
     Y = forward_outputs(net, X)
     assert Y.shape == (rows, shape[2])
     for i in range(rows):
-        assert nan_bits(Y[i]) == nan_bits(fwd(net.hidden_weights.tolist(),
-                                              net.output_weights.tolist(),
-                                              X[i].tolist())[1])
+        assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
+            net.hidden_weights.tolist(), net.output_weights.tolist(),
+            X[i].tolist())[1])
 
 
 def ref_pattern_error(net, x, d):
@@ -252,8 +264,6 @@ def ref_pattern_error(net, x, d):
 # kernel's own order can match across the backends.
 wide_shapes = st.tuples(st.integers(1, 6), st.integers(1, 8),
                         st.integers(1, 12))
-per_example = settings(
-    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @given(wide_shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
@@ -367,9 +377,12 @@ def test_cli_import_loads_no_scipy():
     assert out == "False\n"
 
 
-def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
+def heart1_golden_without_gcc(tmp_path, prelude=""):
+    """Run ``prelude``, then the heart1 golden sweep with no ``gcc`` on
+    ``PATH`` and an empty cache; it must reproduce the golden bytes."""
     (tmp_path / "bin").mkdir()
     out = run_python(
+        prelude +
         "import sys, tempfile\n"
         "from pathlib import Path\n"
         f"sys.path.insert(0, {str(TESTS)!r})\n"
@@ -381,6 +394,21 @@ def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
         XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(tmp_path / "bin"))
     assert out == "python\n"
     assert not (tmp_path / "cache").exists()
+
+
+def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
+    heart1_golden_without_gcc(tmp_path)
+
+
+def test_fallback_needs_no_scipy(tmp_path):
+    heart1_golden_without_gcc(
+        tmp_path,
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n")
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
