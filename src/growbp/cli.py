@@ -5,6 +5,7 @@ writes growth tables plus a per-seed summary; ``growbp inspect`` validates
 a dataset file; ``growbp render`` reformats stored results.  Every run
 records its fully resolved configuration, and result files depend only on
 the dataset bytes and that configuration, so reruns are byte-identical.
+``--jobs`` runs seeds on threads that share one in-memory dataset.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,12 +232,6 @@ def parse_table_csv(text):
     return GrowthHistory(tuple(records), stop_reason)
 
 
-def _run_seed(args):
-    data, cfg, seed = args
-    _, history = constructive_train(data, cfg.train_config(seed))
-    return history
-
-
 def _write(path, text):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
@@ -278,10 +273,12 @@ def _flush_results(cfg, outdir, results):
 def run_experiment(cfg, log=print):
     """Run the sweep, write result files, and return the exit status.
 
+    The seeds share the dataset, loaded once, and run on ``cfg.jobs()``
+    threads when that is above 1; results keep sweep order either way.
     Status 0 means at least one seed's run was accepted (always 0 under
     ``report_only``); status 1 means the sweep finished without any
-    acceptance.  Results written per seed are flushed even if a later
-    seed fails.
+    acceptance.  If a seed fails or the run is interrupted, the finished
+    seeds before it are written and the error propagates.
     """
     data = load_any(cfg)
     outdir = Path(cfg.output_path)
@@ -289,18 +286,17 @@ def run_experiment(cfg, log=print):
     _write(outdir / "config.json",
            json.dumps(config_record(cfg), sort_keys=True, indent=2) + "\n")
 
+    def run_seed(seed):
+        return seed, constructive_train(data, cfg.train_config(seed))[1]
+
     results = []
-    tasks = [(data, cfg, seed) for seed in cfg.sweep_seeds]
     try:
-        if cfg.jobs() > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs()) as pool:
-                for seed, history in zip(
-                    cfg.sweep_seeds, pool.map(_run_seed, tasks)
-                ):
-                    results.append((seed, history))
-        else:
-            for task in tasks:
-                results.append((task[2], _run_seed(task)))
+        # Serial sweeps take the builtin map, which skips the pool's
+        # hand-offs; a pool that is never submitted to starts no thread.
+        with ThreadPoolExecutor(cfg.jobs()) as pool:
+            ordered_map = pool.map if cfg.jobs() > 1 else map
+            for result in ordered_map(run_seed, cfg.sweep_seeds):
+                results.append(result)
     finally:
         best_seed = _flush_results(cfg, outdir, results) if results else None
 
@@ -509,7 +505,7 @@ def build_parser():
                        help="csv or json-lines (render prints markdown)")
     train.add_argument("--jobs", dest="n_jobs", type=int,
                        default=argparse.SUPPRESS,
-                       help="parallel seed runs (0 = one per core)")
+                       help="seeds run at once on threads (0 = one per core)")
     train.set_defaults(func=cmd_train)
 
     inspect = sub.add_parser(

@@ -9,6 +9,11 @@
  * exactly 0.0, which is the Python kernel's OverflowError branch.  So the
  * weights and outputs equal the Python kernel's bit for bit.
  *
+ * Only growbp_epoch, growbp_forward and growbp_error are exported, each
+ * with the package's prefix: an unprefixed name such as error would
+ * share glibc's error(3), and a call from inside the library could bind
+ * to that one.  The helpers are static.
+ *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
  * values.
@@ -52,9 +57,9 @@ static void update(double *w, int64_t units, const double *a, int64_t len,
 /* One online pass over the patterns in the given order, updating hw and
  * ow in place.  Returns 0, 1 when order is not a permutation of 0..n-1
  * (the weights are then untouched), or 2 when memory runs out. */
-int64_t epoch(double *hw, double *ow, const double *X, const double *T,
-              const int64_t *order, int64_t n, int64_t n_in, int64_t h,
-              int64_t n_out, double eta)
+int64_t growbp_epoch(double *hw, double *ow, const double *X,
+                     const double *T, const int64_t *order, int64_t n,
+                     int64_t n_in, int64_t h, int64_t n_out, double eta)
 {
     unsigned char *seen = calloc((size_t)n + 1, 1);
     if (seen == NULL)
@@ -98,8 +103,9 @@ int64_t epoch(double *hw, double *ow, const double *X, const double *T,
 
 /* The output activations of every row of X, written to the rows of Y.
  * Returns 0, or 2 when memory runs out. */
-int64_t forward(const double *hw, const double *ow, const double *X,
-                double *Y, int64_t n, int64_t n_in, int64_t h, int64_t n_out)
+int64_t growbp_forward(const double *hw, const double *ow, const double *X,
+                       double *Y, int64_t n, int64_t n_in, int64_t h,
+                       int64_t n_out)
 {
     double *hidden = malloc((size_t)h * sizeof(double));
     if (hidden == NULL)
@@ -115,9 +121,9 @@ int64_t forward(const double *hw, const double *ow, const double *X,
 /* Each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...), e_k = T_k - y_k
  * summed left to right over the outputs, written to E.  Returns 0, or 2
  * when memory runs out. */
-int64_t error(const double *hw, const double *ow, const double *X,
-              const double *T, double *E, int64_t n, int64_t n_in, int64_t h,
-              int64_t n_out)
+int64_t growbp_error(const double *hw, const double *ow, const double *X,
+                     const double *T, double *E, int64_t n, int64_t n_in,
+                     int64_t h, int64_t n_out)
 {
     double *hidden = malloc((size_t)(h + n_out) * sizeof(double));
     if (hidden == NULL)

@@ -36,10 +36,11 @@ instead; :data:`BACKEND` says which one is in use, ``"c"`` or
 ``"python"``.
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
-under the same names (:func:`logistic`, :func:`layer`, :func:`update`,
-then :func:`step` for the body of ``epoch`` and :func:`forward` for one
-pattern), with plain loops over lists of weight rows in the same order.
-It is much slower, and serves as the fallback and as the reference the
+under the same names, less the ``growbp_`` prefix of the C exports
+(:func:`logistic`, :func:`layer`, :func:`update`, then :func:`step` for
+the body of ``growbp_epoch`` and :func:`forward` for one pattern), with
+plain loops over lists of weight rows in the same order.  It is much
+slower, and serves as the fallback and as the reference the
 tests compare the C code against.  Its batch forward,
 :func:`batch_activations`, accumulates one input at a time with numpy in
 the same order and maps :func:`logistic` over the sums, and the fallback
@@ -172,12 +173,11 @@ def _compile(source, directory, name):
 
 def _bind(lib):
     ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
-    lib.epoch.restype = size
-    lib.forward.argtypes = [ptr] * 4 + [size] * 4
-    lib.forward.restype = size
-    lib.error.argtypes = [ptr] * 5 + [size] * 4
-    lib.error.restype = size
+    lib.growbp_epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
+    lib.growbp_forward.argtypes = [ptr] * 4 + [size] * 4
+    lib.growbp_error.argtypes = [ptr] * 5 + [size] * 4
+    for fn in (lib.growbp_epoch, lib.growbp_forward, lib.growbp_error):
+        fn.restype = size
     return lib
 
 
@@ -254,9 +254,10 @@ def train_epoch(net, train, eta, order):
         ow[...] = ow_l
         return net
     order = np.ascontiguousarray(order, dtype=np.int64)
-    status = _lib.epoch(hw.ctypes.data, ow.ctypes.data, train.X.ctypes.data,
-                        train.T.ctypes.data, order.ctypes.data, len(train),
-                        net.n_inputs, net.h, net.n_outputs, float(eta))
+    status = _lib.growbp_epoch(
+        hw.ctypes.data, ow.ctypes.data, train.X.ctypes.data,
+        train.T.ctypes.data, order.ctypes.data, len(train), net.n_inputs,
+        net.h, net.n_outputs, float(eta))
     if status == 1:
         raise ValueError(_NOT_A_PERMUTATION)
     if status == 2:
@@ -282,9 +283,9 @@ def forward_outputs(net, X):
         hidden = batch_activations(np.ascontiguousarray(X.T), hw)
         return np.ascontiguousarray(batch_activations(hidden, ow).T)
     Y = np.empty((len(X), net.n_outputs))
-    if _lib.forward(hw.ctypes.data, ow.ctypes.data, X.ctypes.data,
-                    Y.ctypes.data, len(X), net.n_inputs, net.h,
-                    net.n_outputs) == 2:
+    if _lib.growbp_forward(hw.ctypes.data, ow.ctypes.data, X.ctypes.data,
+                           Y.ctypes.data, len(X), net.n_inputs, net.h,
+                           net.n_outputs) == 2:
         raise MemoryError("kernel forward")
     return Y
 
@@ -309,8 +310,8 @@ def pattern_errors(net, part):
         return 0.5 * s
     hw, ow = net.hidden_weights, net.output_weights
     errors = np.empty(len(part))
-    if _lib.error(hw.ctypes.data, ow.ctypes.data, part.X.ctypes.data,
-                  part.T.ctypes.data, errors.ctypes.data, len(part),
-                  net.n_inputs, net.h, net.n_outputs) == 2:
+    if _lib.growbp_error(hw.ctypes.data, ow.ctypes.data, part.X.ctypes.data,
+                         part.T.ctypes.data, errors.ctypes.data, len(part),
+                         net.n_inputs, net.h, net.n_outputs) == 2:
         raise MemoryError("kernel error")
     return errors

@@ -222,18 +222,40 @@ class TestRunExperiment:
         run_experiment(cfg, log=lambda *a: None)
         assert snapshot(outdir, skip=()) == first
 
-    def test_parallel_jobs_match_serial(self, blob_dataset, tmp_path):
+    def test_parallel_jobs_match_serial(self, blob_dataset, tmp_path,
+                                        each_backend):
+        # Up to more threads than cores, switching as often as the
+        # interpreter allows, so any state the seeds shared would show.
         path = write_blob_file(blob_dataset, tmp_path)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        run_experiment(quick_config(path, serial, n_jobs=1),
-                       log=lambda *a: None)
-        run_experiment(quick_config(path, parallel, n_jobs=2),
-                       log=lambda *a: None)
-        assert snapshot(serial) == snapshot(parallel)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in each_backend:
+                for n_jobs in (1, 2, 5):
+                    outdir = tmp_path / str(len(runs))
+                    cfg = quick_config(path, outdir, sweep_seeds=range(5),
+                                       n_jobs=n_jobs)
+                    run_experiment(cfg, log=lambda *a: None)
+                    runs.append(snapshot(outdir))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs)
 
+    def test_parallel_jobs_never_fork(self, blob_dataset, tmp_path,
+                                      monkeypatch):
+        def no_fork():
+            raise AssertionError("the sweep forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = write_blob_file(blob_dataset, tmp_path)
+        cfg = quick_config(path, tmp_path / "res", sweep_seeds=(0, 1, 2),
+                           n_jobs=2)
+        assert run_experiment(cfg, log=lambda *a: None) == 0
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_failing_seed_keeps_earlier_results(self, blob_dataset, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, n_jobs):
         def fail_on_seed_5(data, cfg):
             if cfg.seed == 5:
                 raise RuntimeError("seed 5 failed")
@@ -242,7 +264,7 @@ class TestRunExperiment:
         monkeypatch.setattr(growbp.cli, "constructive_train", fail_on_seed_5)
         path = write_blob_file(blob_dataset, tmp_path)
         outdir = tmp_path / "res"
-        cfg = quick_config(path, outdir, sweep_seeds=(3, 5), n_jobs=1)
+        cfg = quick_config(path, outdir, sweep_seeds=(3, 5), n_jobs=n_jobs)
         with pytest.raises(RuntimeError, match="seed 5 failed"):
             run_experiment(cfg, log=lambda *a: None)
         assert {p.name for p in outdir.iterdir()} == {

@@ -330,6 +330,10 @@ def test_rejected_order_leaves_weights_untouched(order, each_backend):
         assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
+# The symbols kernel.c exports, each with the package's prefix.
+EXPORTS = ("growbp_epoch", "growbp_forward", "growbp_error")
+
+
 def c_type(param):
     """The ctypes type that passes one C parameter, e.g. ``int64_t n``."""
     declared = param.strip().rsplit(None, 1)[0] if "*" not in param else "*"
@@ -342,7 +346,7 @@ def test_every_c_entry_point_is_bound_to_its_prototype():
     # garbage, which corrupts memory rather than raising.
     source = kernel_module._SOURCE.read_text()
     prototypes = re.findall(r"^int64_t\s+(\w+)\s*\(([^)]*)\)", source, re.M)
-    assert {name for name, _ in prototypes} >= {"epoch", "forward", "error"}
+    assert {name for name, _ in prototypes} == set(EXPORTS)
     lib = SimpleNamespace(**{name: SimpleNamespace()
                              for name, _ in prototypes})
     kernel_module._bind(lib)
@@ -350,6 +354,27 @@ def test_every_c_entry_point_is_bound_to_its_prototype():
         entry = getattr(lib, name)
         assert entry.argtypes == [c_type(p) for p in params.split(",")], name
         assert entry.restype is ctypes.c_int64, name
+
+
+def _address(lib, name):
+    """Where ``name`` resolves from ``lib``, or None where it does not."""
+    try:
+        return ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+    except AttributeError:
+        return None
+
+
+def test_compiled_library_exports_only_prefixed_names():
+    if kernel_module._lib is None:
+        pytest.skip("no gcc on PATH: the Python kernel is in use")
+    lib = kernel_module._lib
+    for name in EXPORTS:
+        assert _address(lib, name) is not None, name
+    # An unprefixed name resolves, if at all, to what the process already
+    # has: glibc's error(3), never the kernel's own code.
+    process = ctypes.CDLL(None)
+    for name in ("epoch", "forward", "error", "layer", "logistic"):
+        assert _address(lib, name) == _address(process, name), name
 
 
 def test_compiled_whenever_gcc_is_found():
@@ -373,8 +398,11 @@ def run_python(code, **env):
 
 
 def test_cli_import_loads_no_scipy():
-    out = run_python("import sys, growbp.cli; print('scipy' in sys.modules)")
-    assert out == "False\n"
+    # Nor anything that forks: seeds run on threads.
+    absent = ("scipy", "multiprocessing", "concurrent.futures.process")
+    out = run_python("import sys, growbp.cli\n"
+                     f"print([m for m in {absent!r} if m in sys.modules])")
+    assert out == "[]\n"
 
 
 def heart1_golden_without_gcc(tmp_path, prelude=""):
