@@ -52,6 +52,8 @@ class Partition:
     """The patterns of one partition: input rows ``X``, 0/1 target rows ``T``.
 
     Both are stored as C-contiguous float64 copies of what was passed.
+    ``addresses`` holds their data addresses and, as in ``Network``, a
+    second reference to each array keeps numpy from resizing it.
     """
 
     X: np.ndarray
@@ -67,6 +69,11 @@ class Partition:
             )
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "T", T)
+        object.__setattr__(self, "addresses", (X.ctypes.data, T.ctypes.data))
+        object.__setattr__(self, "_pinned", (X, T))
+
+    def __reduce__(self):
+        return Partition, (self.X, self.T)
 
     def __len__(self):
         return len(self.X)

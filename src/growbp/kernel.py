@@ -5,6 +5,11 @@ The package enters through three functions: :func:`train_epoch`,
 :func:`forward_outputs` and :func:`pattern_errors`.  Each checks its
 arguments once, then runs the compiled or the Python kernel on the
 C-contiguous float64 arrays that a ``Network`` and a ``Partition`` hold.
+Both read their arrays' data addresses once, when they are made, and
+the entry points pass those to C; only the training order and the
+result arrays are looked up per call.  So that the addresses stay valid,
+the arrays of a ``Network`` or a ``Partition`` cannot be resized: numpy
+raises ``ValueError``.
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine and any
@@ -255,9 +260,8 @@ def train_epoch(net, train, eta, order):
         return net
     order = np.ascontiguousarray(order, dtype=np.int64)
     status = _lib.growbp_epoch(
-        hw.ctypes.data, ow.ctypes.data, train.X.ctypes.data,
-        train.T.ctypes.data, order.ctypes.data, len(train), net.n_inputs,
-        net.h, net.n_outputs, float(eta))
+        *net.addresses, *train.addresses, order.ctypes.data, len(train),
+        net.n_inputs, net.h, net.n_outputs, float(eta))
     if status == 1:
         raise ValueError(_NOT_A_PERMUTATION)
     if status == 2:
@@ -283,9 +287,8 @@ def forward_outputs(net, X):
         hidden = batch_activations(np.ascontiguousarray(X.T), hw)
         return np.ascontiguousarray(batch_activations(hidden, ow).T)
     Y = np.empty((len(X), net.n_outputs))
-    if _lib.growbp_forward(hw.ctypes.data, ow.ctypes.data, X.ctypes.data,
-                           Y.ctypes.data, len(X), net.n_inputs, net.h,
-                           net.n_outputs) == 2:
+    if _lib.growbp_forward(*net.addresses, X.ctypes.data, Y.ctypes.data,
+                           len(X), net.n_inputs, net.h, net.n_outputs) == 2:
         raise MemoryError("kernel forward")
     return Y
 
@@ -308,10 +311,8 @@ def pattern_errors(net, part):
         for k in range(1, net.n_outputs):
             s = s + E[:, k] * E[:, k]
         return 0.5 * s
-    hw, ow = net.hidden_weights, net.output_weights
     errors = np.empty(len(part))
-    if _lib.growbp_error(hw.ctypes.data, ow.ctypes.data, part.X.ctypes.data,
-                         part.T.ctypes.data, errors.ctypes.data, len(part),
-                         net.n_inputs, net.h, net.n_outputs) == 2:
+    if _lib.growbp_error(*net.addresses, *part.addresses, errors.ctypes.data,
+                         len(part), net.n_inputs, net.h, net.n_outputs) == 2:
         raise MemoryError("kernel error")
     return errors

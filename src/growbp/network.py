@@ -24,7 +24,10 @@ class Network:
     """Weights of a 1-hidden-layer feedforward net, biases included.
 
     Stored as C-contiguous, writeable float64 arrays: training updates
-    them in place.
+    them in place.  ``addresses`` holds their data addresses, read once
+    here for the compiled kernel.  The network keeps a second reference
+    to each array, so numpy refuses to ``resize`` one, which would move
+    its memory away from those addresses.
     """
 
     hidden_weights: np.ndarray
@@ -47,6 +50,13 @@ class Network:
             raise MalformedValueError("weights must be finite")
         object.__setattr__(self, "hidden_weights", hw)
         object.__setattr__(self, "output_weights", ow)
+        object.__setattr__(self, "addresses", (hw.ctypes.data, ow.ctypes.data))
+        object.__setattr__(self, "_pinned", (hw, ow))
+
+    def __reduce__(self):
+        # Through the constructor, so a deep copy or an unpickled network
+        # reads the addresses of its own arrays.
+        return Network, (self.hidden_weights, self.output_weights)
 
     @property
     def n_inputs(self):

@@ -25,7 +25,7 @@ from .dataset import Partition
 from .errors import ConfigError, EmptySetError
 from .kernel import pattern_errors, train_epoch
 from .metrics import check_targets, efficiency, overall_efficiency
-from .network import add_hidden_unit, init_network
+from .network import Network, add_hidden_unit, init_network
 
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
@@ -160,7 +160,9 @@ class GrowthHistory:
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
     check_targets(net, part, "average error")
-    return float(pattern_errors(net, part).mean())
+    errors = pattern_errors(net, part)
+    # What ndarray.mean computes, bit for bit, without its dispatch.
+    return float(np.add.reduce(errors) / len(errors))
 
 
 def backprop_step(net, x, d, eta):
@@ -200,7 +202,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
     Runs up to ``cfg.epochs_per_phase`` epochs, evaluating validation
     error after each.  Keeps the snapshot with the lowest validation
     error seen and ends the phase once ``cfg.patience`` consecutive
-    epochs pass without improvement.  The input network is not mutated.
+    epochs pass without improvement.  The input network is not mutated,
+    and the returned one shares no memory with it.
 
     Returns ``(best_net, epochs_used, record)`` where ``record`` is
     computed from the returned snapshot and carries
@@ -222,12 +225,20 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
         err = average_error(work, data.valid)
         if err < best_err:
             best_err = err
-            best_net = work.copy()
+            if best_net is None:
+                best_net = work.copy()
+            else:
+                np.copyto(best_net.hidden_weights, work.hidden_weights)
+                np.copyto(best_net.output_weights, work.output_weights)
             bad = 0
         else:
             bad += 1
             if bad >= cfg.patience:
                 break
+    # Only the first snapshot went through the constructor's checks.  A
+    # weight that is not finite stays so in every later epoch, so checking
+    # the last snapshot fails exactly when checking each one would.
+    best_net = Network(best_net.hidden_weights, best_net.output_weights)
     record = _phase_record(best_net, data, epochs_before + epochs_used)
     return best_net, epochs_used, record
 

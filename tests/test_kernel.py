@@ -8,10 +8,12 @@ checked against it on both backends, and the compiled kernel is also
 checked against the Python one, which is its fallback.
 """
 
+import copy
 import ctypes
 import glob
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -483,3 +485,69 @@ def test_every_package_file_is_shipped():
              if p.is_file() and p.suffix not in (".py", ".pyc")
              and "__pycache__" not in p.parts}
     assert files <= shipped
+
+
+# numpy sums a contiguous vector pairwise: eight accumulators over blocks
+# of 128, halves cut at multiples of eight.  These lengths sit on and
+# next to those edges.
+block_edges = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129,
+                               255, 256, 257, 1023, 1024, 1025, 8191, 8192,
+                               8193, 9000])
+
+
+@given(st.one_of(block_edges, st.integers(1, 9000)), st.integers(1, 3),
+       seeds)
+@settings(per_example, max_examples=60)
+def test_average_error_is_the_numpy_mean(each_backend, rows, n_out, seed):
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, (1, 2, n_out), 30.0, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    for _ in each_backend:
+        want = float(kernel_module.pattern_errors(net, part).mean())
+        assert bits(average_error(net, part)) == bits(want)
+
+
+def test_stored_arrays_refuse_resize(each_backend):
+    rng = np.random.default_rng(7)
+    net = random_net(rng, (3, 2, 2), 1.0)
+    nets = [net, net.copy(), add_hidden_unit(net, 1.0, rng)]
+    part = Partition(rng.uniform(0, 1, (6, 3)), np.eye(2)[[0, 1, 1, 0, 1, 0]])
+    twins = [net.copy() for net in nets]
+    twin_part = Partition(part.X, part.T)
+    # By attribute only: a reference held here would itself make numpy
+    # refuse.
+    stored = [(part, "X"), (part, "T")]
+    for net in nets:
+        stored += [(net, "hidden_weights"), (net, "output_weights")]
+    for obj, name in stored:
+        shape = getattr(obj, name).shape
+        with pytest.raises(ValueError, match="cannot resize"):
+            getattr(obj, name).resize((50, 50))
+        assert getattr(obj, name).shape == shape
+    order = np.arange(len(part))[::-1]
+    for _ in each_backend:
+        for net, twin in zip(nets, twins):
+            train_epoch(net, part, 0.7, order)
+            train_epoch(twin, twin_part, 0.7, order)
+            assert bits(net.hidden_weights) == bits(twin.hidden_weights)
+            assert bits(net.output_weights) == bits(twin.output_weights)
+            assert bits(kernel_module.pattern_errors(net, part)) == bits(
+                kernel_module.pattern_errors(twin, twin_part))
+            assert bits(forward_outputs(net, part.X)) == bits(
+                forward_outputs(twin, part.X))
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_duplicates_address_their_own_arrays(duplicate):
+    rng = np.random.default_rng(8)
+    net = random_net(rng, (3, 2, 2), 1.0)
+    part = Partition(rng.uniform(0, 1, (5, 3)), np.eye(2)[[0, 1, 1, 0, 1]])
+    for obj, arrays in ((duplicate(net), "hidden_weights output_weights"),
+                        (duplicate(part), "X T")):
+        assert obj.addresses == tuple(getattr(obj, name).ctypes.data
+                                      for name in arrays.split())
+    before = bits(net.hidden_weights) + bits(net.output_weights)
+    train_epoch(copy.deepcopy(net), part, 0.7, np.arange(5))
+    assert bits(net.hidden_weights) + bits(net.output_weights) == before

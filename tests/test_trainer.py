@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from growbp import trainer
+from growbp.cli import ExperimentConfig, load_any
 from growbp.dataset import DatasetHeader, Partition, SplitDataset
-from growbp.errors import ArityMismatchError, ConfigError, EmptySetError
+from growbp.errors import (
+    ArityMismatchError,
+    ConfigError,
+    EmptySetError,
+    MalformedValueError,
+)
+from growbp.kernel import pattern_errors
 from growbp.network import Network, forward, init_network
+from growbp.profiles import PRESETS
 from growbp.trainer import (
     STOP_ACCEPTED,
     STOP_H_MAX,
@@ -321,6 +330,92 @@ class TestTrainPhase:
         net = init_network(2, 1, 1.0, np.random.default_rng(2))
         _, used, record = train_phase(net, data, cfg, epochs_before=10)
         assert record.epochs_cumulative == 10 + used
+
+
+def reference_phase(net, data, cfg, rng=None, epochs_before=0):
+    """``train_phase`` as a plain loop that snapshots with ``copy()``."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    work = net.copy()
+    n_train = len(data.train)
+    best_net, best_err, bad, used = None, math.inf, 0, 0
+    for _ in range(cfg.epochs_per_phase):
+        order = rng.permutation(n_train) if cfg.shuffle else np.arange(n_train)
+        train_epoch(work, data.train, cfg.eta, order)
+        used += 1
+        err = float(pattern_errors(work, data.valid).mean())
+        if err < best_err:
+            best_err, best_net, bad = err, work.copy(), 0
+        else:
+            bad += 1
+            if bad >= cfg.patience:
+                break
+    return best_net, used, trainer._phase_record(best_net, data,
+                                                 epochs_before + used)
+
+
+class TestPhaseAgainstReference:
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_same_histories_and_weights(self, shuffle, monkeypatch,
+                                        each_backend):
+        data = load_any(ExperimentConfig("heart1"))
+        cfgs = [TrainConfig(**{**PRESETS["heart1"], "h_max": 3},
+                            report_only=True, shuffle=shuffle, seed=seed)
+                for seed in (0, 1)]
+        for _ in each_backend:
+            for cfg in cfgs:
+                got = constructive_train(data, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(trainer, "train_phase", reference_phase)
+                    want = constructive_train(data, cfg)
+                assert got[1] == want[1]
+                assert len(got[1].phases) == 3
+                for name in ("hidden_weights", "output_weights"):
+                    assert (getattr(got[0], name).tobytes()
+                            == getattr(want[0], name).tobytes())
+
+    def test_returned_network_shares_no_memory(self, blob_dataset,
+                                               monkeypatch):
+        worked = []
+
+        def recording_epoch(net, *args):
+            worked.append(net)
+            return train_epoch(net, *args)
+
+        monkeypatch.setattr(trainer, "train_epoch", recording_epoch)
+        net = init_network(2, 2, 1.0, np.random.default_rng(2))
+        cfg = TrainConfig(epochs_per_phase=30, patience=30)
+        best, used, _ = train_phase(net, blob_dataset, cfg)
+        assert used == len(worked) == 30
+        work = worked[0]
+        assert all(w is work for w in worked)
+        for a in (best.hidden_weights, best.output_weights):
+            for other in (net, work):
+                for b in (other.hidden_weights, other.output_weights):
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("bad_epoch", [1, 3])
+    def test_non_finite_snapshot_is_rejected(self, blob_dataset, bad_epoch,
+                                             monkeypatch):
+        # Every epoch improves, and from ``bad_epoch`` on a weight is
+        # infinite, as an overflowing update leaves it.
+        epochs = []
+
+        def overflowing_epoch(net, *args):
+            train_epoch(net, *args)
+            epochs.append(net)
+            if len(epochs) >= bad_epoch:
+                net.hidden_weights[0, 0] = math.inf
+            return net
+
+        monkeypatch.setattr(trainer, "train_epoch", overflowing_epoch)
+        monkeypatch.setattr(trainer, "average_error",
+                            lambda net, part: 1.0 / len(epochs))
+        net = init_network(2, 2, 1.0, np.random.default_rng(2))
+        cfg = TrainConfig(epochs_per_phase=5, patience=5)
+        with pytest.raises(MalformedValueError,
+                           match="weights must be finite"):
+            train_phase(net, blob_dataset, cfg)
 
 
 class TestConstructiveTrain:
