@@ -237,37 +237,33 @@ def _write(path, text):
         fh.write(text)
 
 
-def _summary_lines(results):
+def _summary_lines(chosen):
+    """``summary.csv``'s lines over ``(seed, history, selected record)``
+    entries, and the entry with the highest test efficiency (the first
+    on ties)."""
+    best = max(chosen, key=lambda entry: entry[2].test_eff)
     lines = ["seed,stop_reason,h,epochs,test_eff,overall_eff,best"]
-    best_seed = None
-    best_eff = -1.0
-    for seed, history in results:
-        rec = history.phases[history.selected_index()]
-        if rec.test_eff > best_eff:
-            best_eff = rec.test_eff
-            best_seed = seed
-    for seed, history in results:
-        rec = history.phases[history.selected_index()]
+    for seed, history, rec in chosen:
         lines.append(",".join([
             str(seed), history.stop_reason, str(rec.h),
             str(rec.epochs_cumulative),
             repr(rec.test_eff), repr(rec.overall_eff),
-            str(int(seed == best_seed)),
+            str(int(seed == best[0])),
         ]))
-    return lines, best_seed
+    return lines, best
 
 
-def _flush_results(cfg, outdir, results):
+def _flush_results(cfg, outdir, chosen):
     if cfg.output_format == "json-lines":
         _write(outdir / "histories.jsonl", "".join(
             render_table(history, "json-lines", seed)
-            for seed, history in results))
+            for seed, history, _ in chosen))
     else:
-        for seed, history in results:
+        for seed, history, _ in chosen:
             _write(outdir / f"seed_{seed}.csv", render_table(history, "csv"))
-    lines, best_seed = _summary_lines(results)
+    lines, best = _summary_lines(chosen)
     _write(outdir / "summary.csv", "\n".join(lines) + "\n")
-    return best_seed
+    return best
 
 
 def run_experiment(cfg, log=print):
@@ -287,33 +283,30 @@ def run_experiment(cfg, log=print):
            json.dumps(config_record(cfg), sort_keys=True, indent=2) + "\n")
 
     def run_seed(seed):
-        return seed, constructive_train(data, cfg.train_config(seed))[1]
+        history = constructive_train(data, cfg.train_config(seed))[1]
+        return seed, history, history.phases[history.selected_index()]
 
-    results = []
+    chosen = []
     try:
         # Serial sweeps take the builtin map, which skips the pool's
         # hand-offs; a pool that is never submitted to starts no thread.
         with ThreadPoolExecutor(cfg.jobs()) as pool:
             ordered_map = pool.map if cfg.jobs() > 1 else map
-            for result in ordered_map(run_seed, cfg.sweep_seeds):
-                results.append(result)
+            for entry in ordered_map(run_seed, cfg.sweep_seeds):
+                chosen.append(entry)
     finally:
-        best_seed = _flush_results(cfg, outdir, results) if results else None
+        best = _flush_results(cfg, outdir, chosen) if chosen else None
 
-    for seed, history in results:
-        rec = history.phases[history.selected_index()]
+    for seed, history, rec in chosen:
         log(f"seed {seed}: {history.stop_reason} h={rec.h} "
             f"epochs={rec.epochs_cumulative} test_eff={rec.test_eff:.2f} "
             f"overall={rec.overall_eff:.5f}")
-    for seed, history in results:
-        if seed == best_seed:
-            rec = history.phases[history.selected_index()]
-            log(f"best of sweep: seed {seed} h={rec.h} "
-                f"test_eff={rec.test_eff:.2f} "
-                f"overall={rec.overall_eff:.5f}")
+    seed, _, rec = best
+    log(f"best of sweep: seed {seed} h={rec.h} "
+        f"test_eff={rec.test_eff:.2f} overall={rec.overall_eff:.5f}")
     log(f"results written to {outdir}")
     accepted = any(
-        history.stop_reason == STOP_ACCEPTED for _, history in results
+        history.stop_reason == STOP_ACCEPTED for _, history, _ in chosen
     )
     return 0 if (accepted or cfg.train.report_only) else 1
 

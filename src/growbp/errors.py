@@ -51,13 +51,14 @@ class ArityMismatchError(GrowbpError):
     """A vector has the wrong length for the network or rule at hand."""
 
 
-class InvalidRangeError(GrowbpError):
-    """A weight-initialization range must be strictly positive."""
-
-
 class EmptySetError(GrowbpError):
     """An operation that averages or counts over patterns got no patterns."""
 
 
 class ConfigError(GrowbpError):
     """A training or experiment configuration violates its invariants."""
+
+
+class InvalidRangeError(ConfigError):
+    """A weight-initialization range is not positive, or too wide to draw
+    from."""

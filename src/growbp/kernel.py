@@ -5,6 +5,9 @@ The package enters through three functions: :func:`train_epoch`,
 :func:`forward_outputs` and :func:`pattern_errors`.  Each checks its
 arguments once, then runs the compiled or the Python kernel on the
 C-contiguous float64 arrays that a ``Network`` and a ``Partition`` hold.
+Whether a partition fits a network is decided by :func:`check_fit` alone,
+which ``train_epoch``, ``pattern_errors`` and ``growbp.metrics.efficiency``
+call.
 Both read their arrays' data addresses once, when they are made, and
 the entry points pass those to C; only the training order and the
 result arrays are looked up per call.  So that the addresses stay valid,
@@ -230,6 +233,21 @@ BACKEND = "python" if _lib is None else "c"
 _NOT_A_PERMUTATION = "order must be a permutation of the train indices"
 
 
+def check_fit(net, part, what):
+    """Reject a partition that is empty or whose widths are not the net's.
+
+    ``what`` names the operation in the :class:`EmptySetError`; a wrong
+    input or target width raises :class:`ArityMismatchError`.
+    """
+    if len(part) == 0:
+        raise EmptySetError(f"{what} over an empty pattern set")
+    if part.X.shape[1] != net.n_inputs or part.T.shape[1] != net.n_outputs:
+        raise ArityMismatchError(
+            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
+            f"got {part.X.shape[1]} and {part.T.shape[1]}"
+        )
+
+
 def train_epoch(net, train, eta, order):
     """One pass of online updates over ``train`` in the given order.
 
@@ -237,16 +255,10 @@ def train_epoch(net, train, eta, order):
     Every step updates the network's weight arrays in place; a rejected
     ``order`` leaves them untouched.  Returns the network.
     """
-    if len(train) == 0:
-        raise EmptySetError("cannot train on an empty set")
+    check_fit(net, train, "training")
     order = np.asarray(order)
     if order.dtype.kind not in "iu" or order.shape != (len(train),):
         raise ValueError(_NOT_A_PERMUTATION)
-    if train.X.shape[1] != net.n_inputs or train.T.shape[1] != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
-            f"got {train.X.shape[1]} and {train.T.shape[1]}"
-        )
     hw, ow = net.hidden_weights, net.output_weights
     if _lib is None:
         if not np.array_equal(np.sort(order), np.arange(len(train))):
@@ -272,8 +284,8 @@ def train_epoch(net, train, eta, order):
 def forward_outputs(net, X):
     """Evaluate the network on a matrix of inputs, one row per pattern.
 
-    Row ``i`` of the result equals ``growbp.network.forward(net, X[i])[1]``
-    bitwise.
+    Row ``i`` of the result equals the outputs :func:`forward` gives for
+    ``X[i]``, bitwise.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n_inputs:
@@ -300,11 +312,7 @@ def pattern_errors(net, part):
     squares are summed left to right over the outputs.  Returns a vector
     with one value per row of the partition.
     """
-    if part.X.shape[1] != net.n_inputs or part.T.shape[1] != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_inputs} inputs and {net.n_outputs} targets, "
-            f"got {part.X.shape[1]} and {part.T.shape[1]}"
-        )
+    check_fit(net, part, "error")
     if _lib is None:
         E = part.T - forward_outputs(net, part.X)
         s = E[:, 0] * E[:, 0]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatchError, EmptySetError
+from .errors import ArityMismatchError
+from .kernel import check_fit
 from .network import forward_outputs
 
 
@@ -42,19 +43,9 @@ def classify(M):
     return np.argmax(M, axis=1)
 
 
-def check_targets(net, part, what):
-    """Reject an empty ``part`` or targets of another width than the net's."""
-    if len(part) == 0:
-        raise EmptySetError(f"{what} over an empty pattern set")
-    if part.T.shape[1] != net.n_outputs:
-        raise ArityMismatchError(
-            f"expected {net.n_outputs} targets, got {part.T.shape[1]}"
-        )
-
-
 def efficiency(net, part):
     """Count patterns of a partition whose predicted class is the target's."""
-    check_targets(net, part, "efficiency")
+    check_fit(net, part, "efficiency")
     predicted = classify(forward_outputs(net, part.X))
     classified = int(np.count_nonzero(predicted == classify(part.T)))
     return EfficiencyReport(classified=classified, total=len(part))

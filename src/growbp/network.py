@@ -9,13 +9,13 @@ states.  Growth appends one hidden unit while leaving every existing
 weight untouched.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import naming, read_ascii
-from .errors import ArityMismatchError, InvalidRangeError, MalformedValueError
-from . import kernel
+from .errors import InvalidRangeError, MalformedValueError
 from .kernel import forward_outputs
 
 
@@ -74,6 +74,16 @@ class Network:
         return Network(self.hidden_weights.copy(), self.output_weights.copy())
 
 
+def check_init_range(init_range):
+    """Reject a range that is not positive, or one whose width
+    ``2 * init_range`` is not finite, which numpy cannot draw from."""
+    if not (init_range > 0 and math.isfinite(2.0 * init_range)):
+        raise InvalidRangeError(
+            f"init_range must be > 0 and 2 * init_range finite, "
+            f"got {init_range}"
+        )
+
+
 def init_network(n_inputs, n_outputs, init_range, rng):
     """Create an h=1 network with uniform random weights.
 
@@ -83,28 +93,10 @@ def init_network(n_inputs, n_outputs, init_range, rng):
     """
     if n_inputs < 1 or n_outputs < 1:
         raise MalformedValueError("n_inputs and n_outputs must be >= 1")
-    if init_range <= 0:
-        raise InvalidRangeError(
-            f"init_range must be > 0, got {init_range}"
-        )
+    check_init_range(init_range)
     hw = rng.uniform(-init_range, init_range, size=(1, n_inputs + 1))
     ow = rng.uniform(-init_range, init_range, size=(n_outputs, 2))
     return Network(hw, ow)
-
-
-def forward(net, inputs):
-    """Evaluate the network on one input vector.
-
-    Returns ``(hidden, output)``, the logistic activations of both layers.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (net.n_inputs,):
-        raise ArityMismatchError(
-            f"expected {net.n_inputs} inputs, got {x.shape}"
-        )
-    hidden, output = kernel.forward(net.hidden_weights.tolist(),
-                                    net.output_weights.tolist(), x.tolist())
-    return np.array(hidden), np.array(output)
 
 
 def add_hidden_unit(net, init_range, rng, zero_output=False):
@@ -117,10 +109,7 @@ def add_hidden_unit(net, init_range, rng, zero_output=False):
     ``zero_output`` the new unit's outgoing weights are zeroed instead
     (no draw), which leaves the network function unchanged.
     """
-    if init_range <= 0:
-        raise InvalidRangeError(
-            f"init_range must be > 0, got {init_range}"
-        )
+    check_init_range(init_range)
     new_row = rng.uniform(-init_range, init_range, size=net.n_inputs + 1)
     if zero_output:
         new_col = np.zeros(net.n_outputs)

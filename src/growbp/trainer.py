@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import Partition
-from .errors import ConfigError, EmptySetError
+from .errors import ConfigError
 from .kernel import pattern_errors, train_epoch
-from .metrics import check_targets, efficiency, overall_efficiency
-from .network import Network, add_hidden_unit, init_network
+from .metrics import efficiency, overall_efficiency
+from .network import Network, add_hidden_unit, check_init_range, init_network
 
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
@@ -104,10 +103,7 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.xi_target < 0:
             raise ConfigError(f"xi_target must be >= 0, got {self.xi_target}")
-        if not 0 < self.init_range < math.inf:
-            raise ConfigError(
-                f"init_range must be > 0 and finite, got {self.init_range}"
-            )
+        check_init_range(self.init_range)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.stopping_set not in ("validation", "test"):
@@ -159,22 +155,9 @@ class GrowthHistory:
 
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
-    check_targets(net, part, "average error")
     errors = pattern_errors(net, part)
     # What ndarray.mean computes, bit for bit, without its dispatch.
     return float(np.add.reduce(errors) / len(errors))
-
-
-def backprop_step(net, x, d, eta):
-    """Apply one online gradient step for input ``x`` and target ``d``.
-
-    The network is updated in place.  Output-layer weights are updated
-    first; the hidden-layer deltas use the original (pre-update) output
-    weights, so the whole step equals -eta times the gradient of this
-    pattern's xi.  This is a one-pattern :func:`train_epoch`.  Returns
-    the network.
-    """
-    return train_epoch(net, Partition([x], [d]), eta, [0])
 
 
 def _phase_record(net, data, epochs_cumulative):
@@ -201,7 +184,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
 
     Runs up to ``cfg.epochs_per_phase`` epochs, evaluating validation
     error after each.  Keeps the snapshot with the lowest validation
-    error seen and ends the phase once ``cfg.patience`` consecutive
+    error seen (the starting weights while no epoch's error is below
+    infinity) and ends the phase once ``cfg.patience`` consecutive
     epochs pass without improvement.  The input network is not mutated,
     and the returned one shares no memory with it.
 
@@ -212,9 +196,9 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     work = net.copy()
+    best_net = work.copy()
     n_train = len(data.train)
     identity = np.arange(n_train)
-    best_net = None
     best_err = math.inf
     bad = 0
     epochs_used = 0
@@ -225,19 +209,15 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
         err = average_error(work, data.valid)
         if err < best_err:
             best_err = err
-            if best_net is None:
-                best_net = work.copy()
-            else:
-                np.copyto(best_net.hidden_weights, work.hidden_weights)
-                np.copyto(best_net.output_weights, work.output_weights)
+            np.copyto(best_net.hidden_weights, work.hidden_weights)
+            np.copyto(best_net.output_weights, work.output_weights)
             bad = 0
         else:
             bad += 1
             if bad >= cfg.patience:
                 break
-    # Only the first snapshot went through the constructor's checks.  A
-    # weight that is not finite stays so in every later epoch, so checking
-    # the last snapshot fails exactly when checking each one would.
+    # The snapshot is filled in place, past the constructor's checks, so
+    # building it again checks that the weights it kept are finite.
     best_net = Network(best_net.hidden_weights, best_net.output_weights)
     record = _phase_record(best_net, data, epochs_before + epochs_used)
     return best_net, epochs_used, record
@@ -267,8 +247,6 @@ def constructive_train(data, cfg):
 
     Returns ``(network, history)``.
     """
-    if len(data.train) == 0 or len(data.valid) == 0 or len(data.test) == 0:
-        raise EmptySetError("all three partitions must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     net = init_network(
         data.header.n_inputs, data.header.n_outputs, cfg.init_range, rng

@@ -22,13 +22,13 @@ from growbp.metrics import (
     efficiency,
     overall_efficiency,
 )
-from growbp.network import Network, add_hidden_unit, forward
+from growbp.network import Network, add_hidden_unit, forward_outputs
 from growbp.profiles import PRESETS, bundled_dataset_path
 from growbp.trainer import (
     STOP_H_MAX,
     TrainConfig,
-    backprop_step,
     constructive_train,
+    train_epoch,
 )
 
 
@@ -121,7 +121,7 @@ def test_4_diabetes1_reproduction(report):
 
 
 def pattern_xi(net, x, d):
-    e = d - forward(net, x)[1]
+    e = d - forward_outputs(net, [x])[0]
     return 0.5 * float(e @ e)
 
 
@@ -158,7 +158,7 @@ def test_5_gradient_oracle(report):
         d = rng.integers(0, 2, n_out).astype(np.float64)
         grads = central_difference_gradient(net, x, d)
         before = (net.hidden_weights.copy(), net.output_weights.copy())
-        backprop_step(net, x, d, eta)
+        train_epoch(net, Partition([x], [d]), eta, [0])
         after = (net.hidden_weights, net.output_weights)
         for b, a, g in zip(before, after, grads):
             taken = (a - b) / eta

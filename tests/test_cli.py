@@ -683,6 +683,8 @@ BAD_INPUTS = {
     "seed-negative": lambda tmp: ["train", "heart1", "--seed", "-1"],
     "init-range-negative": lambda tmp: ["train", "heart1",
                                         "--init-range", "-1"],
+    "init-range-too-wide": lambda tmp: ["train", "heart1", "--seeds", "0",
+                                        "--init-range", "1e308"],
     "xi-target-nan": lambda tmp: ["train", "heart1", "--xi-target", "nan"],
     "eta-inf": lambda tmp: ["train", "heart1", "--eta", "inf"],
     "seeds-repeated": lambda tmp: ["train", "heart1", "--seeds", "0,0"],

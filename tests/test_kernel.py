@@ -29,10 +29,12 @@ from scipy.special import expit
 
 import growbp
 from growbp import kernel as kernel_module
+from growbp import metrics
 from growbp.dataset import Partition
-from growbp.errors import ArityMismatchError
-from growbp.network import Network, add_hidden_unit, forward, forward_outputs
-from growbp.trainer import average_error, backprop_step, train_epoch
+from growbp.errors import ArityMismatchError, EmptySetError
+from growbp.metrics import efficiency
+from growbp.network import Network, add_hidden_unit, forward_outputs
+from growbp.trainer import average_error, train_epoch
 
 
 def ref_sigmoid(s):
@@ -75,6 +77,18 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def one_step(net, x, d, eta):
+    """One online step through the entry point: a one-pattern epoch."""
+    return train_epoch(net, Partition([x], [d]), eta, [0])
+
+
+def python_forward(net, x):
+    """The Python kernel's hidden and output activations of one pattern."""
+    return kernel_module.forward(net.hidden_weights.tolist(),
+                                 net.output_weights.tolist(),
+                                 np.asarray(x, dtype=np.float64).tolist())
+
+
 # Shapes up to h=8 and three outputs; weight scales up to 1000 drive
 # net inputs past exp's overflow point, so the saturated branch runs too.
 # An eta of 1e4 makes the step's increment outweigh the old weight, so a
@@ -106,7 +120,7 @@ def test_step_matches_scalar_reference(each_backend, shape, scale, seed,
                                 x.tolist(), d.tolist(), eta)
     for _ in each_backend:
         net = start.copy()
-        backprop_step(net, x, d, eta)
+        one_step(net, x, d, eta)
         assert bits(net.hidden_weights) == bits(want_hw)
         assert bits(net.output_weights) == bits(want_ow)
 
@@ -126,7 +140,7 @@ def test_epoch_equals_loop_of_steps(each_backend, shape, seed, rows, data):
         a, b = start.copy(), start.copy()
         train_epoch(a, part, 0.7, order)
         for i in order:
-            backprop_step(b, part.X[i], part.T[i], 0.7)
+            one_step(b, part.X[i], part.T[i], 0.7)
         for net in (a, b):
             assert bits(net.hidden_weights) == bits(hw)
             assert bits(net.output_weights) == bits(ow)
@@ -140,7 +154,7 @@ def test_batch_forward_matches_per_pattern(shape, scale, seed, rows):
     X = rng.uniform(-1, 1, (rows, shape[0]))
     Y = forward_outputs(net, X)
     for i in range(rows):
-        hidden, output = forward(net, X[i])
+        hidden, output = python_forward(net, X[i])
         want_hidden, want_output = ref_forward(net.hidden_weights.tolist(),
                                                net.output_weights.tolist(),
                                                X[i].tolist())
@@ -165,7 +179,7 @@ def test_zero_output_growth_keeps_batch_outputs(shape, seed):
 def test_sigmoid_equals_expit(s):
     # The hidden unit's net input is exactly 1.0 * s + 0.0 = s.
     w = np.array([[1.0, 0.0]])
-    hidden, _ = forward(Network(w, np.zeros((1, 2))), [s])
+    hidden, _ = python_forward(Network(w, np.zeros((1, 2))), [s])
     assert bits(hidden) == bits([expit(s)])
     batch = kernel_module.batch_activations(np.array([[s, -s]]), w)
     assert bits(batch) == bits([[expit(s), expit(-s)]])
@@ -177,7 +191,7 @@ def test_long_sums_keep_order():
     x = rng.uniform(-1, 1, 3000)
     want = ref_forward(net.hidden_weights.tolist(),
                        net.output_weights.tolist(), x.tolist())
-    hidden, output = forward(net, x)
+    hidden, output = python_forward(net, x)
     assert bits(hidden) == bits(want[0])
     assert bits(output) == bits(want[1])
     assert bits(forward_outputs(net, x[None, :])[0]) == bits(want[1])
@@ -268,7 +282,7 @@ wide_shapes = st.tuples(st.integers(1, 6), st.integers(1, 8),
                         st.integers(1, 12))
 
 
-@given(wide_shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
+@given(wide_shapes, big_scales, seeds, st.integers(1, 20), st.booleans())
 @settings(per_example, max_examples=150)
 def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
                                                seed, rows, infinite):
@@ -302,22 +316,48 @@ def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
         assert bits(average_error(net, part)) == bits(want)
 
 
-@pytest.mark.parametrize("n_inputs, n_targets", [(3, 1), (1, 1), (2, 2)])
-def test_pattern_errors_check_widths_before_the_kernel(
-        n_inputs, n_targets, monkeypatch, each_backend):
+# The entry points that take a partition, each called on one that does
+# not fit the net below (2 inputs, 1 output).
+FIT_CHECKED = {
+    "train_epoch": lambda net, part: train_epoch(net, part, 0.7,
+                                                 np.arange(len(part))),
+    "pattern_errors": kernel_module.pattern_errors,
+    "average_error": average_error,
+    "efficiency": efficiency,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIT_CHECKED))
+@pytest.mark.parametrize("rows, n_inputs, n_targets, error, message", [
+    (4, 3, 1, ArityMismatchError, "got 3 and 1"),
+    (4, 1, 1, ArityMismatchError, "got 1 and 1"),
+    (4, 2, 2, ArityMismatchError, "got 2 and 2"),
+    (0, 2, 1, EmptySetError, "empty pattern set"),
+    (0, 3, 2, EmptySetError, "empty pattern set"),
+], ids=["3-1", "1-1", "2-2", "empty", "empty-3-2"])
+def test_unfit_partitions_fail_before_the_kernel(
+        entry, rows, n_inputs, n_targets, error, message, monkeypatch,
+        each_backend):
     def no_kernel(*args):
         raise AssertionError("the kernel ran")
 
+    class NoLib:
+        def __getattr__(self, name):
+            return no_kernel
+
     if kernel_module._lib is not None:
-        monkeypatch.setattr(kernel_module, "_lib",
-                            type("Lib", (), {"error": no_kernel})())
-    monkeypatch.setattr(kernel_module, "forward_outputs", no_kernel)
+        monkeypatch.setattr(kernel_module, "_lib", NoLib())
+    for module, name in ((kernel_module, "step"),
+                         (kernel_module, "forward_outputs"),
+                         (metrics, "forward_outputs")):
+        monkeypatch.setattr(module, name, no_kernel)
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
-    part = Partition(np.ones((4, n_inputs)), np.ones((4, n_targets)))
+    before = bits(net.hidden_weights) + bits(net.output_weights)
+    part = Partition(np.ones((rows, n_inputs)), np.ones((rows, n_targets)))
     for _ in each_backend:
-        with pytest.raises(ArityMismatchError,
-                           match=f"got {n_inputs} and {n_targets}"):
-            kernel_module.pattern_errors(net, part)
+        with pytest.raises(error, match=message):
+            FIT_CHECKED[entry](net, part)
+    assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
 @pytest.mark.parametrize("order", [[0, 0, 2], [2, 1, 3], [-1, 0, 1]])

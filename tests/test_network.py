@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growbp import kernel
 from growbp.dataset import Partition
 from growbp.errors import (
     ArityMismatchError,
@@ -18,7 +20,6 @@ from growbp.errors import (
 from growbp.network import (
     Network,
     add_hidden_unit,
-    forward,
     forward_outputs,
     format_network,
     init_network,
@@ -27,6 +28,14 @@ from growbp.network import (
     save_network,
 )
 from growbp.trainer import train_epoch
+
+
+def forward(net, x):
+    """The Python kernel's hidden and output activations of one pattern."""
+    hidden, output = kernel.forward(net.hidden_weights.tolist(),
+                                    net.output_weights.tolist(),
+                                    np.asarray(x, dtype=np.float64).tolist())
+    return np.array(hidden), np.array(output)
 
 
 def reference_forward(net, x):
@@ -112,10 +121,18 @@ class TestInitNetwork:
         )
 
     def test_invalid_range(self):
+        for bad in (0.0, -1.0, math.nan, 1e308, math.inf):
+            with pytest.raises(InvalidRangeError):
+                init_network(3, 1, bad, np.random.default_rng(0))
+
+    def test_widest_drawable_range(self):
+        # numpy draws only where high - low = 2 * init_range is finite.
+        widest = sys.float_info.max / 2
+        net = init_network(3, 1, widest, np.random.default_rng(0))
+        assert np.abs(net.hidden_weights).max() <= widest
         with pytest.raises(InvalidRangeError):
-            init_network(3, 1, 0.0, np.random.default_rng(0))
-        with pytest.raises(InvalidRangeError):
-            init_network(3, 1, -1.0, np.random.default_rng(0))
+            init_network(3, 1, math.nextafter(widest, math.inf),
+                         np.random.default_rng(0))
 
     def test_weights_within_range(self):
         net = init_network(20, 4, 0.3, np.random.default_rng(5))
@@ -138,8 +155,6 @@ class TestForward:
 
     def test_arity_mismatch(self, each_backend):
         net = init_network(4, 1, 1.0, np.random.default_rng(0))
-        with pytest.raises(ArityMismatchError):
-            forward(net, [0.1, 0.2, 0.3])
         for _ in each_backend:
             for X in ([[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3, 0.4],
                       np.ones((2, 5))):
@@ -227,8 +242,9 @@ class TestAddHiddenUnit:
 
     def test_invalid_range(self):
         net = init_network(3, 1, 1.0, np.random.default_rng(0))
-        with pytest.raises(InvalidRangeError):
-            add_hidden_unit(net, 0.0, np.random.default_rng(0))
+        for bad in (0.0, 1e308):
+            with pytest.raises(InvalidRangeError):
+                add_hidden_unit(net, bad, np.random.default_rng(0))
 
 
 class TestNetworkValidation:

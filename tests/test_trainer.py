@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from growbp import trainer
+from growbp import kernel, trainer
 from growbp.cli import ExperimentConfig, load_any
 from growbp.dataset import DatasetHeader, Partition, SplitDataset
 from growbp.errors import (
@@ -13,7 +13,7 @@ from growbp.errors import (
     MalformedValueError,
 )
 from growbp.kernel import pattern_errors
-from growbp.network import Network, forward, init_network
+from growbp.network import Network, forward_outputs, init_network
 from growbp.profiles import PRESETS
 from growbp.trainer import (
     STOP_ACCEPTED,
@@ -22,7 +22,6 @@ from growbp.trainer import (
     PhaseRecord,
     TrainConfig,
     average_error,
-    backprop_step,
     constructive_train,
     train_epoch,
     train_phase,
@@ -38,12 +37,25 @@ def random_network(rng, n_inputs, h, n_outputs, scale=1.0):
 
 def pattern_xi(net, x, d):
     """Half the sum of squared output errors for one pattern."""
-    e = np.asarray(d) - forward(net, x)[1]
+    e = np.asarray(d) - forward_outputs(net, [x])[0]
     return 0.5 * float(e @ e)
 
 
 def one_row(x, d):
     return Partition([x], [d])
+
+
+def one_step(net, x, d, eta):
+    """One online step through the entry point: a one-pattern epoch."""
+    return train_epoch(net, one_row(x, d), eta, [0])
+
+
+def python_steps(net, X, T, order, eta):
+    """The Python kernel's steps over ``order``; the new weight matrices."""
+    hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+    for i in order:
+        kernel.step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
+    return np.array(hw), np.array(ow)
 
 
 def one_pattern_dataset(x, train_target, valid_target, test_target):
@@ -83,6 +95,7 @@ class TestTrainConfig:
             {"init_range": 0.0},
             {"init_range": math.nan},
             {"init_range": math.inf},
+            {"init_range": 1e308},
             {"seed": -1},
             {"stopping_set": None},
             {"shuffle": 1},
@@ -180,7 +193,7 @@ class TestBackpropStep:
             before_hw = net.hidden_weights.copy()
             before_ow = net.output_weights.copy()
             eta = 0.7
-            backprop_step(net, x, d, eta)
+            one_step(net, x, d, eta)
             step_hw = (net.hidden_weights - before_hw) / eta
             step_ow = (net.output_weights - before_ow) / eta
             for taken, grad in ((step_hw, g_hidden), (step_ow, g_output)):
@@ -191,17 +204,17 @@ class TestBackpropStep:
     def test_updates_in_place_and_returns_net(self):
         rng = np.random.default_rng(1)
         net = random_network(rng, 2, 2, 1)
-        out = backprop_step(net, np.array([0.1, 0.9]), np.array([1.0]), 0.5)
+        out = one_step(net, np.array([0.1, 0.9]), np.array([1.0]), 0.5)
         assert out is net
 
     def test_zero_error_is_fixed_point(self):
         rng = np.random.default_rng(5)
         net = random_network(rng, 3, 2, 2)
         x = rng.uniform(0, 1, 3)
-        d = forward(net, x)[1].copy()
+        d = forward_outputs(net, [x])[0]
         hw = net.hidden_weights.copy()
         ow = net.output_weights.copy()
-        backprop_step(net, x, d, 0.7)
+        one_step(net, x, d, 0.7)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
 
@@ -210,7 +223,7 @@ class TestBackpropStep:
         net = random_network(rng, 3, 2, 2)
         hw = net.hidden_weights.copy()
         ow = net.output_weights.copy()
-        backprop_step(net, rng.uniform(0, 1, 3), np.array([1.0, 0.0]), 0.0)
+        one_step(net, rng.uniform(0, 1, 3), np.array([1.0, 0.0]), 0.0)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
 
@@ -221,15 +234,14 @@ class TestBackpropStep:
             x = rng.uniform(0, 1, 4)
             d = np.eye(2)[int(rng.integers(0, 2))]
             before = pattern_xi(net, x, d)
-            backprop_step(net, x, d, 1e-4)
+            one_step(net, x, d, 1e-4)
             assert pattern_xi(net, x, d) < before
 
     def test_target_arity_checked(self, each_backend):
         net = init_network(3, 2, 1.0, np.random.default_rng(0))
         for _ in each_backend:
             with pytest.raises(ArityMismatchError):
-                backprop_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]),
-                              0.7)
+                one_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]), 0.7)
 
 
 class TestTrainEpoch:
@@ -238,23 +250,20 @@ class TestTrainEpoch:
         x = rng.uniform(0, 1, 3)
         d = np.array([0.0, 1.0])
         a = random_network(rng, 3, 2, 2)
-        b = a.copy()
+        hw, ow = python_steps(a, [x], [d], [0], 0.7)
         train_epoch(a, one_row(x, d), 0.7, [0])
-        backprop_step(b, x, d, 0.7)
-        assert np.array_equal(a.hidden_weights, b.hidden_weights)
-        assert np.array_equal(a.output_weights, b.output_weights)
+        assert np.array_equal(a.hidden_weights, hw)
+        assert np.array_equal(a.output_weights, ow)
 
     def test_epoch_equals_sequential_steps(self):
         rng = np.random.default_rng(9)
         part = Partition(rng.uniform(0, 1, (6, 3)), np.eye(2)[np.arange(6) % 2])
         a = random_network(rng, 3, 2, 2)
-        b = a.copy()
         order = [3, 0, 5, 1, 4, 2]
+        hw, ow = python_steps(a, part.X, part.T, order, 0.7)
         train_epoch(a, part, 0.7, order)
-        for i in order:
-            backprop_step(b, part.X[i], part.T[i], 0.7)
-        assert np.array_equal(a.hidden_weights, b.hidden_weights)
-        assert np.array_equal(a.output_weights, b.output_weights)
+        assert np.array_equal(a.hidden_weights, hw)
+        assert np.array_equal(a.output_weights, ow)
 
     @pytest.mark.parametrize("order", [
         [0, 0, 2], [0, 1], [1, 2, 3], [0.0, 1.0, 2.0], [[0, 1, 2]],
