@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import load_dataset, load_raw_csv
+from .dataset import load_dataset, load_raw_csv, numbered_lines
 from .errors import ConfigError, GrowbpError
 from .profiles import (
     BUNDLED,
@@ -202,14 +202,13 @@ def _json_line(record, selected, stop_reason, seed=None):
 def parse_table_csv(text):
     """Rebuild a GrowthHistory from :func:`render_table` CSV output.
 
-    A row with the wrong number of cells or a non-numeric cell raises
-    :class:`ConfigError` naming its line.
+    A row with the wrong number of cells or a non-numeric or non-finite
+    cell raises :class:`ConfigError` naming its line.
     """
     records = []
     stop_reason = None
     types = [f.type for f in dataclasses.fields(PhaseRecord)] + [int]
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
+    lines = numbered_lines(text)
     if not lines or lines[0][1] != _CSV_HEADER:
         raise ConfigError("not a growth-table CSV")
     for line_no, ln in lines[1:]:
@@ -224,9 +223,9 @@ def parse_table_csv(text):
                               f"{len(types)} cells, got {len(cells)}")
         try:
             *values, _best = [t(cell) for t, cell in zip(types, cells)]
-        except ValueError as exc:
+            records.append(PhaseRecord(*values))
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-        records.append(PhaseRecord(*values))
     if stop_reason is None:
         raise ConfigError("growth-table CSV lacks a stop_reason line")
     return GrowthHistory(tuple(records), stop_reason)
@@ -437,16 +436,12 @@ def _jsonl_row(ln):
             or type(obj.pop("selected")) is not bool):
         raise ConfigError("seed must be an integer, stop_reason a string "
                           "and selected a boolean")
-    record = PhaseRecord(**obj)
-    check_fields(record)
-    return seed, stop_reason, record
+    return seed, stop_reason, PhaseRecord(**obj)
 
 
 def _histories_from_jsonl(text):
     by_seed = {}
-    for line_no, ln in enumerate(text.splitlines(), 1):
-        if not ln.strip():
-            continue
+    for line_no, ln in numbered_lines(text):
         try:
             seed, stop_reason, record = _jsonl_row(ln)
         except ConfigError as exc:

@@ -238,18 +238,21 @@ def _split(header, X, T):
     )
 
 
+def numbered_lines(text):
+    """The non-blank lines of ``text``, stripped, as ``(line_no, line)``."""
+    return [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()]
+
+
 def parse_dataset(text):
     """Parse the full text of a ``.dt`` file into a SplitDataset."""
     header_lines = []
     body = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not body and "=" in stripped:
-            header_lines.append(stripped)
+    for row in numbered_lines(text):
+        if not body and "=" in row[1]:
+            header_lines.append(row[1])
         else:
-            body.append((line_no, stripped))
+            body.append(row)
     header = parse_header(header_lines)
     if len(body) != header.total:
         raise CountMismatchError(
@@ -364,11 +367,11 @@ def load_raw_csv(path, manifest_path=None):
 
 
 def _raw_csv_dataset(text, counts):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = numbered_lines(text)
     if not lines:
         raise CountMismatchError("CSV file has no rows")
     n_targets = counts["target_columns"]
-    n_inputs = len(lines[0].split(",")) - n_targets
+    n_inputs = len(lines[0][1].split(",")) - n_targets
     if n_inputs < 1:
         raise MalformedValueError("CSV must have at least one feature column")
 
@@ -384,8 +387,7 @@ def _raw_csv_dataset(text, counts):
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"
         )
-    rows = list(enumerate(body, start=2))
-    matrix = _matrix(rows, ",", n_inputs, n_inputs + n_targets)
+    matrix = _matrix(body, ",", n_inputs, n_inputs + n_targets)
     raw = matrix[:, :n_inputs]
     features = normalize_raw(raw, raw[:header.n_train])
     return _split(header, features, matrix[:, n_inputs:])

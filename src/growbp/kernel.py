@@ -46,13 +46,12 @@ instead; :data:`BACKEND` says which one is in use, ``"c"`` or
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
 (:func:`logistic`, :func:`layer`, :func:`update`, then :func:`step` for
-the body of ``growbp_epoch`` and :func:`forward` for one pattern), with
-plain loops over lists of weight rows in the same order.  It is much
-slower, and serves as the fallback and as the reference the
-tests compare the C code against.  Its batch forward,
-:func:`batch_activations`, accumulates one input at a time with numpy in
-the same order and maps :func:`logistic` over the sums, and the fallback
-error pass adds one output column of squares at a time.
+the body of ``growbp_epoch`` and :func:`forward` for the body of
+``growbp_forward``), with plain loops over lists of weight rows in the
+same order.  It is much slower, and serves as the fallback and as the
+reference the tests compare the C code against.  The fallback evaluates
+a matrix of inputs by running :func:`forward` on each row, and its error
+pass adds one output column of squares at a time.
 """
 
 import ctypes
@@ -118,8 +117,7 @@ def step(hw, ow, x, d, eta):
     Updates the rows of ``hw`` and ``ow`` in place by -eta times the
     gradient of the pattern's half squared error.
     """
-    hidden = layer(hw, x)
-    y = layer(ow, hidden)
+    hidden, y = forward(hw, ow, x)
     e = [(dk - yk) * yk * (1.0 - yk) for dk, yk in zip(d, y)]
     # The hidden deltas use the output weights before this step.
     g = []
@@ -130,22 +128,6 @@ def step(hw, ow, x, d, eta):
         g.append(s * hj * (1.0 - hj))
     update(ow, hidden, e, eta)
     update(hw, x, g, eta)
-
-
-def batch_activations(A, W):
-    """Logistic activations of the units whose weight rows are ``W``.
-
-    ``A`` holds one input per row and one pattern per column, and ``W``
-    has ``len(A) + 1`` columns, bias last.  The result holds one unit per
-    row and one pattern per column.  The sums run over the rows of ``A``
-    in the kernel's order, so each column equals :func:`forward` bitwise.
-    """
-    acc = W[:, :1] * A[0]
-    for i in range(1, len(A)):
-        acc += W[:, i:i + 1] * A[i]
-    acc += W[:, -1:]
-    return np.fromiter(map(logistic, acc.ravel().tolist()), np.float64,
-                       acc.size).reshape(acc.shape)
 
 
 def _cache_dir():
@@ -259,16 +241,15 @@ def train_epoch(net, train, eta, order):
     order = np.asarray(order)
     if order.dtype.kind not in "iu" or order.shape != (len(train),):
         raise ValueError(_NOT_A_PERMUTATION)
-    hw, ow = net.hidden_weights, net.output_weights
     if _lib is None:
         if not np.array_equal(np.sort(order), np.arange(len(train))):
             raise ValueError(_NOT_A_PERMUTATION)
-        hw_l, ow_l = hw.tolist(), ow.tolist()
+        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
         X, T, eta = train.X.tolist(), train.T.tolist(), float(eta)
         for i in order.tolist():
-            step(hw_l, ow_l, X[i], T[i], eta)
-        hw[...] = hw_l
-        ow[...] = ow_l
+            step(hw, ow, X[i], T[i], eta)
+        net.hidden_weights[...] = hw
+        net.output_weights[...] = ow
         return net
     order = np.ascontiguousarray(order, dtype=np.int64)
     status = _lib.growbp_epoch(
@@ -292,12 +273,10 @@ def forward_outputs(net, X):
         raise ArityMismatchError(
             f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
         )
-    hw, ow = net.hidden_weights, net.output_weights
     if _lib is None:
-        # One contiguous row per input, so every step of the sums runs
-        # over a long row of patterns.
-        hidden = batch_activations(np.ascontiguousarray(X.T), hw)
-        return np.ascontiguousarray(batch_activations(hidden, ow).T)
+        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+        return np.array([forward(hw, ow, x)[1] for x in X.tolist()],
+                        np.float64).reshape(len(X), net.n_outputs)
     Y = np.empty((len(X), net.n_outputs))
     if _lib.growbp_forward(*net.addresses, X.ctypes.data, Y.ctypes.data,
                            len(X), net.n_inputs, net.h, net.n_outputs) == 2:

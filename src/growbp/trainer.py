@@ -115,7 +115,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """One growth-table row: counts, efficiencies and errors at some h."""
+    """One growth-table row: counts, efficiencies and errors at some h,
+    each a finite number of its field's type, else :class:`ConfigError`."""
 
     h: int
     epochs_cumulative: int
@@ -128,6 +129,12 @@ class PhaseRecord:
     test_classified: int
     test_eff: float
     overall_eff: float
+
+    def __post_init__(self):
+        check_fields(self)
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
     error seen (the starting weights while no epoch's error is below
     infinity) and ends the phase once ``cfg.patience`` consecutive
     epochs pass without improvement.  The input network is not mutated,
-    and the returned one shares no memory with it.
+    and the returned one shares no memory with it.  A phase whose
+    training makes a weight non-finite raises ``MalformedValueError``.
 
     Returns ``(best_net, epochs_used, record)`` where ``record`` is
     computed from the returned snapshot and carries
@@ -216,9 +224,10 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
             bad += 1
             if bad >= cfg.patience:
                 break
-    # The snapshot is filled in place, past the constructor's checks, so
-    # building it again checks that the weights it kept are finite.
-    best_net = Network(best_net.hidden_weights, best_net.output_weights)
+    # Training updates the weights in place, past the constructor's checks.
+    # A non-finite weight never turns finite again, so checking the last
+    # epoch's weights covers every snapshot taken before them too.
+    Network(work.hidden_weights, work.output_weights)
     record = _phase_record(best_net, data, epochs_before + epochs_used)
     return best_net, epochs_used, record
 

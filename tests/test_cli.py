@@ -704,6 +704,14 @@ BAD_INPUTS = {
     "render-csv-not-numeric": write_render_input(
         CSV_HEADER + "1,5,3,x,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
         "# stop_reason=accepted\n"),
+    "render-csv-nan": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,nan,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n"),
+    "render-csv-inf": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,inf,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n"),
+    "render-jsonl-infinity": write_render_input(
+        json.dumps({**JSON_ROW, "valid_mse": math.inf}) + "\n"),
     "render-jsonl-no-stop-reason": write_render_input(
         json_row_without("stop_reason")),
     "render-jsonl-no-selected": write_render_input(

@@ -389,6 +389,16 @@ class TestBulkParse:
             load_raw_csv(tmp_path / "raw.csv")
         assert str(exc.value) == (f"{tmp_path / 'raw.csv'}: line 701: "
                                   "target components must be exactly 0 or 1")
+        # Blank lines are skipped but still counted, as in a .dt file.
+        (tmp_path / "raw.csv").write_text(
+            "a,b,t\n\n0.5,1,0\n0.5,x,1\n0.5,1,1\n")
+        (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(
+            {"training_examples": 1, "validation_examples": 1,
+             "test_examples": 1, "target_columns": 1}))
+        with pytest.raises(MalformedValueError) as exc:
+            load_raw_csv(tmp_path / "raw.csv")
+        assert str(exc.value) == (f"{tmp_path / 'raw.csv'}: line 4: "
+                                  "non-numeric value")
 
 
 class TestNormalizeRaw:

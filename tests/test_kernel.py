@@ -176,13 +176,16 @@ def test_zero_output_growth_keeps_batch_outputs(shape, seed):
 @pytest.mark.parametrize("s", [-800.0, -745.2, -709.79, -709.78, -36.5,
                                0.0, 36.5, 800.0, math.inf, -math.inf,
                                math.nan])
-def test_sigmoid_equals_expit(s):
-    # The hidden unit's net input is exactly 1.0 * s + 0.0 = s.
+def test_sigmoid_equals_expit(s, each_backend):
+    # The hidden unit's net input is exactly 1.0 * s + 0.0 = s, and so is
+    # the output unit's on the hidden activation.
     w = np.array([[1.0, 0.0]])
     hidden, _ = python_forward(Network(w, np.zeros((1, 2))), [s])
     assert bits(hidden) == bits([expit(s)])
-    batch = kernel_module.batch_activations(np.array([[s, -s]]), w)
-    assert bits(batch) == bits([[expit(s), expit(-s)]])
+    net = Network(w, w.copy())
+    for _ in each_backend:
+        Y = forward_outputs(net, [[s], [-s]])
+        assert bits(Y) == bits([[expit(expit(s))], [expit(expit(-s))]])
 
 
 def test_long_sums_keep_order():
@@ -250,21 +253,22 @@ def test_epoch_matches_python_steps(shape, scale, seed, rows, eta, data):
 
 
 @given(shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
-                                              infinite):
+@settings(per_example, max_examples=150)
+def test_batch_forward_matches_python_forward(each_backend, shape, scale,
+                                              seed, rows, infinite):
     rng = np.random.default_rng(seed)
     hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
     net = Network(hw, ow)
     if infinite:  # a Network is built finite; training can make it not
         net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
         net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
-    Y = forward_outputs(net, X)
-    assert Y.shape == (rows, shape[2])
-    for i in range(rows):
-        assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
-            net.hidden_weights.tolist(), net.output_weights.tolist(),
-            X[i].tolist())[1])
+    for _ in each_backend:
+        Y = forward_outputs(net, X)
+        assert Y.shape == (rows, shape[2])
+        for i in range(rows):
+            assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
+                net.hidden_weights.tolist(), net.output_weights.tolist(),
+                X[i].tolist())[1])
 
 
 def ref_pattern_error(net, x, d):
@@ -417,6 +421,16 @@ def test_compiled_library_exports_only_prefixed_names():
     process = ctypes.CDLL(None)
     for name in ("epoch", "forward", "error", "layer", "logistic"):
         assert _address(lib, name) == _address(process, name), name
+
+
+def test_build_flags_keep_the_order_contract():
+    # No fused multiply-adds, and nothing that lets the compiler reorder
+    # the arithmetic or tune it to the building machine.
+    flags = kernel_module._COMPILE
+    assert "-ffp-contract=off" in flags
+    for unsafe in ("-ffast-math", "-fassociative-math",
+                   "-funsafe-math-optimizations", "-march=native"):
+        assert unsafe not in flags
 
 
 def test_compiled_whenever_gcc_is_found():

@@ -426,6 +426,21 @@ class TestPhaseAgainstReference:
                            match="weights must be finite"):
             train_phase(net, blob_dataset, cfg)
 
+    def test_non_finite_weights_with_nan_validation_error_are_rejected(
+            self, each_backend):
+        # The first epoch makes a hidden weight infinite, so the
+        # validation error is NaN and never improves on the start.
+        data = SplitDataset(DatasetHeader(1, 1, 1, 1, 1),
+                            Partition([[1e300]], [[0.0]]),
+                            Partition([[0.0]], [[1.0]]),
+                            Partition([[0.0]], [[1.0]]))
+        net = Network(np.full((1, 2), 1e-300), np.ones((1, 2)))
+        cfg = TrainConfig(eta=1e300, patience=2)
+        for _ in each_backend:
+            with pytest.raises(MalformedValueError,
+                               match="weights must be finite"):
+                train_phase(net, data, cfg)
+
 
 class TestConstructiveTrain:
     def test_vacuous_targets_accept_first_phase(self, blob_dataset):
