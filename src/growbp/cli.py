@@ -199,13 +199,26 @@ def _json_line(record, selected, stop_reason, seed=None):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _history(stop_reason, rows):
+    """The GrowthHistory of ``(line_no, flag, record)`` rows, whose flags
+    must mark just the phase that ``selected_index()`` picks."""
+    history = GrowthHistory(tuple(rec for _, _, rec in rows), stop_reason)
+    selected = history.selected_index()
+    for i, (line_no, flag, _) in enumerate(rows):
+        if flag != (i == selected):
+            raise ConfigError(f"line {line_no}: flagged {int(flag)}, but "
+                              f"h={history.phases[selected].h} is selected")
+    return history
+
+
 def parse_table_csv(text):
     """Rebuild a GrowthHistory from :func:`render_table` CSV output.
 
-    A row with the wrong number of cells or a non-numeric or non-finite
-    cell raises :class:`ConfigError` naming its line.
+    A row with the wrong number of cells, a non-numeric or non-finite cell
+    or a ``best`` flag that is not 1 on the selected phase and 0 elsewhere,
+    or a second stop_reason line, raises :class:`ConfigError` naming its line.
     """
-    records = []
+    rows = []
     stop_reason = None
     types = [f.type for f in dataclasses.fields(PhaseRecord)] + [int]
     lines = numbered_lines(text)
@@ -214,6 +227,8 @@ def parse_table_csv(text):
     for line_no, ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln.lstrip("# ").partition("=")
+            if key == "stop_reason" and stop_reason is not None:
+                raise ConfigError(f"line {line_no}: a second stop_reason")
             if key == "stop_reason":
                 stop_reason = value
             continue
@@ -222,13 +237,15 @@ def parse_table_csv(text):
             raise ConfigError(f"line {line_no}: expected "
                               f"{len(types)} cells, got {len(cells)}")
         try:
-            *values, _best = [t(cell) for t, cell in zip(types, cells)]
-            records.append(PhaseRecord(*values))
+            *values, best = [t(cell) for t, cell in zip(types, cells)]
+            if best not in (0, 1):
+                raise ConfigError(f"best must be 0 or 1, got {best}")
+            rows.append((line_no, best == 1, PhaseRecord(*values)))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-    if stop_reason is None:
-        raise ConfigError("growth-table CSV lacks a stop_reason line")
-    return GrowthHistory(tuple(records), stop_reason)
+    if stop_reason is None or not rows:
+        raise ConfigError("growth-table CSV lacks phase rows or stop_reason")
+    return _history(stop_reason, rows)
 
 
 def _write(path, text):
@@ -238,9 +255,9 @@ def _write(path, text):
 
 def _summary_lines(chosen):
     """``summary.csv``'s lines over ``(seed, history, selected record)``
-    entries, and the entry with the highest test efficiency (the first
-    on ties)."""
-    best = max(chosen, key=lambda entry: entry[2].test_eff)
+    entries, and the entry with the highest test efficiency (the lowest
+    seed on ties)."""
+    best = max(chosen, key=lambda entry: (entry[2].test_eff, -entry[0]))
     lines = ["seed,stop_reason,h,epochs,test_eff,overall_eff,best"]
     for seed, history, rec in chosen:
         lines.append(",".join([
@@ -373,8 +390,7 @@ def build_experiment_config(args):
 
 
 def cmd_train(args):
-    cfg = build_experiment_config(args)
-    return run_experiment(cfg)
+    return run_experiment(build_experiment_config(args))
 
 
 def cmd_inspect(args):
@@ -419,7 +435,7 @@ def cmd_render(args):
 
 
 def _jsonl_row(ln):
-    """``(seed, stop_reason, PhaseRecord)`` of one ``histories.jsonl`` line."""
+    """``(seed, stop_reason, selected, record)`` of a JSON line."""
     try:
         obj = json.loads(ln)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -432,28 +448,30 @@ def _jsonl_row(ln):
         raise ConfigError(f"missing or unknown keys: {', '.join(wrong)}")
     seed = obj.pop("seed", None)
     stop_reason = obj.pop("stop_reason")
+    selected = obj.pop("selected")
     if (type(seed) not in (int, type(None)) or type(stop_reason) is not str
-            or type(obj.pop("selected")) is not bool):
+            or type(selected) is not bool):
         raise ConfigError("seed must be an integer, stop_reason a string "
                           "and selected a boolean")
-    return seed, stop_reason, PhaseRecord(**obj)
+    return seed, stop_reason, selected, PhaseRecord(**obj)
 
 
 def _histories_from_jsonl(text):
     by_seed = {}
     for line_no, ln in numbered_lines(text):
         try:
-            seed, stop_reason, record = _jsonl_row(ln)
+            seed, stop_reason, selected, record = _jsonl_row(ln)
+            first, rows = by_seed.setdefault(seed, (stop_reason, []))
+            if stop_reason != first:
+                raise ConfigError(f"stop_reason {stop_reason!r}, but "
+                                  f"{first!r} on this seed's first row")
         except ConfigError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-        by_seed.setdefault(seed, []).append((stop_reason, record))
+        rows.append((line_no, selected, record))
     if not by_seed:
         raise ConfigError("no result rows")
-    return [
-        (seed, GrowthHistory(tuple(r for _, r in rows), rows[-1][0]))
-        for seed, rows in sorted(by_seed.items(),
-                                 key=lambda item: (item[0] is None, item[0]))
-    ]
+    return [(seed, _history(*entry)) for seed, entry in sorted(
+        by_seed.items(), key=lambda item: (item[0] is None, item[0]))]
 
 
 def build_parser():

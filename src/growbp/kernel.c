@@ -12,7 +12,8 @@
  * Only growbp_epoch, growbp_forward and growbp_error are exported, each
  * with the package's prefix: an unprefixed name such as error would
  * share glibc's error(3), and a call from inside the library could bind
- * to that one.  The helpers are static.
+ * to that one.  The helpers are static.  Nothing here checks its input:
+ * the Python entry points do, and draw a shuffled epoch's order themselves.
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
@@ -54,26 +55,13 @@ static void update(double *w, int64_t units, const double *a, int64_t len,
     }
 }
 
-/* One online pass over the patterns in the given order, updating hw and
- * ow in place.  Returns 0, 1 when order is not a permutation of 0..n-1
- * (the weights are then untouched), or 2 when memory runs out. */
+/* One online pass over the patterns, updating hw and ow in place: in
+ * file order when order is NULL, else in the order of the permutation
+ * of 0..n-1 it holds.  Returns 0, or 2 when memory runs out. */
 int64_t growbp_epoch(double *hw, double *ow, const double *X,
                      const double *T, const int64_t *order, int64_t n,
                      int64_t n_in, int64_t h, int64_t n_out, double eta)
 {
-    unsigned char *seen = calloc((size_t)n + 1, 1);
-    if (seen == NULL)
-        return 2;
-    for (int64_t p = 0; p < n; p++) {
-        int64_t i = order[p];
-        if (i < 0 || i >= n || seen[i]) {
-            free(seen);
-            return 1;
-        }
-        seen[i] = 1;
-    }
-    free(seen);
-
     double *hidden = malloc((size_t)(2 * h + 2 * n_out) * sizeof(double));
     if (hidden == NULL)
         return 2;
@@ -81,8 +69,9 @@ int64_t growbp_epoch(double *hw, double *ow, const double *X,
     double *y = g + h;
     double *e = y + n_out;
     for (int64_t p = 0; p < n; p++) {
-        const double *x = X + order[p] * n_in;
-        const double *d = T + order[p] * n_out;
+        int64_t i = order == NULL ? p : order[p];
+        const double *x = X + i * n_in;
+        const double *d = T + i * n_out;
         layer(hw, h, x, n_in, hidden);
         layer(ow, n_out, hidden, h, y);
         for (int64_t k = 0; k < n_out; k++)

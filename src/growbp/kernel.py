@@ -1,22 +1,20 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
 backprop step, the epoch, the batch forward pass and the per-pattern error.
 
-The package enters through three functions: :func:`train_epoch`,
-:func:`forward_outputs` and :func:`pattern_errors`.  Each checks its
-arguments once, then runs the compiled or the Python kernel on the
-C-contiguous float64 arrays that a ``Network`` and a ``Partition`` hold.
-Whether a partition fits a network is decided by :func:`check_fit` alone,
-which ``train_epoch``, ``pattern_errors`` and ``growbp.metrics.efficiency``
-call.
-Both read their arrays' data addresses once, when they are made, and
-the entry points pass those to C; only the training order and the
-result arrays are looked up per call.  So that the addresses stay valid,
-the arrays of a ``Network`` or a ``Partition`` cannot be resized: numpy
-raises ``ValueError``.
+The package enters through :func:`train_epoch`, :func:`forward_outputs`
+and :func:`pattern_errors`.  Each checks its arguments once, then runs the
+compiled or the Python kernel on the C-contiguous float64 arrays that a
+``Network`` and a ``Partition`` hold; :func:`check_fit`, which
+``growbp.metrics.efficiency`` calls too, alone decides whether a partition
+fits a network.  ``kernel.c`` checks none of its input: it gets checked
+arrays, and a shuffled epoch's permutation that ``train_epoch`` draws
+itself.  Both classes read their arrays' addresses once, when made, and
+per call only that permutation and the results are looked up; to keep
+the addresses valid, their arrays cannot be resized (``ValueError``).
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine and any
-BLAS build:
+BLAS build, given the same libm ``exp``:
 
 - a unit's net input is summed left to right over its weight row, inputs
   first and the bias (against a constant 1.0 input) last;
@@ -212,9 +210,6 @@ _lib = _load()
 BACKEND = "python" if _lib is None else "c"
 
 
-_NOT_A_PERMUTATION = "order must be a permutation of the train indices"
-
-
 def check_fit(net, part, what):
     """Reject a partition that is empty or whose widths are not the net's.
 
@@ -230,34 +225,28 @@ def check_fit(net, part, what):
         )
 
 
-def train_epoch(net, train, eta, order):
-    """One pass of online updates over ``train`` in the given order.
-
-    ``order`` is an integer permutation of the partition's row indices.
-    Every step updates the network's weight arrays in place; a rejected
-    ``order`` leaves them untouched.  Returns the network.
-    """
+def train_epoch(net, train, eta, rng=None):
+    """One online pass over ``train``, updating the net's weights in place:
+    in file order, or with a numpy Generator ``rng`` in the order of one
+    ``rng.permutation(len(train))``, which the kernel trusts, so nothing
+    else is taken for ``rng``.  Returns the network."""
     check_fit(net, train, "training")
-    order = np.asarray(order)
-    if order.dtype.kind not in "iu" or order.shape != (len(train),):
-        raise ValueError(_NOT_A_PERMUTATION)
+    if not (rng is None or type(rng) is np.random.Generator):
+        raise TypeError(f"rng must be None or a numpy Generator, got {rng!r}")
+    order = None if rng is None else np.ascontiguousarray(
+        rng.permutation(len(train)), dtype=np.int64)
     if _lib is None:
-        if not np.array_equal(np.sort(order), np.arange(len(train))):
-            raise ValueError(_NOT_A_PERMUTATION)
         hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
         X, T, eta = train.X.tolist(), train.T.tolist(), float(eta)
-        for i in order.tolist():
+        for i in range(len(X)) if order is None else order.tolist():
             step(hw, ow, X[i], T[i], eta)
         net.hidden_weights[...] = hw
         net.output_weights[...] = ow
         return net
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    status = _lib.growbp_epoch(
-        *net.addresses, *train.addresses, order.ctypes.data, len(train),
-        net.n_inputs, net.h, net.n_outputs, float(eta))
-    if status == 1:
-        raise ValueError(_NOT_A_PERMUTATION)
-    if status == 2:
+    if _lib.growbp_epoch(
+            *net.addresses, *train.addresses,
+            None if order is None else order.ctypes.data, len(train),
+            net.n_inputs, net.h, net.n_outputs, float(eta)) == 2:
         raise MemoryError("kernel epoch")
     return net
 

@@ -122,17 +122,12 @@ def add_hidden_unit(net, init_range, rng, zero_output=False):
 
 def format_network(net):
     """Serialize a network to plain text with repr (round-trip) precision."""
-    lines = [
-        f"n_inputs {net.n_inputs}",
-        f"h {net.h}",
-        f"n_outputs {net.n_outputs}",
-        "hidden_weights",
-    ]
-    for row in net.hidden_weights:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append("output_weights")
-    for row in net.output_weights:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines = [f"n_inputs {net.n_inputs}", f"h {net.h}",
+             f"n_outputs {net.n_outputs}"]
+    for name in ("hidden_weights", "output_weights"):
+        lines.append(name)
+        lines += [" ".join(map(repr, row))
+                  for row in getattr(net, name).tolist()]
     return "\n".join(lines) + "\n"
 
 

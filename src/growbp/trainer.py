@@ -153,11 +153,8 @@ class GrowthHistory:
         """
         if self.stop_reason == STOP_ACCEPTED:
             return len(self.phases) - 1
-        best = 0
-        for i, rec in enumerate(self.phases):
-            if rec.overall_eff > self.phases[best].overall_eff:
-                best = i
-        return best
+        return max(range(len(self.phases)), default=0,
+                   key=lambda i: (self.phases[i].overall_eff, -i))
 
 
 def average_error(net, part):
@@ -205,14 +202,11 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
         rng = np.random.default_rng(cfg.seed)
     work = net.copy()
     best_net = work.copy()
-    n_train = len(data.train)
-    identity = np.arange(n_train)
     best_err = math.inf
     bad = 0
     epochs_used = 0
     for _ in range(cfg.epochs_per_phase):
-        order = rng.permutation(n_train) if cfg.shuffle else identity
-        train_epoch(work, data.train, cfg.eta, order)
+        train_epoch(work, data.train, cfg.eta, rng if cfg.shuffle else None)
         epochs_used += 1
         err = average_error(work, data.valid)
         if err < best_err:

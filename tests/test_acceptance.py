@@ -158,7 +158,7 @@ def test_5_gradient_oracle(report):
         d = rng.integers(0, 2, n_out).astype(np.float64)
         grads = central_difference_gradient(net, x, d)
         before = (net.hidden_weights.copy(), net.output_weights.copy())
-        train_epoch(net, Partition([x], [d]), eta, [0])
+        train_epoch(net, Partition([x], [d]), eta)
         after = (net.hidden_weights, net.output_weights)
         for b, a, g in zip(before, after, grads):
             taken = (a - b) / eta

@@ -180,6 +180,11 @@ class TestRenderTable:
         with pytest.raises(ConfigError):
             parse_table_csv("a,b,c\n1,2,3\n")
 
+    def test_rejects_a_table_without_phase_rows(self):
+        # No row can carry the one selection flag a history needs.
+        with pytest.raises(ConfigError, match="lacks phase rows"):
+            parse_table_csv(CSV_HEADER + "# stop_reason=accepted\n")
+
 
 class TestRunExperiment:
     def test_writes_expected_files_and_accepts(self, blob_dataset, tmp_path):
@@ -375,6 +380,19 @@ class TestMain:
         assert "best of sweep" in capsys.readouterr().out
         assert main(["render", str(outdir / "seed_0.csv")]) == 0
         assert "**" in capsys.readouterr().out
+
+    def test_best_of_sweep_is_the_lowest_seed_on_ties(self, tmp_path,
+                                                       capsys):
+        # heart1 seeds 4 and 1 tie at 80% test efficiency; the sweep
+        # lists them in descending order.
+        outdir = tmp_path / "res"
+        assert main(["train", "heart1", "--seeds", "4,1",
+                     "--output", str(outdir)]) == 0
+        assert "best of sweep: seed 1 " in capsys.readouterr().out
+        rows = [ln.split(",") for ln in
+                (outdir / "summary.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[4], r[-1]) for r in rows] == [
+            ("4", "80.0", "0"), ("1", "80.0", "1")]
 
     def test_render_jsonl(self, blob_dataset, tmp_path, capsys):
         path = write_blob_file(blob_dataset, tmp_path)
@@ -710,6 +728,25 @@ BAD_INPUTS = {
     "render-csv-inf": write_render_input(
         CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,inf,1,25.0,60.0,1\n"
         "# stop_reason=accepted\n"),
+    "render-csv-best-7": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,7\n"
+        "# stop_reason=accepted\n"),
+    # Growth hit the cap, so the selected phase is the one at h=2, with
+    # the higher overall efficiency.
+    "render-csv-best-on-wrong-row": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "2,9,3,75.0,0.1,2,50.0,0.2,1,25.0,70.0,0\n"
+        "# stop_reason=h_max_reached\n"),
+    "render-csv-two-stop-reasons": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n# stop_reason=h_max_reached\n"),
+    "render-jsonl-all-selected": write_render_input("".join(
+        json.dumps({**JSON_ROW, "h": h, "stop_reason": "h_max_reached"})
+        + "\n" for h in (1, 2))),
+    "render-jsonl-stop-reasons-differ": write_render_input(
+        json.dumps({**JSON_ROW, "selected": False,
+                    "stop_reason": "h_max_reached"}) + "\n"
+        + json.dumps({**JSON_ROW, "h": 2}) + "\n"),
     "render-jsonl-infinity": write_render_input(
         json.dumps({**JSON_ROW, "valid_mse": math.inf}) + "\n"),
     "render-jsonl-no-stop-reason": write_render_input(

@@ -277,8 +277,8 @@ class TestNetworkValidation:
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
         part = Partition(rng.uniform(0, 1, (4, 3)), np.eye(2)[[0, 1, 1, 0]])
-        train_epoch(net, part, 0.7, np.arange(4))
-        train_epoch(c_net, part, 0.7, np.arange(4))
+        train_epoch(net, part, 0.7)
+        train_epoch(c_net, part, 0.7)
         assert net.hidden_weights.tobytes() == c_net.hidden_weights.tobytes()
         assert net.output_weights.tobytes() == c_net.output_weights.tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
