@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import load_dataset, load_raw_csv, numbered_lines
+from .dataset import (json_object, load_dataset, load_raw_csv, naming,
+                      numbered_lines, read_text, write_text)
 from .errors import ConfigError, GrowbpError
 from .profiles import (
     BUNDLED,
@@ -199,10 +200,15 @@ def _json_line(record, selected, stop_reason, seed=None):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _history(stop_reason, rows):
+def _history(stop, rows):
     """The GrowthHistory of ``(line_no, flag, record)`` rows, whose flags
-    must mark just the phase that ``selected_index()`` picks."""
-    history = GrowthHistory(tuple(rec for _, _, rec in rows), stop_reason)
+    must mark just the phase that ``selected_index()`` picks, ended by the
+    ``(line_no, stop_reason)`` of ``stop``."""
+    line_no, stop_reason = stop
+    try:
+        history = GrowthHistory(tuple(rec for _, _, rec in rows), stop_reason)
+    except ConfigError as exc:
+        raise ConfigError(f"line {line_no}: {exc}") from None
     selected = history.selected_index()
     for i, (line_no, flag, _) in enumerate(rows):
         if flag != (i == selected):
@@ -216,10 +222,11 @@ def parse_table_csv(text):
 
     A row with the wrong number of cells, a non-numeric or non-finite cell
     or a ``best`` flag that is not 1 on the selected phase and 0 elsewhere,
-    or a second stop_reason line, raises :class:`ConfigError` naming its line.
+    or a second or unknown stop_reason, raises :class:`ConfigError` naming
+    its line.
     """
     rows = []
-    stop_reason = None
+    stop = None
     types = [f.type for f in dataclasses.fields(PhaseRecord)] + [int]
     lines = numbered_lines(text)
     if not lines or lines[0][1] != _CSV_HEADER:
@@ -227,10 +234,10 @@ def parse_table_csv(text):
     for line_no, ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln.lstrip("# ").partition("=")
-            if key == "stop_reason" and stop_reason is not None:
+            if key == "stop_reason" and stop is not None:
                 raise ConfigError(f"line {line_no}: a second stop_reason")
             if key == "stop_reason":
-                stop_reason = value
+                stop = (line_no, value)
             continue
         cells = ln.split(",")
         if len(cells) != len(types):
@@ -243,14 +250,9 @@ def parse_table_csv(text):
             rows.append((line_no, best == 1, PhaseRecord(*values)))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-    if stop_reason is None or not rows:
+    if stop is None or not rows:
         raise ConfigError("growth-table CSV lacks phase rows or stop_reason")
-    return _history(stop_reason, rows)
-
-
-def _write(path, text):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    return _history(stop, rows)
 
 
 def _summary_lines(chosen):
@@ -271,14 +273,15 @@ def _summary_lines(chosen):
 
 def _flush_results(cfg, outdir, chosen):
     if cfg.output_format == "json-lines":
-        _write(outdir / "histories.jsonl", "".join(
+        write_text(outdir / "histories.jsonl", "".join(
             render_table(history, "json-lines", seed)
             for seed, history, _ in chosen))
     else:
         for seed, history, _ in chosen:
-            _write(outdir / f"seed_{seed}.csv", render_table(history, "csv"))
+            write_text(outdir / f"seed_{seed}.csv",
+                       render_table(history, "csv"))
     lines, best = _summary_lines(chosen)
-    _write(outdir / "summary.csv", "\n".join(lines) + "\n")
+    write_text(outdir / "summary.csv", "\n".join(lines) + "\n")
     return best
 
 
@@ -295,8 +298,8 @@ def run_experiment(cfg, log=print):
     data = load_any(cfg)
     outdir = Path(cfg.output_path)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write(outdir / "config.json",
-           json.dumps(config_record(cfg), sort_keys=True, indent=2) + "\n")
+    write_text(outdir / "config.json",
+               json.dumps(config_record(cfg), sort_keys=True, indent=2) + "\n")
 
     def run_seed(seed):
         history = constructive_train(data, cfg.train_config(seed))[1]
@@ -348,19 +351,14 @@ def parse_seeds(text):
 
 
 def _load_config_file(path):
-    try:
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"bad config file {path}: {exc}") from None
-    if not isinstance(entries, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)
              + TRAIN_OPTIONS if f.name != "train"}
-    unknown = set(entries) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
+    with naming(path):
+        entries = json_object(read_text(path, "utf-8", ConfigError),
+                              ConfigError)
+        unknown = set(entries) - known
+        if unknown:
+            raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
     return entries
 
 
@@ -416,14 +414,12 @@ def cmd_inspect(args):
 
 
 def cmd_render(args):
-    try:
-        text = Path(args.results).read_text(encoding="ascii")
+    with naming(args.results):
+        text = read_text(args.results, error=ConfigError)
         if text.startswith(_CSV_HEADER):
             histories = [(None, parse_table_csv(text))]
         else:
             histories = _histories_from_jsonl(text)
-    except (UnicodeDecodeError, ConfigError) as exc:
-        raise ConfigError(f"{args.results}: {exc}") from None
     out = []
     for seed, history in histories:
         if seed is not None and args.format != "json-lines":
@@ -436,12 +432,7 @@ def cmd_render(args):
 
 def _jsonl_row(ln):
     """``(seed, stop_reason, selected, record)`` of a JSON line."""
-    try:
-        obj = json.loads(ln)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"not JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("not a JSON object")
+    obj = json_object(ln, ConfigError)
     wrong = sorted((_JSONL_KEYS - set(obj)) | (set(obj) - _JSONL_KEYS
                                                 - {"seed"}))
     if wrong:
@@ -461,7 +452,8 @@ def _histories_from_jsonl(text):
     for line_no, ln in numbered_lines(text):
         try:
             seed, stop_reason, selected, record = _jsonl_row(ln)
-            first, rows = by_seed.setdefault(seed, (stop_reason, []))
+            (_, first), rows = by_seed.setdefault(
+                seed, ((line_no, stop_reason), []))
             if stop_reason != first:
                 raise ConfigError(f"stop_reason {stop_reason!r}, but "
                                   f"{first!r} on this seed's first row")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (
     CountMismatchError,
-    DatasetError,
     EmptyTrainingError,
+    GrowbpError,
     MalformedValueError,
     MissingKeyError,
     NonFiniteError,
@@ -129,8 +129,8 @@ class SplitDataset:
 
 
 def _count(key, value):
-    """A count given as ASCII digits or as a JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """A count given as ASCII digits or as a non-negative JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
         try:
@@ -265,33 +265,51 @@ def parse_dataset(text):
 
 @contextmanager
 def naming(path):
-    """Prefix ``path`` to a DatasetError raised inside, keeping its class."""
+    """Prefix ``path`` to a GrowbpError raised inside, keeping its class.
+
+    Each of growbp's loaders parses its file inside it, so a fault in any
+    input file names that file, and the line where the message has one.
+    """
     try:
         yield
-    except DatasetError as exc:
+    except GrowbpError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def read_ascii(path):
-    """The text of ``path``; a non-ASCII byte is a MalformedValueError."""
+def read_text(path, encoding="ascii", error=MalformedValueError):
+    """The text of ``path``; a byte that does not decode is an ``error``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("ascii")
+        return data.decode(encoding)
     except UnicodeDecodeError as exc:
-        raise MalformedValueError(
-            f"non-ASCII byte at offset {exc.start}"
-        ) from None
+        raise error(f"non-{encoding.upper()} byte at offset "
+                    f"{exc.start}") from None
+
+
+def json_object(text, error=MalformedValueError):
+    """The dict a JSON text holds; anything else, an integer too long for
+    ``int`` included, is an ``error``."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error("not a JSON object")
+    return obj
+
+
+def write_text(path, text):
+    """Write ``text``, which must be ASCII, to ``path``."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def load_dataset(path):
-    """Read a Proben1-style ``.dt`` file from disk.
-
-    A DatasetError names the file.
-    """
+    """Read a Proben1-style ``.dt`` file; a GrowbpError names the file."""
     with naming(path):
-        return parse_dataset(read_ascii(path))
+        return parse_dataset(read_text(path))
 
 
 def format_dataset(ds):
@@ -317,8 +335,7 @@ def format_dataset(ds):
 
 
 def save_dataset(ds, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_dataset(ds))
+    write_text(path, format_dataset(ds))
 
 
 def normalize_raw(features, stats_source):
@@ -340,30 +357,27 @@ def normalize_raw(features, stats_source):
     return np.where(span == 0.0, 0.0, scaled)
 
 
-def load_raw_csv(path, manifest_path=None):
+def load_raw_csv(path):
     """Ingest a raw CSV plus its split manifest into a SplitDataset.
 
     The CSV has a header row of column names; the last ``target_columns``
-    columns hold 0/1 targets.  The manifest (default ``<path>.manifest.json``)
+    columns hold 0/1 targets.  The manifest, ``<path>.manifest.json``,
     declares training_examples, validation_examples, test_examples and
     target_columns.  Features are min-max normalized with statistics from
     the training rows.  A DatasetError names the manifest or the CSV file.
     """
-    if manifest_path is None:
-        manifest_path = str(path) + ".manifest.json"
+    manifest_path = f"{path}.manifest.json"
     with naming(manifest_path):
-        try:
-            manifest = json.loads(read_ascii(manifest_path))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedValueError(f"not valid JSON: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise MalformedValueError("not a JSON object")
+        manifest = json_object(read_text(manifest_path))
         for key in MANIFEST_KEYS:
             if key not in manifest:
                 raise MissingKeyError(key, "manifest")
         counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
+        for key, count in counts.items():
+            if count < 1:
+                raise MalformedValueError(f"{key} must be strictly positive")
     with naming(path):
-        return _raw_csv_dataset(read_ascii(path), counts)
+        return _raw_csv_dataset(read_text(path), counts)
 
 
 def _raw_csv_dataset(text, counts):

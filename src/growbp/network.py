@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import naming, read_ascii
+from .dataset import naming, read_text, write_text
 from .errors import InvalidRangeError, MalformedValueError
 from .kernel import forward_outputs
 
@@ -159,11 +159,10 @@ def parse_network(text):
 
 
 def save_network(net, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_network(net))
+    write_text(path, format_network(net))
 
 
 def load_network(path):
     """Read a network file; a :class:`GrowbpError` names the file."""
     with naming(path):
-        return parse_network(read_ascii(path))
+        return parse_network(read_text(path))

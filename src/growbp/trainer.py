@@ -144,6 +144,11 @@ class GrowthHistory:
     phases: tuple
     stop_reason: str
 
+    def __post_init__(self):
+        if self.stop_reason not in (STOP_ACCEPTED, STOP_H_MAX):
+            raise ConfigError(f"stop_reason must be {STOP_ACCEPTED!r} or "
+                              f"{STOP_H_MAX!r}, got {self.stop_reason!r}")
+
     def selected_index(self):
         """Index of the phase whose snapshot the run returned.
 

@@ -523,6 +523,13 @@ def write_bad_input(case, blob_dataset, tmp_path):
         manifest = manifest.replace(', "target_columns": 1', "")
     elif case == "manifest-nested-deep":
         manifest = "[" * 100000
+    elif case == "manifest-count-negative":
+        manifest = manifest.replace("3", "-1")
+    elif case == "manifest-count-zero":
+        manifest = manifest.replace("3", "0")
+    elif case == "manifest-target-columns-zero":
+        manifest = manifest.replace('"target_columns": 1',
+                                    '"target_columns": 0')
     (tmp_path / "raw.csv.manifest.json").write_text(manifest)
     return csv_path, "raw-csv"
 
@@ -533,7 +540,8 @@ class TestBadInputExitsTwo:
         "non-ascii-dt", "non-ascii-csv", "manifest-not-json",
         "manifest-count-not-integer", "unicode-digit-header", "short-row",
         "missing-header-key", "manifest-no-target-columns",
-        "manifest-nested-deep",
+        "manifest-nested-deep", "manifest-count-negative",
+        "manifest-count-zero", "manifest-target-columns-zero",
     ])
     def test_no_traceback(self, case, command, blob_dataset, tmp_path,
                           capsys):
@@ -717,6 +725,8 @@ BAD_INPUTS = {
     "config-dataset-nul": write_config({"dataset_path": "a\0b"}, ()),
     "config-not-utf8": write_config_bytes(b'{"h_max": "\xff"}'),
     "config-nested-deep": write_config_bytes(b"[" * 100000),
+    "config-not-object": write_config([{"h_max": 3}]),
+    "config-unknown-key": write_config({"etaa": 1}),
     "render-csv-short-row": write_render_input(
         CSV_HEADER + "1,2,3\n# stop_reason=accepted\n"),
     "render-csv-not-numeric": write_render_input(
@@ -740,6 +750,11 @@ BAD_INPUTS = {
     "render-csv-two-stop-reasons": write_render_input(
         CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
         "# stop_reason=accepted\n# stop_reason=h_max_reached\n"),
+    "render-csv-stop-reason-unknown": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=banana\n"),
+    "render-jsonl-stop-reason-unknown": write_render_input(
+        json.dumps({**JSON_ROW, "stop_reason": "banana"}) + "\n"),
     "render-jsonl-all-selected": write_render_input("".join(
         json.dumps({**JSON_ROW, "h": h, "stop_reason": "h_max_reached"})
         + "\n" for h in (1, 2))),
@@ -760,6 +775,12 @@ BAD_INPUTS = {
 }
 
 
+# Faults of a config file itself, as opposed to values found bad only
+# after the file's entries are merged with presets and flags.
+CONFIG_FILE_FAULTS = ("config-not-utf8", "config-nested-deep",
+                      "config-not-object", "config-unknown-key")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
     out = tmp_path / "res"
@@ -772,6 +793,8 @@ def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
     assert not out.exists()
     if argv[0] == "render":
         assert f"{argv[1]}: line " in err
+    if case in CONFIG_FILE_FAULTS:
+        assert err.startswith(f"error: {tmp_path / 'c.json'}: ")
 
 
 def build_from_config(path):
@@ -804,6 +827,7 @@ LOADERS = {
 @given(data=st.binary(max_size=200))
 @example(data=b'{"h_max": "\xff"}')
 @example(data=b"[" * 100000)
+@example(data=b'{"h_max": ' + b"1" * 5000 + b"}")
 def test_any_bytes_give_a_value_or_growbp_error(kind, data):
     name, prefix, load = LOADERS[kind]
     with tempfile.TemporaryDirectory() as tmp:

@@ -473,6 +473,20 @@ def test_compiled_whenever_gcc_is_found():
     assert kernel_module.BACKEND == "c"
 
 
+def test_kernel_c_compiles_without_warnings(tmp_path):
+    # Stricter than kernel._COMPILE, which names the cached library and so
+    # stays as it is: here every warning is an error.
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    source = Path(kernel_module.__file__).with_name("kernel.c")
+    proc = subprocess.run(
+        ["gcc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+         "-O2", "-c", str(source), "-o", str(tmp_path / "kernel.o")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 SRC = Path(growbp.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 

@@ -562,3 +562,8 @@ class TestGrowthHistory:
             STOP_H_MAX,
         )
         assert hist.selected_index() == 0
+
+    @pytest.mark.parametrize("stop_reason", ["banana", "", None, 1])
+    def test_unknown_stop_reason(self, stop_reason):
+        with pytest.raises(ConfigError, match="stop_reason must be"):
+            GrowthHistory((self.make_record(1, 90.0),), stop_reason)
