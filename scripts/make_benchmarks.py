@@ -34,8 +34,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from growbp.dataset import (  # noqa: E402
     DatasetHeader,
-    Partition,
-    SplitDataset,
+    _split,
+    normalize_raw,
     save_dataset,
 )
 
@@ -116,17 +116,10 @@ def read_diabetes():
     return np.array(X), np.array(T), (384, 192, 192)
 
 
-def to_unit_interval(X):
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return (X - lo) / span
-
-
 def emit(name, X, T, split):
     n_train, n_valid, n_test = split
     assert len(X) == sum(split)
-    X = to_unit_interval(X)
+    X = normalize_raw(X, X)  # statistics over the whole file
     order = np.random.default_rng(SHUFFLE_SEEDS[name]).permutation(len(X))
     X, T = X[order], T[order]
     n_outputs = T.shape[1]
@@ -137,15 +130,8 @@ def emit(name, X, T, split):
         n_valid=n_valid,
         n_test=n_test,
     )
-    a, b = n_train, n_train + n_valid
-    data = SplitDataset(
-        header,
-        Partition(X[:a], T[:a]),
-        Partition(X[a:b], T[a:b]),
-        Partition(X[b:], T[b:]),
-    )
     OUT.mkdir(parents=True, exist_ok=True)
-    save_dataset(data, OUT / f"{name}.dt")
+    save_dataset(_split(header, X, T), OUT / f"{name}.dt")
     print(f"{name}.dt: {header.n_inputs} inputs, {n_outputs} outputs, "
           f"{n_train}/{n_valid}/{n_test}")
 

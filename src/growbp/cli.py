@@ -205,10 +205,8 @@ def _history(stop, rows):
     must mark just the phase that ``selected_index()`` picks, ended by the
     ``(line_no, stop_reason)`` of ``stop``."""
     line_no, stop_reason = stop
-    try:
+    with naming(f"line {line_no}"):
         history = GrowthHistory(tuple(rec for _, _, rec in rows), stop_reason)
-    except ConfigError as exc:
-        raise ConfigError(f"line {line_no}: {exc}") from None
     selected = history.selected_index()
     for i, (line_no, flag, _) in enumerate(rows):
         if flag != (i == selected):
@@ -232,24 +230,25 @@ def parse_table_csv(text):
     if not lines or lines[0][1] != _CSV_HEADER:
         raise ConfigError("not a growth-table CSV")
     for line_no, ln in lines[1:]:
-        if ln.startswith("#"):
-            key, _, value = ln.lstrip("# ").partition("=")
-            if key == "stop_reason" and stop is not None:
-                raise ConfigError(f"line {line_no}: a second stop_reason")
-            if key == "stop_reason":
-                stop = (line_no, value)
-            continue
-        cells = ln.split(",")
-        if len(cells) != len(types):
-            raise ConfigError(f"line {line_no}: expected "
-                              f"{len(types)} cells, got {len(cells)}")
-        try:
-            *values, best = [t(cell) for t, cell in zip(types, cells)]
+        with naming(f"line {line_no}"):
+            if ln.startswith("#"):
+                key, _, value = ln.lstrip("# ").partition("=")
+                if key == "stop_reason" and stop is not None:
+                    raise ConfigError("a second stop_reason")
+                if key == "stop_reason":
+                    stop = (line_no, value)
+                continue
+            cells = ln.split(",")
+            if len(cells) != len(types):
+                raise ConfigError(
+                    f"expected {len(types)} cells, got {len(cells)}")
+            try:
+                *values, best = [t(cell) for t, cell in zip(types, cells)]
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             if best not in (0, 1):
                 raise ConfigError(f"best must be 0 or 1, got {best}")
             rows.append((line_no, best == 1, PhaseRecord(*values)))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
     if stop is None or not rows:
         raise ConfigError("growth-table CSV lacks phase rows or stop_reason")
     return _history(stop, rows)
@@ -364,24 +363,16 @@ def _load_config_file(path):
 
 def build_experiment_config(args):
     """Merge built-in defaults, dataset preset, config file and flags."""
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("config", "func", "command")}
+    if "sweep_seeds" in flags:
+        flags["sweep_seeds"] = parse_seeds(flags["sweep_seeds"])
     file_entries = _load_config_file(args.config) if args.config else {}
-    dataset = getattr(args, "dataset", None) or file_entries.get(
-        "dataset_path"
-    )
+    dataset = {**file_entries, **flags}.get("dataset_path")
     if not dataset or not isinstance(dataset, str):
         raise ConfigError("no dataset given (argument or config file)")
-    profile = match_profile(dataset)
-    merged = dict(PRESETS[profile]) if profile else {}
-    merged.update(file_entries)
-    for name in list(vars(args)):
-        if name in ("dataset", "config", "seed", "seeds", "func", "command"):
-            continue
-        merged[name] = getattr(args, name)
-    if getattr(args, "seed", None) is not None:
-        merged["sweep_seeds"] = (args.seed,)
-    elif getattr(args, "seeds", None) is not None:
-        merged["sweep_seeds"] = parse_seeds(args.seeds)
-    merged["dataset_path"] = dataset
+    preset = PRESETS.get(match_profile(dataset), {})
+    merged = {**preset, **file_entries, **flags}
     train = {f.name: merged.pop(f.name) for f in TRAIN_OPTIONS
              if f.name in merged}
     return ExperimentConfig(train=TrainConfig(**train), **merged)
@@ -450,15 +441,15 @@ def _jsonl_row(ln):
 def _histories_from_jsonl(text):
     by_seed = {}
     for line_no, ln in numbered_lines(text):
-        try:
+        with naming(f"line {line_no}"):
+            if not by_seed and not ln.startswith("{"):
+                raise ConfigError("not a growth-table CSV or JSON lines")
             seed, stop_reason, selected, record = _jsonl_row(ln)
             (_, first), rows = by_seed.setdefault(
                 seed, ((line_no, stop_reason), []))
             if stop_reason != first:
                 raise ConfigError(f"stop_reason {stop_reason!r}, but "
                                   f"{first!r} on this seed's first row")
-        except ConfigError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
         rows.append((line_no, selected, record))
     if not by_seed:
         raise ConfigError("no result rows")
@@ -478,17 +469,15 @@ def build_parser():
         "train", help="run constructive training over a sweep of seeds"
     )
     train.add_argument(
-        "dataset", nargs="?",
+        "dataset_path", nargs="?", default=argparse.SUPPRESS,
         help=f"dataset file or one of the bundled names {'/'.join(BUNDLED)}",
     )
     train.add_argument("--config", help="JSON file with config defaults")
-    seed_group = train.add_mutually_exclusive_group()
-    seed_group.add_argument("--seed", type=int, help="run one seed only")
-    seed_group.add_argument(
-        "--seeds", help="comma list or half-open range, e.g. 0:10"
-    )
+    train.add_argument("--seeds", dest="sweep_seeds", metavar="SEEDS",
+                       default=argparse.SUPPRESS,
+                       help="one seed, a comma list or a range, e.g. 0:10")
     train.add_argument("--dataset-kind", dest="dataset_kind",
-                       choices=DATASET_KINDS, default=argparse.SUPPRESS)
+                       default=argparse.SUPPRESS, help="proben1 or raw-csv")
     for f in TRAIN_OPTIONS:
         kind = ({"action": argparse.BooleanOptionalAction}
                 if f.type is bool else {"type": f.type})
@@ -511,7 +500,7 @@ def build_parser():
     )
     inspect.add_argument("dataset")
     inspect.add_argument("--dataset-kind", dest="dataset_kind",
-                         choices=DATASET_KINDS, default="proben1")
+                         default="proben1", help="proben1 or raw-csv")
     inspect.set_defaults(func=cmd_inspect)
 
     render = sub.add_parser(

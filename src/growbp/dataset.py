@@ -128,46 +128,46 @@ class SplitDataset:
             )
 
 
-def _count(key, value):
-    """A count given as ASCII digits or as a non-negative JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
+def _count(key, value, least=0):
+    """A count of at least ``least``: ASCII digits or a JSON integer."""
     if isinstance(value, str) and value.isascii() and value.isdigit():
         try:
-            return int(value)
+            value = int(value)
         except ValueError:  # more digits than int() converts
             pass
+    if type(value) is int and value >= least:
+        return value
     raise MalformedValueError(
-        f"value for {key!r} is not a non-negative integer: {value!r}"
+        f"value for {key!r} is not an integer >= {least}: {value!r}"
     )
 
 
-def parse_header(text_lines):
-    """Parse ``key=value`` header lines into a DatasetHeader.
+def parse_header(rows):
+    """Parse ``(line_no, line)`` rows of ``key=value`` into a DatasetHeader.
 
     Required keys: bool_in, real_in, bool_out, real_out,
     training_examples, validation_examples, test_examples.  Unknown keys
-    are ignored; values must be non-negative integers.
+    are ignored; values must be non-negative integers.  A bad value names
+    its line, and a size that is not positive names the rows' span.
     """
     values = {}
-    for line in text_lines:
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, _, raw = line.partition("=")
+    for line_no, line in rows:
+        key, eq, raw = line.partition("=")
         key = key.strip()
-        if key in HEADER_KEYS:
-            values[key] = _count(key, raw.strip())
+        if eq and key in HEADER_KEYS:
+            with naming(f"line {line_no}"):
+                values[key] = _count(key, raw.strip())
     for key in HEADER_KEYS:
         if key not in values:
             raise MissingKeyError(key)
-    return DatasetHeader(
-        n_inputs=values["bool_in"] + values["real_in"],
-        n_outputs=values["bool_out"] + values["real_out"],
-        n_train=values["training_examples"],
-        n_valid=values["validation_examples"],
-        n_test=values["test_examples"],
-    )
+    with naming(f"lines {rows[0][0]}-{rows[-1][0]}"):
+        return DatasetHeader(
+            n_inputs=values["bool_in"] + values["real_in"],
+            n_outputs=values["bool_out"] + values["real_out"],
+            n_train=values["training_examples"],
+            n_valid=values["validation_examples"],
+            n_test=values["test_examples"],
+        )
 
 
 # Rows that _matrix converts at a time: enough to amortise the per-chunk
@@ -186,6 +186,9 @@ def _matrix(body, sep, n_inputs, width):
     matrix at once; on any fault :func:`_matrix_by_row` reads the rows
     again and raises the error of the first bad row.
     """
+    # Rows too short to hold width values are checked before any allocation.
+    if len(body) * width > sum(len(line) for _, line in body):
+        return _matrix_by_row(body, sep, n_inputs, width)
     matrix = np.empty((len(body), width))
     for start in range(0, len(body), _CHUNK_ROWS):
         chunk = body[start:start + _CHUNK_ROWS]
@@ -206,8 +209,8 @@ def _matrix(body, sep, n_inputs, width):
 
 def _matrix_by_row(body, sep, n_inputs, width):
     """:func:`_matrix` one row at a time, checking each row in turn."""
-    matrix = np.empty((len(body), width))
-    for i, (line_no, line) in enumerate(body):
+    rows = []
+    for line_no, line in body:
         tokens = line.split(sep)
         if len(tokens) != width:
             raise RowArityError(line_no, width, len(tokens))
@@ -223,8 +226,8 @@ def _matrix_by_row(body, sep, n_inputs, width):
             raise MalformedValueError(
                 f"line {line_no}: target components must be exactly 0 or 1"
             )
-        matrix[i] = nums
-    return matrix
+        rows.append(nums)
+    return np.array(rows).reshape(len(body), width)
 
 
 def _split(header, X, T):
@@ -246,14 +249,12 @@ def numbered_lines(text):
 
 def parse_dataset(text):
     """Parse the full text of a ``.dt`` file into a SplitDataset."""
-    header_lines = []
-    body = []
-    for row in numbered_lines(text):
-        if not body and "=" in row[1]:
-            header_lines.append(row[1])
-        else:
-            body.append(row)
-    header = parse_header(header_lines)
+    body = numbered_lines(text)
+    # The header is the leading run of key=value lines, cut off in place.
+    start = next((i for i, (_, ln) in enumerate(body) if "=" not in ln),
+                 len(body))
+    header = parse_header(body[:start])
+    del body[:start]
     if len(body) != header.total:
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"
@@ -372,10 +373,7 @@ def load_raw_csv(path):
         for key in MANIFEST_KEYS:
             if key not in manifest:
                 raise MissingKeyError(key, "manifest")
-        counts = {key: _count(key, manifest[key]) for key in MANIFEST_KEYS}
-        for key, count in counts.items():
-            if count < 1:
-                raise MalformedValueError(f"{key} must be strictly positive")
+        counts = {key: _count(key, manifest[key], 1) for key in MANIFEST_KEYS}
     with naming(path):
         return _raw_csv_dataset(read_text(path), counts)
 

@@ -33,13 +33,13 @@ BLAS build, given the same libm ``exp``:
 Training, batch evaluation and the error pass run in ``kernel.c``,
 which the entry points call through ``ctypes``.  The library is built
 with ``gcc -O2 -ffp-contract=off`` at first import into
-``$XDG_CACHE_HOME/growbp`` (default ``~/.cache/growbp``), under a name
-that hashes the source, the flags and the Python ABI, so later imports
-start no compiler.  If that directory cannot be written the build goes
-to a private temporary directory for the process.  Where no ``gcc`` is
-found or the build fails, the entry points run the pure-Python kernel
-instead; :data:`BACKEND` says which one is in use, ``"c"`` or
-``"python"``.
+``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where that variable is
+unset or not an absolute path), under a name that hashes the source,
+the flags and the Python ABI, so later imports start no compiler.  If
+that directory cannot be written the build goes to a private temporary
+directory for the process.  Where no ``gcc`` is found or the build
+fails, the entry points run the pure-Python kernel instead;
+:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
@@ -129,8 +129,10 @@ def step(hw, ow, x, d, eta):
 
 
 def _cache_dir():
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache")
+    # The XDG Base Directory spec says to ignore a relative value.
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "growbp")
 
 

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import naming, read_text, write_text
+from .dataset import (_count, _matrix, naming, numbered_lines, read_text,
+                      write_text)
 from .errors import InvalidRangeError, MalformedValueError
 from .kernel import forward_outputs
+
+NETWORK_KEYS = ("n_inputs", "h", "n_outputs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,30 +135,31 @@ def format_network(net):
 
 
 def parse_network(text):
-    """Parse the output of :func:`format_network`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    try:
-        n_inputs = int(lines[0].split()[1])
-        h = int(lines[1].split()[1])
-        n_outputs = int(lines[2].split()[1])
-        if lines[3] != "hidden_weights":
-            raise ValueError(lines[3])
-        hw = [
-            [float(v) for v in lines[4 + j].split()]
-            for j in range(h)
-        ]
-        if lines[4 + h] != "output_weights":
-            raise ValueError(lines[4 + h])
-        ow = [
-            [float(v) for v in lines[5 + h + k].split()]
-            for k in range(n_outputs)
-        ]
-        net = Network(np.array(hw), np.array(ow))
-    except (IndexError, ValueError) as exc:
-        raise MalformedValueError(f"bad network file: {exc}") from None
-    if net.n_inputs != n_inputs or net.n_outputs != n_outputs:
-        raise MalformedValueError("network dimensions disagree with matrices")
-    return net
+    """Parse the output of :func:`format_network`.
+
+    Three ``key N`` lines give n_inputs, h and n_outputs, each at least 1,
+    each weight block follows its name at the widths they give, and then
+    nothing.  A DatasetError names the line of a fault, and a missing line
+    as the one after the last.
+    """
+    rows = numbered_lines(text)
+    rows.append(((rows[-1][0] if rows else 0) + 1, ""))
+    sizes = []
+    for (line_no, line), key in zip(rows, NETWORK_KEYS):
+        with naming(f"line {line_no}"):
+            sizes.append(_count(key, line.removeprefix(key + " "), 1))
+    n_inputs, h, n_outputs = sizes
+    weights, at = [], len(sizes)
+    for key, n, width in (("hidden_weights", h, n_inputs + 1),
+                          ("output_weights", n_outputs, h + 1)):
+        if rows[at][1] != key:
+            raise MalformedValueError(f"line {rows[at][0]}: expected {key!r}")
+        # A short block takes in the end-of-file row, which holds no value.
+        weights.append(_matrix(rows[at + 1:at + 1 + n], None, width, width))
+        at += 1 + n
+    if at < len(rows) - 1:
+        raise MalformedValueError(f"line {rows[at][0]}: expected end of file")
+    return Network(*weights)
 
 
 def save_network(net, path):

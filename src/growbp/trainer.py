@@ -116,7 +116,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class PhaseRecord:
     """One growth-table row: counts, efficiencies and errors at some h,
-    each a finite number of its field's type, else :class:`ConfigError`."""
+    each a finite, non-negative number of its field's type, else
+    :class:`ConfigError`."""
 
     h: int
     epochs_cumulative: int
@@ -135,11 +136,17 @@ class PhaseRecord:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GrowthHistory:
-    """Per-phase records of a constructive run plus why it stopped."""
+    """Per-phase records of a constructive run plus why it stopped.
+
+    As growth makes them, the phases have h = 1, 2, ..., n and strictly
+    increasing cumulative epochs; other phases raise :class:`ConfigError`.
+    """
 
     phases: tuple
     stop_reason: str
@@ -148,6 +155,12 @@ class GrowthHistory:
         if self.stop_reason not in (STOP_ACCEPTED, STOP_H_MAX):
             raise ConfigError(f"stop_reason must be {STOP_ACCEPTED!r} or "
                               f"{STOP_H_MAX!r}, got {self.stop_reason!r}")
+        hs = [rec.h for rec in self.phases]
+        if hs != list(range(1, len(hs) + 1)):
+            raise ConfigError(f"phases must have h = 1, 2, ..., got {hs}")
+        epochs = [rec.epochs_cumulative for rec in self.phases]
+        if any(a >= b for a, b in zip(epochs, epochs[1:])):
+            raise ConfigError(f"epochs must strictly increase, got {epochs}")
 
     def selected_index(self):
         """Index of the phase whose snapshot the run returned.

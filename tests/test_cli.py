@@ -347,6 +347,14 @@ class TestBuildExperimentConfig:
                 ["train", "cancer1", "--config", str(conf)]
             ))
 
+    def test_seed_prefix_runs_that_seed(self, tmp_path):
+        # argparse reads the prefix --seed as --seeds.
+        out = tmp_path / "res"
+        assert main(["train", "heart1", "--seed", "3", "--h-max", "1",
+                     "--epochs-per-phase", "5", "--output", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["3"]
+
     def test_dataset_from_config_file(self, tmp_path, blob_dataset):
         from growbp.cli import build_experiment_config
         path = write_blob_file(blob_dataset, tmp_path)
@@ -491,10 +499,17 @@ class TestMain:
         assert (outdir / "seed_0.csv").exists()
 
 
+# Each .dt header fault and the line or lines it names; test_examples is
+# on line 7.
+HEADER_FAULT_LINES = {"negative-header-count": "line 7",
+                      "zero-header-count": "lines 1-7",
+                      "huge-header-width": "line 8"}
+
+
 def write_bad_input(case, blob_dataset, tmp_path):
     """Write one malformed input; return its path and dataset kind."""
     if case in ("non-ascii-dt", "unicode-digit-header", "short-row",
-                "missing-header-key"):
+                "missing-header-key", *HEADER_FAULT_LINES):
         path = write_blob_file(blob_dataset, tmp_path)
         text = path.read_text()
         if case == "non-ascii-dt":
@@ -505,9 +520,14 @@ def write_bad_input(case, blob_dataset, tmp_path):
             path.write_text("\n".join(lines) + "\n")
         elif case == "missing-header-key":
             path.write_text(text.replace("test_examples=10\n", ""))
+        elif case == "huge-header-width":  # no row can fill it
+            path.write_text(text.replace("real_in=", "real_in=" + "9" * 30))
         else:
+            value = {"unicode-digit-header": "²",
+                     "negative-header-count": "-1",
+                     "zero-header-count": "0"}[case]
             path.write_text(text.replace("test_examples=10",
-                                         "test_examples=²"))
+                                         f"test_examples={value}"))
         return path, "proben1"
     csv_path = tmp_path / "raw.csv"
     header = "é,b,t" if case == "non-ascii-csv" else "a,b,t"
@@ -542,6 +562,7 @@ class TestBadInputExitsTwo:
         "missing-header-key", "manifest-no-target-columns",
         "manifest-nested-deep", "manifest-count-negative",
         "manifest-count-zero", "manifest-target-columns-zero",
+        "negative-header-count", "zero-header-count", "huge-header-width",
     ])
     def test_no_traceback(self, case, command, blob_dataset, tmp_path,
                           capsys):
@@ -554,6 +575,9 @@ class TestBadInputExitsTwo:
                  else path)
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
+        if case in HEADER_FAULT_LINES:
+            assert err.startswith(
+                f"error: {path}: {HEADER_FAULT_LINES[case]}: ")
 
 
 class TestMakeBenchmarks:
@@ -681,9 +705,10 @@ def write_config_bytes(data, dataset=("heart1",)):
     return make
 
 
-def write_render_input(text):
+def write_render_input(text, name=None):
     def make(tmp_path):
-        path = tmp_path / ("r.csv" if text.startswith("h,") else "r.jsonl")
+        path = tmp_path / (name or ("r.csv" if text.startswith("h,")
+                                    else "r.jsonl"))
         path.write_bytes(text.encode())
         return ["render", str(path)]
     return make
@@ -715,6 +740,10 @@ BAD_INPUTS = {
     "eta-inf": lambda tmp: ["train", "heart1", "--eta", "inf"],
     "seeds-repeated": lambda tmp: ["train", "heart1", "--seeds", "0,0"],
     "format-markdown": lambda tmp: ["train", "heart1", "--format", "markdown"],
+    "dataset-kind-unknown": lambda tmp: ["train", "heart1",
+                                         "--dataset-kind", "foo"],
+    "inspect-dataset-kind-unknown": lambda tmp: ["inspect", "heart1",
+                                                 "--dataset-kind", "foo"],
     "config-sweep-seeds-repeated": write_config({"sweep_seeds": [1, 1]}),
     "config-format-markdown": write_config({"output_format": "markdown"}),
     "config-sweep-seeds-int": write_config({"sweep_seeds": 5}),
@@ -771,6 +800,33 @@ BAD_INPUTS = {
     "render-jsonl-string-count": write_render_input(
         json.dumps({**JSON_ROW, "h": "1"}) + "\n"),
     "render-not-json": write_render_input("not json\n"),
+    "render-summary-csv": write_render_input(
+        "seed,stop_reason,h,epochs,test_eff,overall_eff,best\n"
+        "0,accepted,1,5,25.0,60.0,1\n", "summary.csv"),
+    # Tables that no run writes: h must run 1, 2, ..., the cumulative
+    # epochs must increase, and no field may be negative.
+    "render-csv-h-decreasing": write_render_input(
+        CSV_HEADER + "2,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "1,9,3,75.0,0.1,2,50.0,0.2,1,25.0,50.0,0\n"
+        "# stop_reason=h_max_reached\n"),
+    "render-csv-h-negative": write_render_input(
+        CSV_HEADER + "-3,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n"),
+    "render-csv-epochs-negative": write_render_input(
+        CSV_HEADER + "1,-5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "# stop_reason=accepted\n"),
+    "render-csv-epochs-not-increasing": write_render_input(
+        CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,0\n"
+        "2,5,3,75.0,0.1,2,50.0,0.2,1,25.0,70.0,1\n"
+        "# stop_reason=h_max_reached\n"),
+    "render-jsonl-h-skips": write_render_input(
+        json.dumps({**JSON_ROW, "selected": False}) + "\n"
+        + json.dumps({**JSON_ROW, "h": 3, "epochs_cumulative": 9}) + "\n"),
+    "render-jsonl-train-classified-negative": write_render_input(
+        json.dumps({**JSON_ROW, "train_classified": -1}) + "\n"),
+    "render-jsonl-epochs-not-increasing": write_render_input(
+        json.dumps({**JSON_ROW, "selected": False}) + "\n"
+        + json.dumps({**JSON_ROW, "h": 2, "epochs_cumulative": 4}) + "\n"),
     "render-jsonl-nested-deep": write_render_input("[" * 100000),
 }
 
@@ -793,6 +849,8 @@ def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
     assert not out.exists()
     if argv[0] == "render":
         assert f"{argv[1]}: line " in err
+    if case == "render-summary-csv":
+        assert err.endswith(": not a growth-table CSV or JSON lines\n")
     if case in CONFIG_FILE_FAULTS:
         assert err.startswith(f"error: {tmp_path / 'c.json'}: ")
 

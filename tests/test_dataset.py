@@ -70,12 +70,12 @@ def tiny_dt(n_train=3, n_valid=2, n_test=2, rows=None):
 
 class TestParseHeader:
     def test_cancer1_header(self):
-        h = parse_header(CANCER1_HEADER)
+        h = parse_header(list(enumerate(CANCER1_HEADER, 1)))
         assert (h.n_inputs, h.n_outputs, h.n_classes) == (9, 2, 2)
         assert (h.n_train, h.n_valid, h.n_test) == (350, 175, 174)
 
     def test_heart_header_single_output_two_classes(self):
-        h = parse_header(HEART_HEADER)
+        h = parse_header(list(enumerate(HEART_HEADER, 1)))
         assert (h.n_inputs, h.n_outputs, h.n_classes) == (13, 1, 2)
         assert (h.n_train, h.n_valid, h.n_test) == (152, 76, 75)
 
@@ -88,24 +88,25 @@ class TestParseHeader:
     def test_missing_key(self):
         lines = [l for l in CANCER1_HEADER if "training" not in l]
         with pytest.raises(MissingKeyError):
-            parse_header(lines)
+            parse_header(list(enumerate(lines, 1)))
 
     def test_malformed_value(self):
         lines = CANCER1_HEADER[:-1] + ["test_examples=abc"]
         with pytest.raises(MalformedValueError):
-            parse_header(lines)
+            parse_header(list(enumerate(lines, 1)))
         lines = CANCER1_HEADER[:-1] + ["test_examples=-3"]
         with pytest.raises(MalformedValueError):
-            parse_header(lines)
+            parse_header(list(enumerate(lines, 1)))
 
     def test_unicode_digits_rejected(self):
         # "\u00b2" passes str.isdigit() but int() cannot convert it.
         lines = CANCER1_HEADER[:-1] + ["test_examples=\u00b2"]
         with pytest.raises(MalformedValueError):
-            parse_header(lines)
+            parse_header(list(enumerate(lines, 1)))
 
     def test_unknown_keys_ignored(self):
-        h = parse_header(CANCER1_HEADER + ["comment=whatever"])
+        lines = CANCER1_HEADER + ["comment=whatever"]
+        h = parse_header(list(enumerate(lines, 1)))
         assert h.n_inputs == 9
 
 

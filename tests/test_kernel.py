@@ -574,6 +574,18 @@ def test_unwritable_cache_builds_privately(tmp_path):
     assert os.listdir(tmp_path / "tmp") == []
 
 
+def test_cache_dir_ignores_a_relative_xdg_cache_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    default = str(tmp_path / "home" / ".cache" / "growbp")
+    for value in ("relcache", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        assert kernel_module._cache_dir() == default
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert kernel_module._cache_dir() == default
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert kernel_module._cache_dir() == str(tmp_path / "cache" / "growbp")
+
+
 def test_every_package_file_is_shipped():
     tomllib = pytest.importorskip("tomllib")
     pyproject = SRC.parent / "pyproject.toml"

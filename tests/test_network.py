@@ -16,6 +16,8 @@ from growbp.errors import (
     GrowbpError,
     InvalidRangeError,
     MalformedValueError,
+    NonFiniteError,
+    RowArityError,
 )
 from growbp.network import (
     Network,
@@ -302,18 +304,37 @@ class TestSerialization:
         with pytest.raises(MalformedValueError):
             parse_network("n_inputs 2\nnothing else\n")
 
-    @pytest.mark.parametrize("data", [
-        "n_inputs 1\nh 1\nn_outputs 1\nhidden_weights\n1 \u00e9\n"
-        "output_weights\n1 2\n".encode("utf-8"),
-        b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n1 2\n"
-        b"output_weights\n1 2 3\n",
-    ], ids=["non-ascii", "ragged-hidden-rows"])
-    def test_load_names_the_file(self, tmp_path, data):
+    # Each case: the file's bytes, the error and the line it names.
+    @pytest.mark.parametrize("data,error,line", [
+        ("n_inputs 1\nh 1\nn_outputs 1\nhidden_weights\n1 \u00e9\n"
+         "output_weights\n1 2\n".encode("utf-8"), MalformedValueError, None),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n1 2\n"
+         b"output_weights\n1 2 3\n", RowArityError, 6),
+        (b"banana 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n4 5 6\n"
+         b"output_weights\n1 2 3\n", MalformedValueError, 1),
+        (b"n_inputs 2\nh 2 3\nn_outputs 1\nhidden_weights\n1 2 3\n4 5 6\n"
+         b"output_weights\n1 2 3\n", MalformedValueError, 2),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n"
+         b"output_weights\n1 2 3\n", RowArityError, 6),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n4 5 6\n"
+         b"output_weights\n", RowArityError, 8),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 nan 3\n4 5 6\n"
+         b"output_weights\n1 2 3\n", NonFiniteError, 5),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n4 5 6\n"
+         b"output_weights\n1 2 3\n\n1 2 3\n", MalformedValueError, 10),
+        (b"n_inputs 1" + b"0" * 30 + b"\nh 2\nn_outputs 1\nhidden_weights\n"
+         b"1 2 3\n4 5 6\noutput_weights\n1 2 3\n", RowArityError, 5),
+    ], ids=["non-ascii", "ragged-hidden-rows", "wrong-key", "h-two-values",
+            "short-block", "file-ends-in-block", "nan-weight",
+            "trailing-row", "huge-width"])
+    def test_load_names_the_file(self, tmp_path, data, error, line):
         p = tmp_path / "net.txt"
         p.write_bytes(data)
-        with pytest.raises(MalformedValueError) as exc:
+        with pytest.raises(error) as exc:
             load_network(p)
         assert str(exc.value).startswith(f"{p}: ")
+        if line is not None:
+            assert str(exc.value).startswith(f"{p}: line {line}: ")
 
     @given(st.binary(max_size=300) | st.builds(
         lambda net, junk: format_network(net).encode("ascii") + junk,
