@@ -38,6 +38,7 @@ from growbp.dataset import (  # noqa: E402
     normalize_raw,
     save_dataset,
 )
+from growbp.kernel import matrix  # noqa: E402
 
 # One fixed shuffle per dataset so the emitted files are reproducible.
 SHUFFLE_SEEDS = {"cancer1": 1, "heart1": 1, "diabetes1": 1}
@@ -119,7 +120,7 @@ def read_diabetes():
 def emit(name, X, T, split):
     n_train, n_valid, n_test = split
     assert len(X) == sum(split)
-    X = normalize_raw(X, X)  # statistics over the whole file
+    X = np.asarray(normalize_raw(X, X))  # statistics over the whole file
     order = np.random.default_rng(SHUFFLE_SEEDS[name]).permutation(len(X))
     X, T = X[order], T[order]
     n_outputs = T.shape[1]
@@ -131,7 +132,8 @@ def emit(name, X, T, split):
         n_test=n_test,
     )
     OUT.mkdir(parents=True, exist_ok=True)
-    save_dataset(_split(header, X, T), OUT / f"{name}.dt")
+    save_dataset(_split(header, matrix(X)[0], matrix(T)[0]),
+                 OUT / f"{name}.dt")
     print(f"{name}.dt: {header.n_inputs} inputs, {n_outputs} outputs, "
           f"{n_train}/{n_valid}/{n_test}")
 

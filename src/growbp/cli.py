@@ -34,7 +34,9 @@ from .trainer import (
     PhaseRecord,
     TrainConfig,
     check_fields,
+    check_seed,
     constructive_train,
+    phase_fault,
 )
 
 DATASET_KINDS = ("proben1", "raw-csv")
@@ -105,11 +107,9 @@ class ExperimentConfig:
         if not isinstance(self.sweep_seeds, (list, tuple, range)):
             raise ConfigError(f"sweep_seeds must be a list of seeds, "
                               f"got {self.sweep_seeds!r}")
-        # Every seed is checked as a TrainConfig seed, so a bad sweep fails
-        # before anything is written.
-        self.sweep_seeds = tuple(
-            self.train_config(s).seed for s in self.sweep_seeds
-        )
+        # Every seed is checked by TrainConfig's seed rule, so a bad sweep
+        # fails before anything is written.
+        self.sweep_seeds = tuple(map(check_seed, self.sweep_seeds))
         if len(self.sweep_seeds) == 0:
             raise ConfigError("sweep_seeds must not be empty")
         if len(set(self.sweep_seeds)) != len(self.sweep_seeds):
@@ -203,10 +203,15 @@ def _json_line(record, selected, stop_reason, seed=None):
 def _history(stop, rows):
     """The GrowthHistory of ``(line_no, flag, record)`` rows, whose flags
     must mark just the phase that ``selected_index()`` picks, ended by the
-    ``(line_no, stop_reason)`` of ``stop``."""
+    ``(line_no, stop_reason)`` of ``stop``.  A row out of growth order is
+    named by its own line."""
+    records = tuple(rec for _, _, rec in rows)
+    fault = phase_fault(records)
+    if fault is not None:
+        raise ConfigError(f"line {rows[fault[0]][0]}: {fault[1]}")
     line_no, stop_reason = stop
     with naming(f"line {line_no}"):
-        history = GrowthHistory(tuple(rec for _, _, rec in rows), stop_reason)
+        history = GrowthHistory(records, stop_reason)
     selected = history.selected_index()
     for i, (line_no, flag, _) in enumerate(rows):
         if flag != (i == selected):

@@ -18,11 +18,10 @@ target matrix with one row per pattern.
 
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
-
-import numpy as np
 
 from .errors import (
     CountMismatchError,
@@ -33,6 +32,7 @@ from .errors import (
     NonFiniteError,
     RowArityError,
 )
+from .kernel import matrix, view
 
 HEADER_KEYS = (
     "bool_in",
@@ -51,32 +51,41 @@ MANIFEST_KEYS = HEADER_KEYS[4:] + ("target_columns",)
 class Partition:
     """The patterns of one partition: input rows ``X``, 0/1 target rows ``T``.
 
-    Both are stored as C-contiguous float64 copies of what was passed.
-    ``addresses`` holds their data addresses and, as in ``Network``, a
-    second reference to each array keeps numpy from resizing it.
+    Each is stored as a row-major ``array('d')`` copy of the matrix that
+    was passed and shown as a 2-D ``memoryview`` of it.  ``addresses``
+    holds the buffers' addresses and, as in ``Network``, the views keep
+    the buffers from being resized.
     """
 
-    X: np.ndarray
-    T: np.ndarray
+    X: memoryview
+    T: memoryview
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=np.float64, order="C")
-        T = np.array(self.T, dtype=np.float64, order="C")
-        if X.ndim != 2 or T.ndim != 2 or len(X) != len(T):
+        (X, x_shape), (T, t_shape) = matrix(self.X), matrix(self.T)
+        if x_shape[0] != t_shape[0]:
             raise MalformedValueError(
-                f"a partition needs 2-D inputs and targets with equal row "
-                f"counts, got {X.shape} and {T.shape}"
+                f"a partition needs inputs and targets with equal row "
+                f"counts, got {x_shape} and {t_shape}"
             )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "addresses", (X.ctypes.data, T.ctypes.data))
-        object.__setattr__(self, "_pinned", (X, T))
+        object.__setattr__(self, "X", view(X, x_shape))
+        object.__setattr__(self, "T", view(T, t_shape))
+        object.__setattr__(self, "addresses",
+                           (X.buffer_info()[0], T.buffer_info()[0]))
 
     def __reduce__(self):
-        return Partition, (self.X, self.T)
+        # Through the constructor, so a copy reads its own addresses; as
+        # bytes and shapes, since rows with no values would lose a width.
+        return _partition, (self.X.tobytes(), self.X.shape,
+                            self.T.tobytes(), self.T.shape)
 
     def __len__(self):
-        return len(self.X)
+        return self.X.shape[0]
+
+
+def _partition(x, x_shape, t, t_shape):
+    """The Partition whose matrices hold the doubles of ``x`` and ``t``."""
+    return Partition(view(array("d", x), x_shape),
+                     view(array("d", t), t_shape))
 
 
 @dataclass(frozen=True)
@@ -178,38 +187,43 @@ _CHUNK_ROWS = 64
 
 
 def _matrix(body, sep, n_inputs, width):
-    """Validate ``(line_no, line)`` rows and fill one float64 matrix.
+    """Validate ``(line_no, line)`` rows into row-major ``array('d')``
+    inputs and targets, ``(X, T)``.
 
     Each line is split on ``sep`` and must hold ``width`` finite numbers,
-    the ones after the first ``n_inputs`` exactly 0 or 1.  Rows are
-    converted with ``float`` a chunk at a time and checked over the whole
-    matrix at once; on any fault :func:`_matrix_by_row` reads the rows
-    again and raises the error of the first bad row.
+    the ones after the first ``n_inputs`` the targets, exactly 0 or 1.
+    Rows are converted with ``float`` a chunk at a time and checked over
+    the whole matrix at once; on any fault :func:`_matrix_by_row` reads
+    the rows again and raises the error of the first bad row.
     """
     # Rows too short to hold width values are checked before any allocation.
     if len(body) * width > sum(len(line) for _, line in body):
         return _matrix_by_row(body, sep, n_inputs, width)
-    matrix = np.empty((len(body), width))
+    X, T, n_targets = array("d"), array("d"), width - n_inputs
     for start in range(0, len(body), _CHUNK_ROWS):
-        chunk = body[start:start + _CHUNK_ROWS]
-        rows = [line.split(sep) for _, line in chunk]
+        rows = [line.split(sep) for _, line in body[start:start + _CHUNK_ROWS]]
         if set(map(len, rows)) != {width}:
             return _matrix_by_row(body, sep, n_inputs, width)
         try:
-            values = np.fromiter(map(float, chain.from_iterable(rows)),
-                                 np.float64, len(rows) * width)
+            values = list(map(float, chain.from_iterable(rows)))
         except ValueError:
             return _matrix_by_row(body, sep, n_inputs, width)
-        matrix[start:start + len(rows)] = values.reshape(len(rows), width)
-    T = matrix[:, n_inputs:]
-    if not (np.isfinite(matrix).all() and ((T == 0.0) | (T == 1.0)).all()):
+        # Cut the target columns out with strided slices, which run in C.
+        targets = [0.0] * (len(rows) * n_targets)
+        for k in range(n_targets):
+            targets[k::n_targets] = values[n_inputs + k::width]
+        for k in range(n_targets):
+            del values[n_inputs::width - k]
+        X.fromlist(values)
+        T.fromlist(targets)
+    if not (all(map(math.isfinite, X)) and set(T) <= {0.0, 1.0}):
         return _matrix_by_row(body, sep, n_inputs, width)
-    return matrix
+    return X, T
 
 
 def _matrix_by_row(body, sep, n_inputs, width):
     """:func:`_matrix` one row at a time, checking each row in turn."""
-    rows = []
+    X, T = array("d"), array("d")
     for line_no, line in body:
         tokens = line.split(sep)
         if len(tokens) != width:
@@ -226,19 +240,23 @@ def _matrix_by_row(body, sep, n_inputs, width):
             raise MalformedValueError(
                 f"line {line_no}: target components must be exactly 0 or 1"
             )
-        rows.append(nums)
-    return np.array(rows).reshape(len(body), width)
+        X.fromlist(nums[:n_inputs])
+        T.fromlist(nums[n_inputs:])
+    return X, T
 
 
 def _split(header, X, T):
-    """Cut full input and target matrices into the header's partitions."""
+    """Cut row-major ``array('d')`` inputs and targets, at the header's
+    widths, into the header's partitions."""
     a, b = header.n_train, header.n_train + header.n_valid
-    return SplitDataset(
-        header,
-        Partition(X[:a], T[:a]),
-        Partition(X[a:b], T[a:b]),
-        Partition(X[b:], T[b:]),
-    )
+    parts = []
+    for lo, hi in ((0, a), (a, b), (b, header.total)):
+        parts.append(Partition(
+            view(memoryview(X)[lo * header.n_inputs:hi * header.n_inputs],
+                 (hi - lo, header.n_inputs)),
+            view(memoryview(T)[lo * header.n_outputs:hi * header.n_outputs],
+                 (hi - lo, header.n_outputs))))
+    return SplitDataset(header, *parts)
 
 
 def numbered_lines(text):
@@ -260,8 +278,7 @@ def parse_dataset(text):
             f"expected {header.total} data rows, found {len(body)}"
         )
     n = header.n_inputs
-    matrix = _matrix(body, None, n, n + header.n_outputs)
-    return _split(header, matrix[:, :n], matrix[:, n:])
+    return _split(header, *_matrix(body, None, n, n + header.n_outputs))
 
 
 @contextmanager
@@ -330,8 +347,8 @@ def format_dataset(ds):
         f"test_examples={header.n_test}",
     ]
     for part in (ds.train, ds.valid, ds.test):
-        for row in np.hstack([part.X, part.T]).tolist():
-            lines.append(" ".join(repr(v) for v in row))
+        for x, t in zip(part.X.tolist(), part.T.tolist()):
+            lines.append(" ".join(map(repr, x + t)))
     return "\n".join(lines) + "\n"
 
 
@@ -345,17 +362,24 @@ def normalize_raw(features, stats_source):
     Each column is mapped by (x - min) / (max - min) with min and max
     computed over ``stats_source`` (the training rows) only, so validation
     and test values may fall outside [0, 1]; they are not clamped.
-    Constant columns map to 0.
+    Constant columns map to 0.  Both arguments are 2-D matrices with the
+    same number of columns, and so is the result, a 2-D view.
     """
-    stats = np.asarray(stats_source, dtype=np.float64)
-    if stats.size == 0:
+    stats, (_, width) = matrix(stats_source)
+    if not stats:
         raise EmptyTrainingError("training partition is empty")
-    features = np.asarray(features, dtype=np.float64)
-    lo = stats.min(axis=0)
-    span = stats.max(axis=0) - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = (features - lo) / safe
-    return np.where(span == 0.0, 0.0, scaled)
+    flat, shape = matrix(features)
+    if shape[1] != width:
+        raise MalformedValueError(
+            f"features have {shape[1]} columns, statistics {width}")
+    lo = [min(stats[j::width]) for j in range(width)]
+    span = [max(stats[j::width]) - lo[j] for j in range(width)]
+    scaled = array("d", flat)
+    for j in range(width):
+        scaled[j::width] = array("d", [
+            (x - lo[j]) / span[j] if span[j] != 0.0 else 0.0
+            for x in flat[j::width]])
+    return view(scaled, shape)
 
 
 def load_raw_csv(path):
@@ -399,7 +423,8 @@ def _raw_csv_dataset(text, counts):
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"
         )
-    matrix = _matrix(body, ",", n_inputs, n_inputs + n_targets)
-    raw = matrix[:, :n_inputs]
-    features = normalize_raw(raw, raw[:header.n_train])
-    return _split(header, features, matrix[:, n_inputs:])
+    X, T = _matrix(body, ",", n_inputs, n_inputs + n_targets)
+    features = normalize_raw(
+        view(X, (header.total, n_inputs)),
+        view(X[:header.n_train * n_inputs], (header.n_train, n_inputs)))
+    return _split(header, features.obj, T)

@@ -1,6 +1,7 @@
 /* The compiled form of growbp.kernel: a whole online epoch, the batch
- * forward pass and the per-pattern error, in the order that module's
- * docstring states.
+ * forward pass, the per-pattern error and its pairwise mean, the count
+ * of correctly classified patterns, and an epoch's random permutation,
+ * in the order that module's docstring states.
  *
  * Every sum runs left to right with the bias last, every product and sum
  * is rounded on its own (build with -ffp-contract=off, never -ffast-math),
@@ -9,11 +10,11 @@
  * exactly 0.0, which is the Python kernel's OverflowError branch.  So the
  * weights and outputs equal the Python kernel's bit for bit.
  *
- * Only growbp_epoch, growbp_forward and growbp_error are exported, each
- * with the package's prefix: an unprefixed name such as error would
- * share glibc's error(3), and a call from inside the library could bind
- * to that one.  The helpers are static.  Nothing here checks its input:
- * the Python entry points do, and draw a shuffled epoch's order themselves.
+ * Only the growbp_ functions are exported, each with the package's
+ * prefix: an unprefixed name such as error would share glibc's error(3),
+ * and a call from inside the library could bind to that one.  The
+ * helpers are static.  Nothing here checks its input: the Python entry
+ * points do, and hand a shuffled epoch the order they drew.
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
@@ -23,6 +24,9 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* PCG64's 128-bit state; __extension__ keeps -Wpedantic quiet. */
+__extension__ typedef unsigned __int128 u128;
 
 static double logistic(double s)
 {
@@ -131,5 +135,129 @@ int64_t growbp_error(const double *hw, const double *ow, const double *X,
         E[p] = 0.5 * s;
     }
     free(hidden);
+    return 0;
+}
+
+/* numpy's pairwise sum of a contiguous vector: plain sums below 8
+ * values, eight accumulators up to 128, else two halves cut at a
+ * multiple of 8. */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* The mean of the n values of E, as numpy's E.mean() rounds it, written
+ * to mean.  Returns 0. */
+int64_t growbp_mean(const double *E, int64_t n, double *mean)
+{
+    *mean = (0.0 + pairwise(E, n)) / (double)n;
+    return 0;
+}
+
+/* The class of an output or target vector: with one value, 1 where it is
+ * >= 0.5; with more, the index of the largest, the lowest on ties, and
+ * the first NaN where there is one, as numpy's argmax picks. */
+static int64_t label(const double *v, int64_t n)
+{
+    if (n == 1)
+        return v[0] >= 0.5;
+    int64_t arg = 0;
+    double best = v[0];
+    for (int64_t k = 1; k < n && best == best; k++)
+        if (!(v[k] <= best)) {
+            best = v[k];
+            arg = k;
+        }
+    return arg;
+}
+
+/* How many rows of X the net puts in the class of their row of T.
+ * Returns the count, or -1 when memory runs out. */
+int64_t growbp_classified(const double *hw, const double *ow,
+                          const double *X, const double *T, int64_t n,
+                          int64_t n_in, int64_t h, int64_t n_out)
+{
+    double *hidden = malloc((size_t)(h + n_out) * sizeof(double));
+    if (hidden == NULL)
+        return -1;
+    double *y = hidden + h;
+    int64_t count = 0;
+    for (int64_t p = 0; p < n; p++) {
+        layer(hw, h, X + p * n_in, n_in, hidden);
+        layer(ow, n_out, hidden, h, y);
+        count += label(y, n_out) == label(T + p * n_out, n_out);
+    }
+    free(hidden);
+    return count;
+}
+
+/* PCG64's next 64-bit output: a 128-bit LCG step, then XSL-RR. */
+static uint64_t next64(u128 *state, u128 inc)
+{
+    const u128 mult = ((u128)0x2360ed051fc65da4ULL << 64)
+                      | 0x4385df649fccf645ULL;
+    *state = *state * mult + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* numpy's Generator.permutation(n) into order: a Fisher-Yates pass from
+ * the last index down, each draw in [0, i] by masked rejection, on
+ * 32-bit halves of the output while i fits in 32 bits.  g is the
+ * generator, {state high, state low, increment high, increment low,
+ * a half is buffered, that half}, and is updated in place.  Returns 0. */
+int64_t growbp_permutation(uint64_t *g, int64_t *order, int64_t n)
+{
+    u128 state = ((u128)g[0] << 64) | g[1];
+    u128 inc = ((u128)g[2] << 64) | g[3];
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        uint64_t max = (uint64_t)i, mask = max, value;
+        for (int shift = 1; shift < 64; shift *= 2)
+            mask |= mask >> shift;
+        do {
+            if (max > 0xffffffffULL) {
+                value = next64(&state, inc);
+            } else if (g[4]) {
+                g[4] = 0;
+                value = g[5];
+            } else {
+                value = next64(&state, inc);
+                g[4] = 1;
+                g[5] = value >> 32;
+                value &= 0xffffffffULL;
+            }
+            value &= mask;
+        } while (value > max);
+        int64_t j = (int64_t)value, t = order[i];
+        order[i] = order[j];
+        order[j] = t;
+    }
+    g[0] = (uint64_t)(state >> 64);
+    g[1] = (uint64_t)state;
     return 0;
 }

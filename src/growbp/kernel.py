@@ -1,37 +1,57 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
-backprop step, the epoch, the batch forward pass and the per-pattern error.
+backprop step, the epoch, the batch forward pass, the per-pattern error and
+its mean, the count of correctly classified patterns, and the random
+streams that draw weights and shuffle epochs.
 
-The package enters through :func:`train_epoch`, :func:`forward_outputs`
-and :func:`pattern_errors`.  Each checks its arguments once, then runs the
-compiled or the Python kernel on the C-contiguous float64 arrays that a
-``Network`` and a ``Partition`` hold; :func:`check_fit`, which
-``growbp.metrics.efficiency`` calls too, alone decides whether a partition
-fits a network.  ``kernel.c`` checks none of its input: it gets checked
-arrays, and a shuffled epoch's permutation that ``train_epoch`` draws
-itself.  Both classes read their arrays' addresses once, when made, and
-per call only that permutation and the results are looked up; to keep
-the addresses valid, their arrays cannot be resized (``ValueError``).
+The package enters through :func:`train_epoch`, :func:`forward_outputs`,
+:func:`pattern_errors` and :func:`classified`.  Each checks its arguments
+once, then runs the compiled or the Python kernel on the row-major
+``array('d')`` buffers that a ``Network`` and a ``Partition`` hold;
+:func:`check_fit` alone decides whether a partition fits a network.
+``kernel.c`` checks none of its input: it gets checked buffers, and a
+shuffled epoch's permutation that ``train_epoch`` draws itself.  Both
+classes read their buffers' addresses once, when made, and show each
+buffer as a 2-D ``memoryview`` (:func:`view`); while that view exists
+the buffer cannot be resized (``BufferError``), so the addresses stay
+valid.  :func:`matrix` reads any 2-D nested sequence or buffer, numpy
+arrays included, into such a buffer.
 
 Every function here follows one order contract, so training, per-pattern
-evaluation and batch evaluation round identically on any machine and any
-BLAS build, given the same libm ``exp``:
+evaluation and batch evaluation round identically on any machine, given
+the same libm ``exp``:
 
 - a unit's net input is summed left to right over its weight row, inputs
   first and the bias (against a constant 1.0 input) last;
 - the hidden delta sums over the output units left to right,
   ``back_j = ow[0][j]*e0 + ow[1][j]*e1 + ...``;
 - a pattern's error is ``0.5 * (e0*e0 + e1*e1 + ...)`` with
-  ``ek = dk - yk``, its squares summed left to right over the outputs
-  (numpy's ``(E * E).sum(axis=1)`` gives the same bits up to seven
-  outputs, then reblocks the sum);
+  ``ek = dk - yk``, its squares summed left to right over the outputs;
+- the mean of the errors (:func:`mean`) is ``(0.0 + pairwise(E)) / n``,
+  with numpy's pairwise sum of a contiguous vector (:func:`pairwise`),
+  so it equals ``E.mean()`` bitwise;
 - every product and sum is rounded on its own: nothing is fused into a
-  multiply-add and no reduction is reblocked;
+  multiply-add and no other sum is reblocked;
 - the logistic is ``1 / (1 + exp(-s))`` with the C library's ``exp``, and
   0.0 where ``exp`` overflows, which equals ``scipy.special.expit``
   bitwise, including at +-inf and NaN.
 
-Training, batch evaluation and the error pass run in ``kernel.c``,
-which the entry points call through ``ctypes``.  The library is built
+A pattern's class (:func:`label`) is 1 where its one output is >= 0.5,
+and with more outputs the index of the largest, the lowest on ties and
+the first NaN where there is one, as numpy's ``argmax`` picks; a target
+row's class follows the same rule.
+
+The random streams are numpy's ``default_rng(seed)`` reproduced bit for
+bit (:class:`Generator`): SeedSequence's hash mix seeds PCG64, a 128-bit
+LCG with XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", HMC-CS-2014-0905); ``uniform`` is
+``lo + (hi - lo) * ((next64 >> 11) * 2**-53)``, and ``permutation`` is
+numpy's Fisher-Yates pass with masked rejection on buffered 32-bit
+halves of the output.
+
+Training, batch evaluation, the error pass, its mean, the classified
+count and the permutation run in ``kernel.c``, which the entry points
+call through ``ctypes``.  The library is built
 with ``gcc -O2 -ffp-contract=off`` at first import into
 ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where that variable is
 unset or not an absolute path), under a name that hashes the source,
@@ -43,13 +63,13 @@ fails, the entry points run the pure-Python kernel instead;
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
-(:func:`logistic`, :func:`layer`, :func:`update`, then :func:`step` for
-the body of ``growbp_epoch`` and :func:`forward` for the body of
-``growbp_forward``), with plain loops over lists of weight rows in the
-same order.  It is much slower, and serves as the fallback and as the
-reference the tests compare the C code against.  The fallback evaluates
-a matrix of inputs by running :func:`forward` on each row, and its error
-pass adds one output column of squares at a time.
+(:func:`logistic`, :func:`layer`, :func:`update`, :func:`pairwise`,
+:func:`label`, :func:`next64`, :func:`permutation`, then :func:`step`
+for the body of ``growbp_epoch``, :func:`forward` for the body of
+``growbp_forward`` and :func:`error` for the body of ``growbp_error``),
+with plain loops over lists of weight rows in the same order.  It is
+much slower, and serves as the fallback and as the reference the tests
+compare the C code against.
 """
 
 import ctypes
@@ -58,16 +78,55 @@ import math
 import os
 import shutil
 import sysconfig
+from array import array
+from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ArityMismatchError, EmptySetError
+from .errors import ArityMismatchError, EmptySetError, MalformedValueError
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 # Never -ffast-math or -march=native: either lets the compiler reorder or
 # fuse the arithmetic, and the results would stop matching the contract.
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def matrix(M, error=MalformedValueError):
+    """A row-major ``array('d')`` copy of the 2-D matrix ``M`` and its
+    shape.  ``M`` is a buffer, such as a numpy array or a :func:`view`, or
+    a sequence of equally long rows of numbers; anything else raises
+    ``error``."""
+    try:
+        src = memoryview(M)
+    except TypeError:  # not a buffer: a sequence of rows
+        try:
+            rows = [list(row) for row in M]
+            flat = array("d", chain.from_iterable(rows))
+        except (TypeError, ValueError):
+            raise error("expected a 2-D matrix of numbers") from None
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(row) != shape[1] for row in rows):
+            raise error("rows of a matrix must be equally long")
+        return flat, shape
+    if src.ndim != 2:
+        raise error(f"expected a 2-D matrix, got shape {src.shape}")
+    flat = array("d")
+    if src.nbytes and src.format == "d" and src.c_contiguous:
+        flat.frombytes(src.cast("B"))
+    elif src.nbytes:
+        try:
+            flat.extend(chain.from_iterable(src.tolist()))
+        except (TypeError, NotImplementedError):
+            raise error(f"cannot read numbers of format {src.format!r}")
+    return flat, src.shape
+
+
+def view(flat, shape):
+    """``flat`` as a 2-D ``memoryview`` of ``shape``, which keeps it from
+    being resized.  ``memoryview.cast`` refuses a zero in the shape, so a
+    view with no elements is a ctypes array's."""
+    if not flat:
+        return memoryview((ctypes.c_double * shape[1] * shape[0])())
+    return memoryview(flat).cast("B").cast("d", shape)
 
 
 def logistic(s):
@@ -128,6 +187,175 @@ def step(hw, ow, x, d, eta):
     update(hw, x, g, eta)
 
 
+
+
+def error(hw, ow, x, d):
+    """The error ``0.5 * (e0*e0 + e1*e1 + ...)`` of one pattern, with
+    ``ek = dk - yk`` summed left to right over the outputs."""
+    y = forward(hw, ow, x)[1]
+    e = d[0] - y[0]
+    s = e * e
+    for k in range(1, len(y)):
+        e = d[k] - y[k]
+        s = s + e * e
+    return 0.5 * s
+
+
+def pairwise(a, lo, n):
+    """numpy's pairwise sum of ``a[lo:lo + n]``: plain sums below 8 values,
+    eight accumulators up to 128, else two halves cut at a multiple of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = list(a[lo:lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for k in range(8):
+                r[k] += a[i + k]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += a[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise(a, lo, n2) + pairwise(a, lo + n2, n - n2)
+
+
+def label(v):
+    """The class of an output or target vector: with one value, 1 where it
+    is >= 0.5; with more, the index of the largest, the lowest on ties,
+    and the first NaN where there is one, as numpy's ``argmax`` picks."""
+    if len(v) == 1:
+        return int(v[0] >= 0.5)
+    arg, best = 0, v[0]
+    for k in range(1, len(v)):
+        if best != best:
+            break
+        if not v[k] <= best:
+            arg, best = k, v[k]
+    return arg
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def next64(g):
+    """PCG64's next 64-bit output from generator state ``g`` (see
+    :func:`permutation`): a 128-bit LCG step, then XSL-RR."""
+    g[0] = state = (g[0] * _PCG_MULT + g[1]) & _MASK128
+    x = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+
+def permutation(g, order):
+    """numpy's ``Generator.permutation(len(order))`` into ``order``: a
+    Fisher-Yates pass from the last index down, each draw in ``[0, i]`` by
+    masked rejection, on 32-bit halves of the output while ``i`` fits in
+    32 bits.  ``g`` is the generator, ``[state, increment, a half is
+    buffered, that half]``, and is updated in place."""
+    order[:] = array("q", range(len(order)))
+    for i in range(len(order) - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if i > _MASK32:
+                value = next64(g)
+            elif g[2]:
+                g[2], value = 0, g[3]
+            else:
+                value = next64(g)
+                g[2], g[3] = 1, value >> 32
+                value &= _MASK32
+            value &= mask
+            if value <= i:
+                break
+        order[i], order[value] = order[value], order[i]
+
+
+# numpy's SeedSequence constants.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_sequence(seed):
+    """``SeedSequence(seed).generate_state(8)``: the seed's 32-bit words,
+    least significant first, hash-mixed into a pool of four words, which
+    are hashed out again."""
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append((seed >> 32 * len(words)) & _MASK32)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = ((value ^ const) * const * _MULT_A) & _MASK32
+        const = (const * _MULT_A) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], _INIT_B
+    for i in range(8):
+        value = ((pool[i % 4] ^ const) * const * _MULT_B) & _MASK32
+        const = (const * _MULT_B) & _MASK32
+        out.append(value ^ (value >> 16))
+    return out
+
+
+class Generator:
+    """The stream of ``numpy.random.default_rng(seed)``, bit for bit.
+
+    ``seed`` is an int >= 0.  ``state`` is ``[state, increment, a half is
+    buffered, that half]``: PCG64's two 128-bit words, then the 32-bit
+    half of an output that the next bounded draw takes first.
+    """
+
+    def __init__(self, seed):
+        if not (isinstance(seed, int) and seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+        w = _seed_sequence(seed)
+        initstate = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+        initseq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
+        self.state = [0, ((initseq << 1) | 1) & _MASK128, 0, 0]
+        next64(self.state)
+        self.state[0] = (self.state[0] + initstate) & _MASK128
+        next64(self.state)
+
+    def uniform(self, lo, hi, n):
+        """``n`` draws from ``[lo, hi)``, as a list."""
+        span = hi - lo
+        return [lo + span * ((next64(self.state) >> 11) * 2.0**-53)
+                for _ in range(n)]
+
+    def permutation(self, n):
+        """A random order of ``range(n)``, as an ``array('q')``."""
+        order = array("q", bytes(8 * n))
+        if _lib is None:
+            permutation(self.state, order)
+            return order
+        state, inc, buffered, half = self.state
+        g = (ctypes.c_uint64 * 6)(state >> 64, state & _MASK64, inc >> 64,
+                                  inc & _MASK64, buffered, half)
+        _lib.growbp_permutation(g, order.buffer_info()[0], n)
+        self.state[:] = [(g[0] << 64) | g[1], inc, g[4], g[5]]
+        return order
+
+
 def _cache_dir():
     # The XDG Base Directory spec says to ignore a relative value.
     base = os.environ.get("XDG_CACHE_HOME", "")
@@ -166,7 +394,12 @@ def _bind(lib):
     lib.growbp_epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
     lib.growbp_forward.argtypes = [ptr] * 4 + [size] * 4
     lib.growbp_error.argtypes = [ptr] * 5 + [size] * 4
-    for fn in (lib.growbp_epoch, lib.growbp_forward, lib.growbp_error):
+    lib.growbp_mean.argtypes = [ptr, size, ptr]
+    lib.growbp_classified.argtypes = [ptr] * 4 + [size] * 4
+    lib.growbp_permutation.argtypes = [ptr, ptr, size]
+    for fn in (lib.growbp_epoch, lib.growbp_forward, lib.growbp_error,
+               lib.growbp_mean, lib.growbp_classified,
+               lib.growbp_permutation):
         fn.restype = size
     return lib
 
@@ -229,25 +462,26 @@ def check_fit(net, part, what):
 
 def train_epoch(net, train, eta, rng=None):
     """One online pass over ``train``, updating the net's weights in place:
-    in file order, or with a numpy Generator ``rng`` in the order of one
-    ``rng.permutation(len(train))``, which the kernel trusts, so nothing
-    else is taken for ``rng``.  Returns the network."""
+    in file order, or with a :class:`Generator` ``rng`` in the order of
+    one ``rng.permutation(len(train))``, which the kernel trusts, so
+    nothing else is taken for ``rng``.  Returns the network."""
     check_fit(net, train, "training")
-    if not (rng is None or type(rng) is np.random.Generator):
-        raise TypeError(f"rng must be None or a numpy Generator, got {rng!r}")
-    order = None if rng is None else np.ascontiguousarray(
-        rng.permutation(len(train)), dtype=np.int64)
+    if not (rng is None or type(rng) is Generator):
+        raise TypeError(f"rng must be None or a growbp.kernel.Generator, "
+                        f"got {rng!r}")
+    order = None if rng is None else rng.permutation(len(train))
     if _lib is None:
         hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
         X, T, eta = train.X.tolist(), train.T.tolist(), float(eta)
-        for i in range(len(X)) if order is None else order.tolist():
+        for i in range(len(X)) if order is None else order:
             step(hw, ow, X[i], T[i], eta)
-        net.hidden_weights[...] = hw
-        net.output_weights[...] = ow
+        # Same-length slice assignment: the views keep the buffers in place.
+        net.hidden_weights.obj[:] = array("d", chain.from_iterable(hw))
+        net.output_weights.obj[:] = array("d", chain.from_iterable(ow))
         return net
     if _lib.growbp_epoch(
             *net.addresses, *train.addresses,
-            None if order is None else order.ctypes.data, len(train),
+            None if order is None else order.buffer_info()[0], len(train),
             net.n_inputs, net.h, net.n_outputs, float(eta)) == 2:
         raise MemoryError("kernel epoch")
     return net
@@ -256,41 +490,73 @@ def train_epoch(net, train, eta, rng=None):
 def forward_outputs(net, X):
     """Evaluate the network on a matrix of inputs, one row per pattern.
 
-    Row ``i`` of the result equals the outputs :func:`forward` gives for
-    ``X[i]``, bitwise.
+    Row ``i`` of the result, a 2-D :func:`view`, equals the outputs
+    :func:`forward` gives for ``X[i]``, bitwise.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n_inputs:
+    X, (n, width) = matrix(X, ArityMismatchError)
+    if width != net.n_inputs:
         raise ArityMismatchError(
-            f"expected (n, {net.n_inputs}) inputs, got {X.shape}"
+            f"expected (n, {net.n_inputs}) inputs, got {(n, width)}"
         )
     if _lib is None:
         hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
-        return np.array([forward(hw, ow, x)[1] for x in X.tolist()],
-                        np.float64).reshape(len(X), net.n_outputs)
-    Y = np.empty((len(X), net.n_outputs))
-    if _lib.growbp_forward(*net.addresses, X.ctypes.data, Y.ctypes.data,
-                           len(X), net.n_inputs, net.h, net.n_outputs) == 2:
+        Y = array("d", chain.from_iterable(
+            forward(hw, ow, X[i:i + width])[1]
+            for i in range(0, len(X), width)))
+        return view(Y, (n, net.n_outputs))
+    Y = array("d", bytes(8 * n * net.n_outputs))
+    if _lib.growbp_forward(*net.addresses, X.buffer_info()[0],
+                           Y.buffer_info()[0], n, net.n_inputs, net.h,
+                           net.n_outputs) == 2:
         raise MemoryError("kernel forward")
-    return Y
+    return view(Y, (n, net.n_outputs))
 
 
 def pattern_errors(net, part):
     """The error ``0.5 * (e0*e0 + e1*e1 + ...)`` of each pattern of ``part``.
 
     ``ek = dk - yk`` is the pattern's target minus its output, and the
-    squares are summed left to right over the outputs.  Returns a vector
-    with one value per row of the partition.
+    squares are summed left to right over the outputs.  Returns an
+    ``array('d')`` with one value per row of the partition.
     """
     check_fit(net, part, "error")
     if _lib is None:
-        E = part.T - forward_outputs(net, part.X)
-        s = E[:, 0] * E[:, 0]
-        for k in range(1, net.n_outputs):
-            s = s + E[:, k] * E[:, k]
-        return 0.5 * s
-    errors = np.empty(len(part))
-    if _lib.growbp_error(*net.addresses, *part.addresses, errors.ctypes.data,
-                         len(part), net.n_inputs, net.h, net.n_outputs) == 2:
+        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+        return array("d", [error(hw, ow, x, d) for x, d
+                           in zip(part.X.tolist(), part.T.tolist())])
+    errors = array("d", bytes(8 * len(part)))
+    if _lib.growbp_error(*net.addresses, *part.addresses,
+                         errors.buffer_info()[0], len(part), net.n_inputs,
+                         net.h, net.n_outputs) == 2:
         raise MemoryError("kernel error")
     return errors
+
+
+def mean(E):
+    """The mean of the ``array('d')`` ``E``, as numpy's ``E.mean()`` rounds
+    it: ``(0.0 + pairwise(E)) / n``."""
+    if not (isinstance(E, array) and E.typecode == "d"):
+        raise TypeError(f"E must be an array('d'), got {type(E).__name__}")
+    if not E:
+        raise EmptySetError("mean over an empty pattern set")
+    if _lib is None:
+        return (0.0 + pairwise(E, 0, len(E))) / len(E)
+    out = ctypes.c_double()
+    _lib.growbp_mean(E.buffer_info()[0], len(E), ctypes.byref(out))
+    return out.value
+
+
+def classified(net, part):
+    """How many patterns of ``part`` the net puts in their target's class,
+    each class given by :func:`label`."""
+    check_fit(net, part, "efficiency")
+    if _lib is None:
+        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+        return sum(label(forward(hw, ow, x)[1]) == label(d)
+                   for x, d in zip(part.X.tolist(), part.T.tolist()))
+    count = _lib.growbp_classified(*net.addresses, *part.addresses,
+                                   len(part), net.n_inputs, net.h,
+                                   net.n_outputs)
+    if count < 0:
+        raise MemoryError("kernel classified")
+    return count

@@ -8,13 +8,11 @@ Overall efficiency pools the correct counts over all three partitions;
 it is NOT the mean of the three per-partition percentages.
 """
 
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArityMismatchError
-from .kernel import check_fit
-from .network import forward_outputs
+from .kernel import classified, label, matrix
 
 
 @dataclass(frozen=True)
@@ -30,29 +28,29 @@ class EfficiencyReport:
 
 
 def classify(M):
-    """Class index of each row of an output or 0/1 target matrix.
+    """Class index of each row of an output or 0/1 target matrix, as an
+    ``array('q')``.
 
     One column gives class 1 where it is >= 0.5; two or more columns give
-    the argmax, with ties going to the lowest index.
+    the argmax, with ties going to the lowest index
+    (``growbp.kernel.label``).
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] == 0:
-        raise ArityMismatchError(f"cannot classify shape {M.shape}")
-    if M.shape[1] == 1:
-        return (M[:, 0] >= 0.5).astype(int)
-    return np.argmax(M, axis=1)
+    flat, (n, width) = matrix(M, ArityMismatchError)
+    if width == 0:
+        raise ArityMismatchError(f"cannot classify shape {(n, width)}")
+    return array("q", [label(flat[i:i + width])
+                       for i in range(0, n * width, width)])
 
 
 def efficiency(net, part):
-    """Count patterns of a partition whose predicted class is the target's."""
-    check_fit(net, part, "efficiency")
-    predicted = classify(forward_outputs(net, part.X))
-    classified = int(np.count_nonzero(predicted == classify(part.T)))
-    return EfficiencyReport(classified=classified, total=len(part))
+    """Count patterns of a partition whose predicted class is the target's,
+    in one pass of the kernel."""
+    return EfficiencyReport(classified=classified(net, part),
+                            total=len(part))
 
 
 def overall_efficiency(reports):
     """Pooled percent correct across the train/valid/test reports."""
-    classified = sum(r.classified for r in reports)
+    correct = sum(r.classified for r in reports)
     total = sum(r.total for r in reports)
-    return 100.0 * classified / total
+    return 100.0 * correct / total

@@ -12,12 +12,10 @@ weight untouched.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import (_count, _matrix, naming, numbered_lines, read_text,
                       write_text)
 from .errors import InvalidRangeError, MalformedValueError
-from .kernel import forward_outputs
+from .kernel import forward_outputs, matrix, view
 
 NETWORK_KEYS = ("n_inputs", "h", "n_outputs")
 
@@ -26,40 +24,40 @@ NETWORK_KEYS = ("n_inputs", "h", "n_outputs")
 class Network:
     """Weights of a 1-hidden-layer feedforward net, biases included.
 
-    Stored as C-contiguous, writeable float64 arrays: training updates
-    them in place.  ``addresses`` holds their data addresses, read once
-    here for the compiled kernel.  The network keeps a second reference
-    to each array, so numpy refuses to ``resize`` one, which would move
-    its memory away from those addresses.
+    Each matrix is stored as a row-major ``array('d')`` copy of what was
+    given and shown as a writeable 2-D ``memoryview`` of it
+    (``growbp.kernel.view``): training updates it in place.
+    ``addresses`` holds the buffers' addresses, read once here for the
+    compiled kernel; while the views exist the buffers cannot be resized
+    (``BufferError``), which would move them away from those addresses.
     """
 
-    hidden_weights: np.ndarray
-    output_weights: np.ndarray
+    hidden_weights: memoryview
+    output_weights: memoryview
 
     def __post_init__(self):
-        hw = np.require(self.hidden_weights, np.float64, "CWE")
-        ow = np.require(self.output_weights, np.float64, "CWE")
-        if hw.ndim != 2 or ow.ndim != 2:
-            raise MalformedValueError("weight matrices must be 2-D")
-        if hw.shape[0] < 1:
+        hw, hw_shape = matrix(self.hidden_weights)
+        ow, ow_shape = matrix(self.output_weights)
+        if hw_shape[0] < 1:
             raise MalformedValueError("need at least one hidden unit")
-        if ow.shape[0] < 1:
+        if ow_shape[0] < 1:
             raise MalformedValueError("need at least one output unit")
-        if hw.shape[1] < 2 or ow.shape[1] != hw.shape[0] + 1:
+        if hw_shape[1] < 2 or ow_shape[1] != hw_shape[0] + 1:
             raise MalformedValueError(
-                f"inconsistent shapes: hidden {hw.shape}, output {ow.shape}"
+                f"inconsistent shapes: hidden {hw_shape}, output {ow_shape}"
             )
-        if not (np.isfinite(hw).all() and np.isfinite(ow).all()):
+        if not all(map(math.isfinite, hw + ow)):
             raise MalformedValueError("weights must be finite")
-        object.__setattr__(self, "hidden_weights", hw)
-        object.__setattr__(self, "output_weights", ow)
-        object.__setattr__(self, "addresses", (hw.ctypes.data, ow.ctypes.data))
-        object.__setattr__(self, "_pinned", (hw, ow))
+        object.__setattr__(self, "hidden_weights", view(hw, hw_shape))
+        object.__setattr__(self, "output_weights", view(ow, ow_shape))
+        object.__setattr__(self, "addresses",
+                           (hw.buffer_info()[0], ow.buffer_info()[0]))
 
     def __reduce__(self):
         # Through the constructor, so a deep copy or an unpickled network
-        # reads the addresses of its own arrays.
-        return Network, (self.hidden_weights, self.output_weights)
+        # reads the addresses of its own buffers.
+        return Network, (self.hidden_weights.tolist(),
+                         self.output_weights.tolist())
 
     @property
     def n_inputs(self):
@@ -74,12 +72,12 @@ class Network:
         return self.output_weights.shape[0]
 
     def copy(self):
-        return Network(self.hidden_weights.copy(), self.output_weights.copy())
+        return Network(self.hidden_weights, self.output_weights)
 
 
 def check_init_range(init_range):
     """Reject a range that is not positive, or one whose width
-    ``2 * init_range`` is not finite, which numpy cannot draw from."""
+    ``2 * init_range`` is not finite, since a draw scales by that width."""
     if not (init_range > 0 and math.isfinite(2.0 * init_range)):
         raise InvalidRangeError(
             f"init_range must be > 0 and 2 * init_range finite, "
@@ -97,9 +95,9 @@ def init_network(n_inputs, n_outputs, init_range, rng):
     if n_inputs < 1 or n_outputs < 1:
         raise MalformedValueError("n_inputs and n_outputs must be >= 1")
     check_init_range(init_range)
-    hw = rng.uniform(-init_range, init_range, size=(1, n_inputs + 1))
-    ow = rng.uniform(-init_range, init_range, size=(n_outputs, 2))
-    return Network(hw, ow)
+    hw = rng.uniform(-init_range, init_range, n_inputs + 1)
+    ow = rng.uniform(-init_range, init_range, 2 * n_outputs)
+    return Network([hw], [ow[k:k + 2] for k in range(0, 2 * n_outputs, 2)])
 
 
 def add_hidden_unit(net, init_range, rng, zero_output=False):
@@ -113,14 +111,17 @@ def add_hidden_unit(net, init_range, rng, zero_output=False):
     (no draw), which leaves the network function unchanged.
     """
     check_init_range(init_range)
-    new_row = rng.uniform(-init_range, init_range, size=net.n_inputs + 1)
+    new_row = rng.uniform(-init_range, init_range, net.n_inputs + 1)
     if zero_output:
-        new_col = np.zeros(net.n_outputs)
+        new_col = [0.0] * net.n_outputs
     else:
-        new_col = rng.uniform(-init_range, init_range, size=net.n_outputs)
-    hw = np.vstack([net.hidden_weights, new_row[None, :]])
-    ow = np.insert(net.output_weights, net.h, new_col, axis=1)
-    return Network(hw, ow)
+        new_col = rng.uniform(-init_range, init_range, net.n_outputs)
+    h = net.h
+    return Network(
+        net.hidden_weights.tolist() + [new_row],
+        [row[:h] + [w] + row[h:]
+         for row, w in zip(net.output_weights.tolist(), new_col)],
+    )
 
 
 def format_network(net):
@@ -155,7 +156,8 @@ def parse_network(text):
         if rows[at][1] != key:
             raise MalformedValueError(f"line {rows[at][0]}: expected {key!r}")
         # A short block takes in the end-of-file row, which holds no value.
-        weights.append(_matrix(rows[at + 1:at + 1 + n], None, width, width))
+        flat, _ = _matrix(rows[at + 1:at + 1 + n], None, width, width)
+        weights.append(view(flat, (n, width)))
         at += 1 + n
     if at < len(rows) - 1:
         raise MalformedValueError(f"line {rows[at][0]}: expected end of file")

@@ -17,12 +17,11 @@ and trains again, up to a hard cap.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .errors import ConfigError
-from .kernel import pattern_errors, train_epoch
+from .kernel import Generator, mean, pattern_errors, train_epoch
 from .metrics import efficiency, overall_efficiency
 from .network import Network, add_hidden_unit, check_init_range, init_network
 
@@ -30,34 +29,53 @@ STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
 
 
-def check_fields(obj):
-    """Check and normalise a dataclass's int, float, str and bool fields.
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str,
+             bool: bool}
+
+
+def checked_value(name, kind, value):
+    """``value`` as a Python ``kind`` (int, float, str or bool), else a
+    :class:`ConfigError` naming the field ``name``.
 
     Bools and strings are rejected for numeric fields, numpy scalars are
-    accepted and stored as the matching Python type, and NaN is rejected
-    for every float field.  Raises :class:`ConfigError`.
+    accepted and converted, and NaN is rejected for float fields.
     """
-    accepted = {int: numbers.Integral, float: numbers.Real, str: str,
-                bool: (bool, np.bool_)}
-    for f in fields(obj):
-        if f.type not in accepted:
-            continue
-        value = getattr(obj, f.name)
-        if not isinstance(value, accepted[f.type]) or (
-            f.type in (int, float) and isinstance(value, bool)
+    if type(value) is not kind:
+        accepted = _ACCEPTED[kind]
+        # A numpy bool exists only where numpy is loaded: look, never
+        # import.  The entry is None where numpy is blocked.
+        numpy = sys.modules.get("numpy")
+        if kind is bool and numpy is not None:
+            accepted = (bool, numpy.bool_)
+        if not isinstance(value, accepted) or (
+            kind in (int, float) and isinstance(value, bool)
         ):
             raise ConfigError(
-                f"{f.name} must be {f.type.__name__}, got {value!r}"
-            )
+                f"{name} must be {kind.__name__}, got {value!r}")
         try:
-            value = f.type(value)
+            value = kind(value)
         except OverflowError:
-            raise ConfigError(
-                f"{f.name} is out of range: {value!r}"
-            ) from None
-        if f.type is float and math.isnan(value):
-            raise ConfigError(f"{f.name} must not be NaN")
-        object.__setattr__(obj, f.name, value)  # frozen dataclasses too
+            raise ConfigError(f"{name} is out of range: {value!r}") from None
+    if kind is float and math.isnan(value):
+        raise ConfigError(f"{name} must not be NaN")
+    return value
+
+
+def check_fields(obj):
+    """Check and normalise a dataclass's int, float, str and bool fields
+    with :func:`checked_value`.  Raises :class:`ConfigError`."""
+    for f in fields(obj):
+        if f.type in (int, float, str, bool):
+            value = checked_value(f.name, f.type, getattr(obj, f.name))
+            object.__setattr__(obj, f.name, value)  # frozen dataclasses too
+
+
+def check_seed(seed):
+    """A training seed as a Python int >= 0, else :class:`ConfigError`."""
+    seed = checked_value("seed", int, seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass
@@ -104,8 +122,7 @@ class TrainConfig:
         if self.xi_target < 0:
             raise ConfigError(f"xi_target must be >= 0, got {self.xi_target}")
         check_init_range(self.init_range)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.stopping_set not in ("validation", "test"):
             raise ConfigError(
                 f"stopping_set must be 'validation' or 'test', "
@@ -140,12 +157,32 @@ class PhaseRecord:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
+def phase_fault(phases):
+    """``(index, message)`` of the first phase out of growth order, or None.
+
+    Each phase's h is one more than the phase before it and its
+    cumulative epochs are more; with that, the first phase's h is 1.
+    """
+    for i in range(1, len(phases)):
+        prev, rec = phases[i - 1], phases[i]
+        if rec.h != prev.h + 1:
+            return i, f"h={rec.h} follows h={prev.h}, not h={prev.h + 1}"
+        if rec.epochs_cumulative <= prev.epochs_cumulative:
+            return i, (f"epochs {rec.epochs_cumulative} follow "
+                       f"{prev.epochs_cumulative}: epochs must strictly "
+                       f"increase")
+    if phases and phases[0].h != 1:
+        return 0, f"the first phase has h={phases[0].h}, not h=1"
+    return None
+
+
 @dataclass(frozen=True)
 class GrowthHistory:
     """Per-phase records of a constructive run plus why it stopped.
 
     As growth makes them, the phases have h = 1, 2, ..., n and strictly
-    increasing cumulative epochs; other phases raise :class:`ConfigError`.
+    increasing cumulative epochs (:func:`phase_fault`); other phases
+    raise :class:`ConfigError`.
     """
 
     phases: tuple
@@ -155,12 +192,9 @@ class GrowthHistory:
         if self.stop_reason not in (STOP_ACCEPTED, STOP_H_MAX):
             raise ConfigError(f"stop_reason must be {STOP_ACCEPTED!r} or "
                               f"{STOP_H_MAX!r}, got {self.stop_reason!r}")
-        hs = [rec.h for rec in self.phases]
-        if hs != list(range(1, len(hs) + 1)):
-            raise ConfigError(f"phases must have h = 1, 2, ..., got {hs}")
-        epochs = [rec.epochs_cumulative for rec in self.phases]
-        if any(a >= b for a, b in zip(epochs, epochs[1:])):
-            raise ConfigError(f"epochs must strictly increase, got {epochs}")
+        fault = phase_fault(self.phases)
+        if fault is not None:
+            raise ConfigError(fault[1])
 
     def selected_index(self):
         """Index of the phase whose snapshot the run returned.
@@ -176,10 +210,9 @@ class GrowthHistory:
 
 
 def average_error(net, part):
-    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2."""
-    errors = pattern_errors(net, part)
-    # What ndarray.mean computes, bit for bit, without its dispatch.
-    return float(np.add.reduce(errors) / len(errors))
+    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2,
+    rounded as numpy's ``mean`` rounds it."""
+    return mean(pattern_errors(net, part))
 
 
 def _phase_record(net, data, epochs_cumulative):
@@ -217,7 +250,7 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
     ``epochs_before + epochs_used`` as its cumulative epoch count.
     """
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = Generator(cfg.seed)
     work = net.copy()
     best_net = work.copy()
     best_err = math.inf
@@ -229,8 +262,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
         err = average_error(work, data.valid)
         if err < best_err:
             best_err = err
-            np.copyto(best_net.hidden_weights, work.hidden_weights)
-            np.copyto(best_net.output_weights, work.output_weights)
+            best_net.hidden_weights.obj[:] = work.hidden_weights.obj
+            best_net.output_weights.obj[:] = work.output_weights.obj
             bad = 0
         else:
             bad += 1
@@ -268,7 +301,7 @@ def constructive_train(data, cfg):
 
     Returns ``(network, history)``.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
     net = init_network(
         data.header.n_inputs, data.header.n_outputs, cfg.init_range, rng
     )

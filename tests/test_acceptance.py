@@ -121,7 +121,7 @@ def test_4_diabetes1_reproduction(report):
 
 
 def pattern_xi(net, x, d):
-    e = d - forward_outputs(net, [x])[0]
+    e = d - np.asarray(forward_outputs(net, [x]))[0]
     return 0.5 * float(e @ e)
 
 
@@ -157,9 +157,10 @@ def test_5_gradient_oracle(report):
         x = rng.uniform(-1, 1, n_in)
         d = rng.integers(0, 2, n_out).astype(np.float64)
         grads = central_difference_gradient(net, x, d)
-        before = (net.hidden_weights.copy(), net.output_weights.copy())
+        before = (np.array(net.hidden_weights), np.array(net.output_weights))
         train_epoch(net, Partition([x], [d]), eta)
-        after = (net.hidden_weights, net.output_weights)
+        after = (np.asarray(net.hidden_weights),
+                 np.asarray(net.output_weights))
         for b, a, g in zip(before, after, grads):
             taken = (a - b) / eta
             err = np.abs(taken + g)
@@ -198,12 +199,13 @@ def test_6_growth_invariants(blob_dataset, report):
             rng.uniform(-2, 2, (n_out, h + 1)),
         )
         grown = add_hidden_unit(net, 1.0, rng)
+        hw, ow = np.asarray(grown.hidden_weights), np.asarray(
+            grown.output_weights)
+        old_ow = np.asarray(net.output_weights)
         preserved = preserved and (
-            np.array_equal(grown.hidden_weights[:h], net.hidden_weights)
-            and np.array_equal(grown.output_weights[:, :h],
-                               net.output_weights[:, :h])
-            and np.array_equal(grown.output_weights[:, -1],
-                               net.output_weights[:, -1])
+            np.array_equal(hw[:h], net.hidden_weights)
+            and np.array_equal(ow[:, :h], old_ow[:, :h])
+            and np.array_equal(ow[:, -1], old_ow[:, -1])
         )
     ok = runs_ok and preserved
     report("6 growth invariants", ok,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,21 @@ class TestBuildExperimentConfig:
                      "--epochs-per-phase", "5", "--output", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["3"]
+
+    def test_long_sweep_builds_one_train_config(self, monkeypatch):
+        # The seeds go through TrainConfig's seed rule, not a TrainConfig
+        # each: 100000 of them took about 2 s that way.
+        built = []
+        check = TrainConfig.__post_init__
+        monkeypatch.setattr(TrainConfig, "__post_init__",
+                            lambda cfg: (built.append(cfg), check(cfg)))
+        args = build_parser().parse_args(["train", "heart1",
+                                          "--seeds", "0:100000"])
+        start = time.process_time()
+        cfg = build_experiment_config(args)
+        assert time.process_time() - start < 0.2
+        assert cfg.sweep_seeds == tuple(range(100000))
+        assert len(built) == 1
 
     def test_dataset_from_config_file(self, tmp_path, blob_dataset):
         from growbp.cli import build_experiment_config
@@ -819,6 +835,10 @@ BAD_INPUTS = {
         CSV_HEADER + "1,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,0\n"
         "2,5,3,75.0,0.1,2,50.0,0.2,1,25.0,70.0,1\n"
         "# stop_reason=h_max_reached\n"),
+    "render-csv-h-starts-at-2": write_render_input(
+        CSV_HEADER + "2,5,3,75.0,0.1,2,50.0,0.2,1,25.0,60.0,1\n"
+        "3,9,3,75.0,0.1,2,50.0,0.2,1,25.0,50.0,0\n"
+        "# stop_reason=h_max_reached\n"),
     "render-jsonl-h-skips": write_render_input(
         json.dumps({**JSON_ROW, "selected": False}) + "\n"
         + json.dumps({**JSON_ROW, "h": 3, "epochs_cumulative": 9}) + "\n"),
@@ -853,6 +873,20 @@ def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
         assert err.endswith(": not a growth-table CSV or JSON lines\n")
     if case in CONFIG_FILE_FAULTS:
         assert err.startswith(f"error: {tmp_path / 'c.json'}: ")
+
+
+# A row out of growth order is named by its own line, not the stop line.
+@pytest.mark.parametrize("case, line", [
+    ("render-csv-h-decreasing", 3),
+    ("render-csv-h-starts-at-2", 2),
+    ("render-csv-epochs-not-increasing", 3),
+    ("render-jsonl-h-skips", 2),
+    ("render-jsonl-epochs-not-increasing", 2),
+])
+def test_growth_order_faults_name_their_row(case, line, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    assert main(argv) == 2
+    assert f"error: {argv[1]}: line {line}: " in capsys.readouterr().err
 
 
 def build_from_config(path):

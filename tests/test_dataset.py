@@ -115,8 +115,9 @@ class TestParseDataset:
         ds = parse_dataset(tiny_dt())
         assert (len(ds.train), len(ds.valid), len(ds.test)) == (3, 2, 2)
         # first input component encodes the row index
-        firsts = np.concatenate([ds.train.X[:, 0], ds.valid.X[:, 0],
-                                 ds.test.X[:, 0]])
+        firsts = np.concatenate([np.asarray(ds.train.X)[:, 0],
+                                 np.asarray(ds.valid.X)[:, 0],
+                                 np.asarray(ds.test.X)[:, 0]])
         assert np.array_equal(firsts, np.sort(firsts))
         assert np.isclose(ds.valid.X[0, 0], 0.3)
 
@@ -187,7 +188,7 @@ class TestRoundTrip:
 class TestSplitDatasetInvariants:
     def test_partition_length_mismatch_rejected(self):
         ds = parse_dataset(tiny_dt())
-        short = Partition(ds.train.X[:-1], ds.train.T[:-1])
+        short = Partition(ds.train.X.tolist()[:-1], ds.train.T.tolist()[:-1])
         with pytest.raises(CountMismatchError):
             SplitDataset(header=ds.header, train=short,
                          valid=ds.valid, test=ds.test)
@@ -212,11 +213,13 @@ class TestSplitDatasetInvariants:
 class TestPartition:
     def test_copies_to_c_contiguous_float64(self):
         X = np.asfortranarray(np.arange(6).reshape(3, 2))
-        part = Partition(X, np.ones((3, 1)))
+        T = np.ones((3, 1))
+        part = Partition(X, T)
         for M in (part.X, part.T):
-            assert M.dtype == np.float64
-            assert M.flags.c_contiguous and M.flags.owndata
+            assert M.format == "d" and M.c_contiguous and M.ndim == 2
+        assert part.X.tolist() == X.tolist()
         assert not np.shares_memory(part.X, X)
+        assert not np.shares_memory(part.T, T)
         assert len(part) == 3
 
     @pytest.mark.parametrize("X, T", [
@@ -334,7 +337,7 @@ class TestBulkParse:
             got = dataset._matrix(*case)
         by_row.assert_not_called()  # valid rows never take the slow path
         want = dataset._matrix_by_row(*case)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @given(bodies(), CHUNKS, st.data())
     @settings(max_examples=400, deadline=None)
@@ -406,12 +409,12 @@ class TestNormalizeRaw:
     def test_linear_map_endpoints(self):
         col = np.array([[0.0], [5.0], [10.0]])
         out = normalize_raw(col, col)
-        assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
+        assert np.allclose(np.asarray(out)[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_zero(self):
         col = np.array([[3.0], [3.0], [3.0]])
         out = normalize_raw(col, col)
-        assert np.array_equal(out[:, 0], [0.0, 0.0, 0.0])
+        assert np.array_equal(np.asarray(out)[:, 0], [0.0, 0.0, 0.0])
 
     def test_out_of_range_not_clamped(self):
         train = np.array([[0.0], [10.0]])
@@ -453,7 +456,7 @@ class TestRawCsv:
     def test_normalizes_with_train_stats_only(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path))
         assert (ds.header.n_inputs, ds.header.n_outputs) == (2, 2)
-        assert np.allclose(ds.train.X[:, 0], [0.0, 1.0, 0.5])
+        assert np.allclose(np.asarray(ds.train.X)[:, 0], [0.0, 1.0, 0.5])
         # validation row a=20 exceeds the train max of 10: not clamped
         assert np.isclose(ds.valid.X[0, 0], 2.0)
         # test row b=8 with train span [2, 4]

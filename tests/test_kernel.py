@@ -5,7 +5,8 @@ floats, independently of the Python kernel: each sum starts from its
 first product, runs left to right and adds the bias last.  The entry
 points ``train_epoch``, ``forward_outputs`` and ``pattern_errors`` are
 checked against it on both backends, and the compiled kernel is also
-checked against the Python one, which is its fallback.
+checked against the Python one, which is its fallback.  numpy is the
+oracle for the random streams, the pairwise mean and the class rule.
 """
 
 import copy
@@ -18,6 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,10 +31,10 @@ from scipy.special import expit
 
 import growbp
 from growbp import kernel as kernel_module
-from growbp import metrics
 from growbp.dataset import Partition
 from growbp.errors import ArityMismatchError, EmptySetError
-from growbp.metrics import efficiency
+from growbp.kernel import Generator
+from growbp.metrics import classify, efficiency
 from growbp.network import Network, add_hidden_unit, forward_outputs
 from growbp.trainer import average_error, train_epoch
 
@@ -134,14 +136,15 @@ def test_epoch_equals_loop_of_steps(each_backend, shape, seed, rows,
     part = Partition(rng.uniform(0, 1, (rows, shape[0])),
                      rng.integers(0, 2, (rows, shape[2])).astype(float))
     order = np.random.default_rng(order_seed).permutation(rows)
+    X, T = part.X.tolist(), part.T.tolist()
     hw, ow = start.hidden_weights.tolist(), start.output_weights.tolist()
     for i in order:
-        hw, ow = ref_step(hw, ow, part.X[i].tolist(), part.T[i].tolist(), 0.7)
+        hw, ow = ref_step(hw, ow, X[i], T[i], 0.7)
     for _ in each_backend:
         a, b = start.copy(), start.copy()
-        train_epoch(a, part, 0.7, np.random.default_rng(order_seed))
+        train_epoch(a, part, 0.7, Generator(order_seed))
         for i in order:
-            one_step(b, part.X[i], part.T[i], 0.7)
+            one_step(b, X[i], T[i], 0.7)
         for net in (a, b):
             assert bits(net.hidden_weights) == bits(hw)
             assert bits(net.output_weights) == bits(ow)
@@ -153,7 +156,7 @@ def test_batch_forward_matches_per_pattern(shape, scale, seed, rows):
     rng = np.random.default_rng(seed)
     net = random_net(rng, shape, scale)
     X = rng.uniform(-1, 1, (rows, shape[0]))
-    Y = forward_outputs(net, X)
+    Y = np.asarray(forward_outputs(net, X))
     for i in range(rows):
         hidden, output = python_forward(net, X[i])
         want_hidden, want_output = ref_forward(net.hidden_weights.tolist(),
@@ -198,7 +201,7 @@ def test_long_sums_keep_order():
     hidden, output = python_forward(net, x)
     assert bits(hidden) == bits(want[0])
     assert bits(output) == bits(want[1])
-    assert bits(forward_outputs(net, x[None, :])[0]) == bits(want[1])
+    assert bits(forward_outputs(net, x[None, :])) == bits(want[1])
 
 
 # The compiled kernel against the Python one.  Weight scales up to 1e300
@@ -233,9 +236,9 @@ def nan_bits(a):
 def python_epoch(net, part, order, eta):
     """The Python step applied pattern by pattern; new weight rows."""
     hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+    X, T = part.X.tolist(), part.T.tolist()
     for i in order:
-        kernel_module.step(hw, ow, part.X[i].tolist(), part.T[i].tolist(),
-                           eta)
+        kernel_module.step(hw, ow, X[i], T[i], eta)
     return hw, ow
 
 
@@ -247,9 +250,10 @@ def test_epoch_matches_python_steps(shape, scale, seed, rows, eta,
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
-    # Both sides draw from equal streams, or both go in file order.
-    shuffles = [None if order_seed is None
-                else np.random.default_rng(order_seed) for _ in range(2)]
+    # Both sides draw from equal streams, numpy's and growbp's, or both go
+    # in file order.
+    shuffles = [None, None] if order_seed is None else [
+        np.random.default_rng(order_seed), Generator(order_seed)]
     for _ in range(3):  # later epochs start from saturated weights
         order = (range(rows) if order_seed is None
                  else shuffles[0].permutation(rows))
@@ -268,7 +272,7 @@ def test_epoch_draws_one_permutation_or_goes_in_file_order(
     part = Partition(rng.uniform(0, 1, (rows, shape[0])),
                      rng.integers(0, 2, (rows, shape[2])).astype(float))
     for _ in each_backend:
-        drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn, twin = Generator(seed), Generator(seed)
         shuffled, in_order = start.copy(), start.copy()
         train_epoch(shuffled, part, 0.7, drawn)
         train_epoch(in_order, part, 0.7)
@@ -278,7 +282,7 @@ def test_epoch_draws_one_permutation_or_goes_in_file_order(
             assert bits(net.hidden_weights) == bits(want_hw)
             assert bits(net.output_weights) == bits(want_ow)
         # The epoch took exactly one permutation from the stream.
-        assert drawn.bit_generator.state == twin.bit_generator.state
+        assert drawn.state == twin.state
 
 
 @given(shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
@@ -289,11 +293,12 @@ def test_batch_forward_matches_python_forward(each_backend, shape, scale,
     hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
     net = Network(hw, ow)
     if infinite:  # a Network is built finite; training can make it not
-        net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
-        net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
+        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.2] = math.inf
+        np.asarray(net.output_weights)[rng.random(ow.shape) < 0.2] = -math.inf
     for _ in each_backend:
         Y = forward_outputs(net, X)
         assert Y.shape == (rows, shape[2])
+        Y = np.asarray(Y)
         for i in range(rows):
             assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
                 net.hidden_weights.tolist(), net.output_weights.tolist(),
@@ -323,13 +328,12 @@ def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
     if infinite:  # a Network is built finite; training can make it not
-        net.hidden_weights[rng.random(hw.shape) < 0.2] = math.inf
-        net.output_weights[rng.random(ow.shape) < 0.2] = -math.inf
-    with np.errstate(all="ignore"):  # inf - inf in numpy's fallback
-        got = [kernel_module.pattern_errors(net, part) for _ in each_backend]
+        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.2] = math.inf
+        np.asarray(net.output_weights)[rng.random(ow.shape) < 0.2] = -math.inf
+    got = [kernel_module.pattern_errors(net, part) for _ in each_backend]
     want = [ref_pattern_error(net, X[i].tolist(), T[i].tolist())
             for i in range(rows)]
-    assert got[0].shape == (rows,)
+    assert len(got[0]) == rows
     assert nan_bits(got[0]) == nan_bits(got[1]) == nan_bits(want)
 
 
@@ -343,7 +347,7 @@ def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
-    E = T - forward_outputs(net, X)
+    E = T - np.asarray(forward_outputs(net, X))
     want = float((0.5 * (E * E).sum(axis=1)).mean())
     for _ in each_backend:
         assert bits(average_error(net, part)) == bits(want)
@@ -353,7 +357,7 @@ def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
 # not fit the net below (2 inputs, 1 output).
 FIT_CHECKED = {
     "train_epoch": lambda net, part: train_epoch(
-        net, part, 0.7, np.random.default_rng(0)),
+        net, part, 0.7, Generator(0)),
     "pattern_errors": kernel_module.pattern_errors,
     "average_error": average_error,
     "efficiency": efficiency,
@@ -380,10 +384,8 @@ def test_unfit_partitions_fail_before_the_kernel(
 
     if kernel_module._lib is not None:
         monkeypatch.setattr(kernel_module, "_lib", NoLib())
-    for module, name in ((kernel_module, "step"),
-                         (kernel_module, "forward_outputs"),
-                         (metrics, "forward_outputs")):
-        monkeypatch.setattr(module, name, no_kernel)
+    for name in ("step", "forward", "pairwise"):
+        monkeypatch.setattr(kernel_module, name, no_kernel)
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
     part = Partition(np.ones((rows, n_inputs)), np.ones((rows, n_targets)))
@@ -393,25 +395,27 @@ def test_unfit_partitions_fail_before_the_kernel(
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
-# Nothing but a numpy Generator may pick the order kernel.c trusts: not
-# an order, a seed, a legacy RandomState or an object that only looks
-# like a generator and would send it past the end of the rows.
+# Nothing but growbp's Generator may pick the order kernel.c trusts: not
+# an order, a seed, numpy's generators, whose permutations the kernel
+# never checks, or an object that only looks like a generator and would
+# send it past the end of the rows.
 @pytest.mark.parametrize("rng", [
-    np.arange(4), 0, np.random.RandomState(0),
+    np.arange(4), 0, np.random.RandomState(0), np.random.default_rng(0),
     SimpleNamespace(permutation=lambda n: np.full(n, 10**9)),
-], ids=["order", "seed", "random-state", "look-alike"])
-def test_epoch_takes_only_a_numpy_generator(rng, each_backend):
+], ids=["order", "seed", "random-state", "numpy-generator", "look-alike"])
+def test_epoch_takes_only_a_growbp_generator(rng, each_backend):
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
     part = Partition(np.ones((4, 2)), np.ones((4, 1)))
     for _ in each_backend:
-        with pytest.raises(TypeError, match="numpy Generator"):
+        with pytest.raises(TypeError, match="growbp.kernel.Generator"):
             train_epoch(net, part, 0.7, rng)
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
 # The symbols kernel.c exports, each with the package's prefix.
-EXPORTS = ("growbp_epoch", "growbp_forward", "growbp_error")
+EXPORTS = ("growbp_epoch", "growbp_forward", "growbp_error", "growbp_mean",
+           "growbp_classified", "growbp_permutation")
 
 
 def c_type(param):
@@ -453,7 +457,8 @@ def test_compiled_library_exports_only_prefixed_names():
     # An unprefixed name resolves, if at all, to what the process already
     # has: glibc's error(3), never the kernel's own code.
     process = ctypes.CDLL(None)
-    for name in ("epoch", "forward", "error", "layer", "logistic"):
+    for name in ("epoch", "forward", "error", "layer", "logistic", "mean",
+                 "pairwise", "label", "classified", "next64", "permutation"):
         assert _address(lib, name) == _address(process, name), name
 
 
@@ -501,18 +506,33 @@ def run_python(code, **env):
     return proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # Nor anything that forks: seeds run on threads.
-    absent = ("scipy", "multiprocessing", "concurrent.futures.process")
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Nor numpy, nor anything that forks: seeds run on threads.  A whole
+    # train run loads none of them either.
+    absent = ("numpy", "scipy", "multiprocessing",
+              "concurrent.futures.process")
     out = run_python("import sys, growbp.cli\n"
                      f"print([m for m in {absent!r} if m in sys.modules])")
     assert out == "[]\n"
+    out = run_python(
+        "import sys\n"
+        "from growbp.cli import main\n"
+        "status = main(['train', 'heart1', '--seeds', '0:2', '--output', "
+        f"{str(tmp_path / 'res')!r}])\n"
+        f"print(status, [m for m in {absent!r} if m in sys.modules])")
+    assert out.splitlines()[-1] == "0 []"
 
 
-def heart1_golden_without_gcc(tmp_path, prelude=""):
-    """Run ``prelude``, then the heart1 golden sweep with no ``gcc`` on
-    ``PATH`` and an empty cache; it must reproduce the golden bytes."""
+# numpy cannot be imported after this prelude.
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def heart1_golden(tmp_path, prelude="", gcc=False):
+    """Run ``prelude``, then the heart1 golden sweep with an empty cache
+    and, unless ``gcc``, no ``gcc`` on ``PATH``; it must reproduce the
+    golden bytes.  Returns the backend it ran on."""
     (tmp_path / "bin").mkdir()
+    path = os.environ.get("PATH", "") if gcc else str(tmp_path / "bin")
     out = run_python(
         prelude +
         "import sys, tempfile\n"
@@ -523,13 +543,26 @@ def heart1_golden_without_gcc(tmp_path, prelude=""):
         "with tempfile.TemporaryDirectory() as tmp:\n"
         "    test_golden.assert_same_files(\n"
         "        'heart1', test_golden.result_files('heart1', Path(tmp)))\n",
-        XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(tmp_path / "bin"))
-    assert out == "python\n"
+        XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=path)
+    return out
+
+
+def heart1_golden_without_gcc(tmp_path, prelude=""):
+    assert heart1_golden(tmp_path, prelude) == "python\n"
     assert not (tmp_path / "cache").exists()
 
 
 def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
     heart1_golden_without_gcc(tmp_path)
+
+
+def test_fallback_needs_no_numpy(tmp_path):
+    heart1_golden_without_gcc(tmp_path, NO_NUMPY)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_compiled_kernel_needs_no_numpy(tmp_path):
+    assert heart1_golden(tmp_path, NO_NUMPY, gcc=True) == "c\n"
 
 
 def test_fallback_needs_no_scipy(tmp_path):
@@ -617,7 +650,7 @@ def test_average_error_is_the_numpy_mean(each_backend, rows, n_out, seed):
     hw, ow, X, T = random_arrays(rng, (1, 2, n_out), 30.0, rows)
     net, part = Network(hw, ow), Partition(X, T)
     for _ in each_backend:
-        want = float(kernel_module.pattern_errors(net, part).mean())
+        want = np.asarray(kernel_module.pattern_errors(net, part)).mean()
         assert bits(average_error(net, part)) == bits(want)
 
 
@@ -628,20 +661,19 @@ def test_stored_arrays_refuse_resize(each_backend):
     part = Partition(rng.uniform(0, 1, (6, 3)), np.eye(2)[[0, 1, 1, 0, 1, 0]])
     twins = [net.copy() for net in nets]
     twin_part = Partition(part.X, part.T)
-    # By attribute only: a reference held here would itself make numpy
-    # refuse.
     stored = [(part, "X"), (part, "T")]
     for net in nets:
         stored += [(net, "hidden_weights"), (net, "output_weights")]
     for obj, name in stored:
-        shape = getattr(obj, name).shape
-        with pytest.raises(ValueError, match="cannot resize"):
-            getattr(obj, name).resize((50, 50))
-        assert getattr(obj, name).shape == shape
+        buffer = getattr(obj, name).obj
+        size = len(buffer)
+        with pytest.raises(BufferError, match="cannot resize"):
+            buffer.extend([0.0] * 2500)
+        assert len(buffer) == size
     for _ in each_backend:
         for net, twin in zip(nets, twins):
-            train_epoch(net, part, 0.7, np.random.default_rng(3))
-            train_epoch(twin, twin_part, 0.7, np.random.default_rng(3))
+            train_epoch(net, part, 0.7, Generator(3))
+            train_epoch(twin, twin_part, 0.7, Generator(3))
             assert bits(net.hidden_weights) == bits(twin.hidden_weights)
             assert bits(net.output_weights) == bits(twin.output_weights)
             assert bits(kernel_module.pattern_errors(net, part)) == bits(
@@ -659,8 +691,107 @@ def test_duplicates_address_their_own_arrays(duplicate):
     part = Partition(rng.uniform(0, 1, (5, 3)), np.eye(2)[[0, 1, 1, 0, 1]])
     for obj, arrays in ((duplicate(net), "hidden_weights output_weights"),
                         (duplicate(part), "X T")):
-        assert obj.addresses == tuple(getattr(obj, name).ctypes.data
+        assert obj.addresses == tuple(getattr(obj, name).obj.buffer_info()[0]
                                       for name in arrays.split())
     before = bits(net.hidden_weights) + bits(net.output_weights)
     train_epoch(copy.deepcopy(net), part, 0.7)
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
+    # A partition with no rows keeps its widths.
+    empty = duplicate(Partition(np.empty((0, 3)), np.empty((0, 2))))
+    assert (empty.X.shape, empty.T.shape) == ((0, 3), (0, 2))
+
+
+def numpy_state(rng):
+    """A numpy Generator's state in the form of ``Generator.state``."""
+    state = rng.bit_generator.state
+    return [state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"], state["uinteger"]]
+
+
+BIG_SEEDS = [2**32, 2**64 - 1, 2**64, 2**64 + 3, 10**30, 2**200 + 12345]
+
+
+def test_generator_seeds_as_numpy_does(each_backend):
+    for _ in each_backend:
+        for seed in [*range(1001), *BIG_SEEDS]:
+            ours, theirs = Generator(seed), np.random.default_rng(seed)
+            assert ours.state == numpy_state(theirs), seed
+            assert bits(ours.uniform(-1.5, 2.0, 2)) == bits(
+                theirs.uniform(-1.5, 2.0, 2)), seed
+            assert ours.permutation(5).tolist() == (
+                theirs.permutation(5).tolist()), seed
+            assert ours.state == numpy_state(theirs), seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 999, *BIG_SEEDS])
+def test_generator_interleaves_draws_as_numpy_does(seed, each_backend):
+    # A permutation of n <= 2**32 draws 32-bit halves and may leave one
+    # buffered for the next; uniform draws whole words around it.
+    for _ in each_backend:
+        ours, theirs = Generator(seed), np.random.default_rng(seed)
+        for n in (0, 1, 2, 152, 4000, 2, 1, 152, 0, 3):
+            assert ours.permutation(n).tolist() == (
+                theirs.permutation(n).tolist())
+            assert bits(ours.uniform(-0.7, 0.7, n % 5)) == bits(
+                theirs.uniform(-0.7, 0.7, n % 5))
+            assert ours.state == numpy_state(theirs)
+
+
+def test_pairwise_mean_is_numpys_for_every_length():
+    E = np.random.default_rng(5).uniform(0.0, 10.0, 9000)
+    flat = array("d", E)
+    want = [float(np.add.reduce(E[:n]) / n) for n in range(1, 9001)]
+    # The Python transcription at and next to numpy's block edges.
+    for n in (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257,
+              1023, 1024, 1025, 8191, 8192, 8193, 9000):
+        got = (0.0 + kernel_module.pairwise(flat, 0, n)) / n
+        assert bits(got) == bits(want[n - 1]), n
+    if kernel_module._lib is None:
+        pytest.skip("no gcc on PATH: the Python kernel is in use")
+    out = ctypes.c_double()
+    for n in range(1, 9001):
+        kernel_module._lib.growbp_mean(flat.buffer_info()[0], n,
+                                       ctypes.byref(out))
+        assert bits(out.value) == bits(want[n - 1]), n
+
+
+def test_mean_takes_only_a_double_array_with_values(each_backend):
+    # kernel.c reads len(E) doubles from E's address.
+    for _ in each_backend:
+        assert kernel_module.mean(array("d", [1.0, 2.0, 4.0])) == 7.0 / 3
+        for E in ([1.0, 2.0], array("f", [1.0, 2.0]), np.ones(2)):
+            with pytest.raises(TypeError, match="array"):
+                kernel_module.mean(E)
+        with pytest.raises(EmptySetError):
+            kernel_module.mean(array("d"))
+
+
+def numpy_classes(M):
+    """Proben1's rule in numpy: a threshold at 0.5, or argmax."""
+    return (M[:, 0] >= 0.5).astype(int) if M.shape[1] == 1 else (
+        M.argmax(axis=1))
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 3, 12]),
+       st.integers(1, 20), seeds, st.booleans())
+@settings(per_example, max_examples=150)
+def test_classified_count_is_the_argmax_count(each_backend, n_in, h, n_out,
+                                              rows, seed, infinite):
+    # Weights, inputs and targets from a few values repeat output rows, so
+    # outputs tie, and a zero net input gives exactly 0.5; infinite
+    # weights make NaN outputs, where numpy's argmax takes the first.
+    rng = np.random.default_rng(seed)
+    hw = rng.choice([-1.0, 0.0, 1.0], (h, n_in + 1))
+    ow = rng.choice([-1.0, 0.0, 1.0], (n_out, h + 1))
+    X = rng.choice([0.0, 0.5, 1.0], (rows, n_in))
+    T = rng.choice([0.0, 0.5, 1.0], (rows, n_out))
+    net, part = Network(hw, ow), Partition(X, T)
+    if infinite:
+        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.3] = math.inf
+    Y = np.asarray(forward_outputs(net, X))
+    want = int(np.count_nonzero(numpy_classes(Y) == numpy_classes(T)))
+    assert classify(Y).tolist() == numpy_classes(Y).tolist()
+    assert classify(T).tolist() == numpy_classes(T).tolist()
+    for _ in each_backend:
+        assert kernel_module.classified(net, part) == want
+        assert efficiency(net, part).classified == want

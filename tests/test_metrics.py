@@ -16,7 +16,7 @@ from growbp.network import Network
 def outputs(net, x):
     """The Python kernel's outputs for one pattern."""
     return forward(net.hidden_weights.tolist(), net.output_weights.tolist(),
-                   x.tolist())[1]
+                   x)[1]
 
 
 def classify_row(row):
@@ -88,7 +88,7 @@ class TestEfficiency:
                          np.eye(2)[rng.integers(0, 2, 40)])
         rep = efficiency(net, part)
         expected = sum(classify_row(outputs(net, x)) == classify_row(t)
-                       for x, t in zip(part.X, part.T))
+                       for x, t in zip(part.X.tolist(), part.T.tolist()))
         assert rep.classified == expected
         assert rep.total == 40
 
@@ -101,7 +101,7 @@ class TestEfficiency:
                          rng.integers(0, 2, (40, 1)))
         rep = efficiency(net, part)
         expected = sum(classify_row(outputs(net, x)) == classify_row(t)
-                       for x, t in zip(part.X, part.T))
+                       for x, t in zip(part.X.tolist(), part.T.tolist()))
         assert rep.classified == expected
 
     def test_all_correct_is_hundred_percent(self, blob_dataset):

@@ -44,15 +44,15 @@ def reference_forward(net, x):
     """Matrix-free scalar-loop evaluator, written independently of forward()."""
     hidden = []
     for j in range(net.h):
-        s = net.hidden_weights[j][net.n_inputs]
+        s = net.hidden_weights[j, net.n_inputs]
         for i in range(net.n_inputs):
-            s += net.hidden_weights[j][i] * x[i]
+            s += net.hidden_weights[j, i] * x[i]
         hidden.append(1.0 / (1.0 + math.exp(-s)))
     outputs = []
     for k in range(net.n_outputs):
-        s = net.output_weights[k][net.h]
+        s = net.output_weights[k, net.h]
         for j in range(net.h):
-            s += net.output_weights[k][j] * hidden[j]
+            s += net.output_weights[k, j] * hidden[j]
         outputs.append(1.0 / (1.0 + math.exp(-s)))
     return hidden, outputs
 
@@ -180,7 +180,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         net = random_network(rng, 6, 4, 3)
         X = rng.uniform(0, 1, size=(25, 6))
-        Y = forward_outputs(net, X)
+        Y = np.asarray(forward_outputs(net, X))
         for i in range(25):
             np.testing.assert_allclose(
                 Y[i], forward(net, X[i])[1], atol=1e-12
@@ -199,13 +199,15 @@ class TestAddHiddenUnit:
     def test_preserves_existing_weights_exactly(self):
         rng = np.random.default_rng(4)
         net = random_network(rng, 7, 3, 2)
-        hw_before = net.hidden_weights.copy()
-        ow_before = net.output_weights.copy()
+        hw_before = np.array(net.hidden_weights)
+        ow_before = np.array(net.output_weights)
         grown = add_hidden_unit(net, 1.0, rng)
         assert grown.h == 4
-        assert np.array_equal(grown.hidden_weights[:3], hw_before)
-        assert np.array_equal(grown.output_weights[:, :3], ow_before[:, :3])
-        assert np.array_equal(grown.output_weights[:, -1], ow_before[:, -1])
+        hw, ow = np.asarray(grown.hidden_weights), np.asarray(
+            grown.output_weights)
+        assert np.array_equal(hw[:3], hw_before)
+        assert np.array_equal(ow[:, :3], ow_before[:, :3])
+        assert np.array_equal(ow[:, -1], ow_before[:, -1])
         # original untouched
         assert np.array_equal(net.hidden_weights, hw_before)
         assert np.array_equal(net.output_weights, ow_before)
@@ -273,9 +275,10 @@ class TestNetworkValidation:
         net = Network(hw, ow)
         c_net = Network(np.ascontiguousarray(hw), np.ascontiguousarray(ow))
         for a in (net.hidden_weights, net.output_weights,
-                  Network(read_only, ow).hidden_weights):
-            assert a.dtype == np.float64 and a.flags.c_contiguous
-            assert a.flags.writeable
+                  Network(read_only, ow).hidden_weights,
+                  Network(hw.tolist(), ow.astype(np.float32)).hidden_weights):
+            assert a.format == "d" and a.c_contiguous and a.ndim == 2
+            assert not a.readonly
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
         part = Partition(rng.uniform(0, 1, (4, 3)), np.eye(2)[[0, 1, 1, 0]])

@@ -55,7 +55,7 @@ def test_phase_calls_traced_entry_points_once_per_epoch(blob_dataset,
     # patience ends that phase; the budget ends the other.
     flipped = dataclasses.replace(
         blob_dataset, valid=Partition(blob_dataset.valid.X,
-                                      1.0 - blob_dataset.valid.T))
+                                      1.0 - np.asarray(blob_dataset.valid.T)))
     for data, budget_bound in ((blob_dataset, True), (flipped, False)):
         for name in calls:
             calls[name] = 0

@@ -38,7 +38,7 @@ def random_network(rng, n_inputs, h, n_outputs, scale=1.0):
 
 def pattern_xi(net, x, d):
     """Half the sum of squared output errors for one pattern."""
-    e = np.asarray(d) - forward_outputs(net, [x])[0]
+    e = np.asarray(d) - np.asarray(forward_outputs(net, [x]))[0]
     return 0.5 * float(e @ e)
 
 
@@ -54,6 +54,7 @@ def one_step(net, x, d, eta):
 def python_steps(net, X, T, order, eta):
     """The Python kernel's steps over ``order``; the new weight matrices."""
     hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+    X, T = np.asarray(X), np.asarray(T)
     for i in order:
         kernel.step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
     return np.array(hw), np.array(ow)
@@ -156,7 +157,8 @@ class TestAverageError:
         net = random_network(rng, 4, 3, 2)
         part = Partition(rng.uniform(0, 1, (17, 4)),
                          np.eye(2)[rng.integers(0, 2, 17)])
-        direct = sum(pattern_xi(net, x, d) for x, d in zip(part.X, part.T))
+        direct = sum(pattern_xi(net, x, d)
+                     for x, d in zip(part.X.tolist(), part.T.tolist()))
         assert np.isclose(average_error(net, part), direct / 17, atol=1e-12)
 
     def test_empty_set(self):
@@ -191,12 +193,12 @@ class TestBackpropStep:
             x = rng.uniform(-1, 1, 3)
             d = np.eye(2)[int(rng.integers(0, 2))]
             g_hidden, g_output = numeric_gradient(net, x, d)
-            before_hw = net.hidden_weights.copy()
-            before_ow = net.output_weights.copy()
+            before_hw = np.array(net.hidden_weights)
+            before_ow = np.array(net.output_weights)
             eta = 0.7
             one_step(net, x, d, eta)
-            step_hw = (net.hidden_weights - before_hw) / eta
-            step_ow = (net.output_weights - before_ow) / eta
+            step_hw = (np.asarray(net.hidden_weights) - before_hw) / eta
+            step_ow = (np.asarray(net.output_weights) - before_ow) / eta
             for taken, grad in ((step_hw, g_hidden), (step_ow, g_output)):
                 err = np.abs(taken + grad)
                 tol = np.maximum(1e-4 * np.abs(grad), 1e-7)
@@ -212,9 +214,9 @@ class TestBackpropStep:
         rng = np.random.default_rng(5)
         net = random_network(rng, 3, 2, 2)
         x = rng.uniform(0, 1, 3)
-        d = forward_outputs(net, [x])[0]
-        hw = net.hidden_weights.copy()
-        ow = net.output_weights.copy()
+        d = np.asarray(forward_outputs(net, [x]))[0]
+        hw = np.array(net.hidden_weights)
+        ow = np.array(net.output_weights)
         one_step(net, x, d, 0.7)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
@@ -222,8 +224,8 @@ class TestBackpropStep:
     def test_zero_eta_changes_nothing(self):
         rng = np.random.default_rng(6)
         net = random_network(rng, 3, 2, 2)
-        hw = net.hidden_weights.copy()
-        ow = net.output_weights.copy()
+        hw = np.array(net.hidden_weights)
+        ow = np.array(net.output_weights)
         one_step(net, rng.uniform(0, 1, 3), np.array([1.0, 0.0]), 0.0)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
@@ -266,7 +268,7 @@ class TestTrainEpoch:
             hw, ow = python_steps(start, part.X, part.T, order, 0.7)
             for _ in each_backend:
                 a = start.copy()
-                rng = None if seed is None else np.random.default_rng(seed)
+                rng = None if seed is None else kernel.Generator(seed)
                 train_epoch(a, part, 0.7, rng)
                 assert np.array_equal(a.hidden_weights, hw)
                 assert np.array_equal(a.output_weights, ow)
@@ -321,8 +323,8 @@ class TestTrainPhase:
         data = one_pattern_dataset([0.3, 0.7], 1.0, 1.0, 1.0)
         cfg = TrainConfig(eta=0.5, epochs_per_phase=5, patience=5)
         net = init_network(2, 1, 1.0, np.random.default_rng(2))
-        hw = net.hidden_weights.copy()
-        ow = net.output_weights.copy()
+        hw = np.array(net.hidden_weights)
+        ow = np.array(net.output_weights)
         train_phase(net, data, cfg)
         assert np.array_equal(net.hidden_weights, hw)
         assert np.array_equal(net.output_weights, ow)
@@ -344,7 +346,7 @@ def reference_phase(net, data, cfg, rng=None, epochs_before=0):
     units afterwards.
     """
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = kernel.Generator(cfg.seed)
     work = net.copy()
     best_net, best_err, bad, used = None, math.inf, 0, 0
     for _ in range(cfg.epochs_per_phase):
@@ -353,7 +355,7 @@ def reference_phase(net, data, cfg, rng=None, epochs_before=0):
             rng.permutation(len(data.train))
         train_epoch(work, data.train, cfg.eta, shuffle)
         used += 1
-        err = float(pattern_errors(work, data.valid).mean())
+        err = float(np.asarray(pattern_errors(work, data.valid)).mean())
         if err < best_err:
             best_err, best_net, bad = err, work.copy(), 0
         else:
