@@ -10,6 +10,15 @@
  * exactly 0.0, which is the Python kernel's OverflowError branch.  So the
  * weights and outputs equal the Python kernel's bit for bit.
  *
+ * The epoch runs one pattern at a time, as the online step must.  The
+ * forward, error and classified passes evaluate BLOCK (8) rows at a time
+ * with layer_block, a schedule of layer that has no Python twin: each row
+ * keeps its own sum and adds in layer's order, so no sum is reblocked and
+ * every row gets the bits layer gives it.  The BLOCK sums are independent,
+ * which is what lets them run side by side.  A last block of fewer rows is
+ * copied into a zero-padded tile, so there is one code path and nothing
+ * past X is read; the padded rows' outputs are never used.
+ *
  * Only the growbp_ functions are exported, each with the package's
  * prefix: an unprefixed name such as error would share glibc's error(3),
  * and a call from inside the library could bind to that one.  The
@@ -24,6 +33,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* PCG64's 128-bit state; __extension__ keeps -Wpedantic quiet. */
 __extension__ typedef unsigned __int128 u128;
@@ -94,20 +104,80 @@ int64_t growbp_epoch(double *hw, double *ow, const double *X,
     return 0;
 }
 
+/* Rows per block.  The unroll pragmas spell it out, because GCC does not
+ * expand a macro in them. */
+#define BLOCK 8
+
+/* layer for the BLOCK rows of a (len values each): the activations of
+ * the units whose weight rows are w, written to the rows of out (units
+ * values each).  The unrolled lane loops keep the BLOCK sums in
+ * registers; each lane adds in layer's order. */
+static void layer_block(const double *w, int64_t units, const double *a,
+                        int64_t len, double *out)
+{
+    for (int64_t j = 0; j < units; j++, w += len + 1) {
+        double s[BLOCK];
+#pragma GCC unroll 8
+        for (int b = 0; b < BLOCK; b++)
+            s[b] = w[0] * a[b * len];
+        for (int64_t i = 1; i < len; i++)
+#pragma GCC unroll 8
+            for (int b = 0; b < BLOCK; b++)
+                s[b] = s[b] + w[i] * a[b * len + i];
+#pragma GCC unroll 8
+        for (int b = 0; b < BLOCK; b++)
+            out[b * units + j] = logistic(s[b] + w[len]);
+    }
+}
+
+/* Scratch for block_outputs: a padded input block, then the hidden and
+ * the output tile, BLOCK rows each.  NULL when memory runs out. */
+static double *tiles(int64_t n_in, int64_t h, int64_t n_out)
+{
+    return malloc((size_t)(BLOCK * (n_in + h + n_out)) * sizeof(double));
+}
+
+/* The output tile of the block of X that starts at row p, in the tiles
+ * t.  A last block of fewer than BLOCK rows is copied into the zeroed
+ * pad first. */
+static const double *block_outputs(const double *hw, const double *ow,
+                                   const double *X, int64_t p, int64_t n,
+                                   int64_t n_in, int64_t h, int64_t n_out,
+                                   double *t)
+{
+    const double *x = X + p * n_in;
+    double *hidden = t + BLOCK * n_in, *y = hidden + BLOCK * h;
+    if (n - p < BLOCK) {
+        memset(t, 0, (size_t)(BLOCK * n_in) * sizeof(double));
+        memcpy(t, x, (size_t)((n - p) * n_in) * sizeof(double));
+        x = t;
+    }
+    layer_block(hw, h, x, n_in, hidden);
+    layer_block(ow, n_out, hidden, h, y);
+    return y;
+}
+
+/* The rows of the block that starts at row p that are rows of X. */
+static int64_t block_rows(int64_t p, int64_t n)
+{
+    return n - p < BLOCK ? n - p : BLOCK;
+}
+
 /* The output activations of every row of X, written to the rows of Y.
  * Returns 0, or 2 when memory runs out. */
 int64_t growbp_forward(const double *hw, const double *ow, const double *X,
                        double *Y, int64_t n, int64_t n_in, int64_t h,
                        int64_t n_out)
 {
-    double *hidden = malloc((size_t)h * sizeof(double));
-    if (hidden == NULL)
+    double *t = tiles(n_in, h, n_out);
+    if (t == NULL)
         return 2;
-    for (int64_t p = 0; p < n; p++) {
-        layer(hw, h, X + p * n_in, n_in, hidden);
-        layer(ow, n_out, hidden, h, Y + p * n_out);
+    for (int64_t p = 0; p < n; p += BLOCK) {
+        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
+        memcpy(Y + p * n_out, y,
+               (size_t)(block_rows(p, n) * n_out) * sizeof(double));
     }
-    free(hidden);
+    free(t);
     return 0;
 }
 
@@ -118,23 +188,23 @@ int64_t growbp_error(const double *hw, const double *ow, const double *X,
                      const double *T, double *E, int64_t n, int64_t n_in,
                      int64_t h, int64_t n_out)
 {
-    double *hidden = malloc((size_t)(h + n_out) * sizeof(double));
-    if (hidden == NULL)
+    double *t = tiles(n_in, h, n_out);
+    if (t == NULL)
         return 2;
-    double *y = hidden + h;
-    for (int64_t p = 0; p < n; p++) {
-        const double *d = T + p * n_out;
-        layer(hw, h, X + p * n_in, n_in, hidden);
-        layer(ow, n_out, hidden, h, y);
-        double e = d[0] - y[0];
-        double s = e * e;
-        for (int64_t k = 1; k < n_out; k++) {
-            e = d[k] - y[k];
-            s = s + e * e;
+    for (int64_t p = 0; p < n; p += BLOCK) {
+        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
+        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out) {
+            const double *d = T + (p + b) * n_out;
+            double e = d[0] - y[0];
+            double s = e * e;
+            for (int64_t k = 1; k < n_out; k++) {
+                e = d[k] - y[k];
+                s = s + e * e;
+            }
+            E[p + b] = 0.5 * s;
         }
-        E[p] = 0.5 * s;
     }
-    free(hidden);
+    free(t);
     return 0;
 }
 
@@ -199,17 +269,16 @@ int64_t growbp_classified(const double *hw, const double *ow,
                           const double *X, const double *T, int64_t n,
                           int64_t n_in, int64_t h, int64_t n_out)
 {
-    double *hidden = malloc((size_t)(h + n_out) * sizeof(double));
-    if (hidden == NULL)
+    double *t = tiles(n_in, h, n_out);
+    if (t == NULL)
         return -1;
-    double *y = hidden + h;
     int64_t count = 0;
-    for (int64_t p = 0; p < n; p++) {
-        layer(hw, h, X + p * n_in, n_in, hidden);
-        layer(ow, n_out, hidden, h, y);
-        count += label(y, n_out) == label(T + p * n_out, n_out);
+    for (int64_t p = 0; p < n; p += BLOCK) {
+        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
+        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out)
+            count += label(y, n_out) == label(T + (p + b) * n_out, n_out);
     }
-    free(hidden);
+    free(t);
     return count;
 }
 

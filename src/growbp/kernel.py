@@ -70,6 +70,14 @@ for the body of ``growbp_epoch``, :func:`forward` for the body of
 with plain loops over lists of weight rows in the same order.  It is
 much slower, and serves as the fallback and as the reference the tests
 compare the C code against.
+
+One C function has no Python twin: ``layer_block``, the schedule by
+which ``growbp_forward``, ``growbp_error`` and ``growbp_classified`` run
+:func:`layer` on 8 rows at a time.  It changes when each product is
+added, not what is added to what: every row keeps its own sum and adds
+its terms in :func:`layer`'s order, so no sum is reblocked and each row
+gets the bits the per-row loop here gives it.  A last block of fewer
+than 8 rows is padded with zero rows whose outputs are dropped.
 """
 
 import ctypes
@@ -185,8 +193,6 @@ def step(hw, ow, x, d, eta):
         g.append(s * hj * (1.0 - hj))
     update(ow, hidden, e, eta)
     update(hw, x, g, eta)
-
-
 
 
 def error(hw, ow, x, d):

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -285,16 +285,37 @@ def test_epoch_draws_one_permutation_or_goes_in_file_order(
         assert drawn.state == twin.state
 
 
-@given(shapes, big_scales, seeds, st.integers(0, 20), st.booleans())
+# kernel.c evaluates rows in blocks of 8 and pads the last one with zero
+# rows: row counts below, at and either side of a multiple of 8, up to
+# 4001, and inputs up to 40 wide.
+block_rows = st.integers(1, 20) | st.sampled_from(
+    [1, 7, 8, 9, 15, 16, 17, 63, 65, 257, 1023, 3999, 4001])
+block_shapes = st.tuples(st.integers(1, 40), st.integers(1, 8),
+                         st.sampled_from([1, 2, 3, 12]))
+
+
+def make_infinite(rng, net):
+    """Set about a fifth of the weights, and the first hidden unit's first
+    weight, infinite.  A Network is built finite; training can make it
+    not.  A padded row's zero input times that weight is NaN, so a padded
+    row's output is NaN, which must not reach a real row."""
+    hw, ow = np.asarray(net.hidden_weights), np.asarray(net.output_weights)
+    hw[rng.random(hw.shape) < 0.2] = math.inf
+    ow[rng.random(ow.shape) < 0.2] = -math.inf
+    hw[0, 0] = math.inf
+
+
+@given(block_shapes, big_scales, seeds, st.just(0) | block_rows,
+       st.booleans())
+@example((40, 8, 12), 30.0, 0, 4001, True)
 @settings(per_example, max_examples=150)
 def test_batch_forward_matches_python_forward(each_backend, shape, scale,
                                               seed, rows, infinite):
     rng = np.random.default_rng(seed)
     hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
     net = Network(hw, ow)
-    if infinite:  # a Network is built finite; training can make it not
-        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.2] = math.inf
-        np.asarray(net.output_weights)[rng.random(ow.shape) < 0.2] = -math.inf
+    if infinite:
+        make_infinite(rng, net)
     for _ in each_backend:
         Y = forward_outputs(net, X)
         assert Y.shape == (rows, shape[2])
@@ -316,20 +337,20 @@ def ref_pattern_error(net, x, d):
 
 # Up to 12 outputs: from eight on, numpy's row sums reblock, so only the
 # kernel's own order can match across the backends.
-wide_shapes = st.tuples(st.integers(1, 6), st.integers(1, 8),
+wide_shapes = st.tuples(st.integers(1, 40), st.integers(1, 8),
                         st.integers(1, 12))
 
 
-@given(wide_shapes, big_scales, seeds, st.integers(1, 20), st.booleans())
+@given(wide_shapes, big_scales, seeds, block_rows, st.booleans())
+@example((40, 8, 12), 30.0, 0, 4001, True)
 @settings(per_example, max_examples=150)
 def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
                                                seed, rows, infinite):
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
-    if infinite:  # a Network is built finite; training can make it not
-        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.2] = math.inf
-        np.asarray(net.output_weights)[rng.random(ow.shape) < 0.2] = -math.inf
+    if infinite:
+        make_infinite(rng, net)
     got = [kernel_module.pattern_errors(net, part) for _ in each_backend]
     want = [ref_pattern_error(net, X[i].tolist(), T[i].tolist())
             for i in range(rows)]
@@ -772,14 +793,15 @@ def numpy_classes(M):
         M.argmax(axis=1))
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 2, 3, 12]),
-       st.integers(1, 20), seeds, st.booleans())
+@given(block_shapes, block_rows, seeds, st.booleans())
+@example((40, 8, 12), 4001, 0, True)
 @settings(per_example, max_examples=150)
-def test_classified_count_is_the_argmax_count(each_backend, n_in, h, n_out,
-                                              rows, seed, infinite):
+def test_classified_count_is_the_argmax_count(each_backend, shape, rows,
+                                              seed, infinite):
     # Weights, inputs and targets from a few values repeat output rows, so
     # outputs tie, and a zero net input gives exactly 0.5; infinite
     # weights make NaN outputs, where numpy's argmax takes the first.
+    n_in, h, n_out = shape
     rng = np.random.default_rng(seed)
     hw = rng.choice([-1.0, 0.0, 1.0], (h, n_in + 1))
     ow = rng.choice([-1.0, 0.0, 1.0], (n_out, h + 1))
@@ -787,7 +809,7 @@ def test_classified_count_is_the_argmax_count(each_backend, n_in, h, n_out,
     T = rng.choice([0.0, 0.5, 1.0], (rows, n_out))
     net, part = Network(hw, ow), Partition(X, T)
     if infinite:
-        np.asarray(net.hidden_weights)[rng.random(hw.shape) < 0.3] = math.inf
+        make_infinite(rng, net)
     Y = np.asarray(forward_outputs(net, X))
     want = int(np.count_nonzero(numpy_classes(Y) == numpy_classes(T)))
     assert classify(Y).tolist() == numpy_classes(Y).tolist()
