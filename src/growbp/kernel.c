@@ -1,7 +1,7 @@
 /* The compiled form of growbp.kernel: a whole online epoch, the batch
- * forward pass, the per-pattern error and its pairwise mean, the count
- * of correctly classified patterns, and an epoch's random permutation,
- * in the order that module's docstring states.
+ * forward pass, the per-pattern error and, in the same pass, its pairwise
+ * mean, the count of correctly classified patterns, and an epoch's random
+ * permutation, in the order that module's docstring states.
  *
  * Every sum runs left to right with the bias last, every product and sum
  * is rounded on its own (build with -ffp-contract=off, never -ffast-math),
@@ -27,7 +27,7 @@
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
- * values.
+ * values.  growbp_error's E and mean may each be NULL.
  */
 
 #include <math.h>
@@ -131,10 +131,12 @@ static void layer_block(const double *w, int64_t units, const double *a,
 }
 
 /* Scratch for block_outputs: a padded input block, then the hidden and
- * the output tile, BLOCK rows each.  NULL when memory runs out. */
-static double *tiles(int64_t n_in, int64_t h, int64_t n_out)
+ * the output tile, BLOCK rows each, and extra doubles after them.  NULL
+ * when memory runs out. */
+static double *tiles(int64_t n_in, int64_t h, int64_t n_out, int64_t extra)
 {
-    return malloc((size_t)(BLOCK * (n_in + h + n_out)) * sizeof(double));
+    return malloc((size_t)(BLOCK * (n_in + h + n_out) + extra)
+                  * sizeof(double));
 }
 
 /* The output tile of the block of X that starts at row p, in the tiles
@@ -169,40 +171,13 @@ int64_t growbp_forward(const double *hw, const double *ow, const double *X,
                        double *Y, int64_t n, int64_t n_in, int64_t h,
                        int64_t n_out)
 {
-    double *t = tiles(n_in, h, n_out);
+    double *t = tiles(n_in, h, n_out, 0);
     if (t == NULL)
         return 2;
     for (int64_t p = 0; p < n; p += BLOCK) {
         const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
         memcpy(Y + p * n_out, y,
                (size_t)(block_rows(p, n) * n_out) * sizeof(double));
-    }
-    free(t);
-    return 0;
-}
-
-/* Each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...), e_k = T_k - y_k
- * summed left to right over the outputs, written to E.  Returns 0, or 2
- * when memory runs out. */
-int64_t growbp_error(const double *hw, const double *ow, const double *X,
-                     const double *T, double *E, int64_t n, int64_t n_in,
-                     int64_t h, int64_t n_out)
-{
-    double *t = tiles(n_in, h, n_out);
-    if (t == NULL)
-        return 2;
-    for (int64_t p = 0; p < n; p += BLOCK) {
-        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
-        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out) {
-            const double *d = T + (p + b) * n_out;
-            double e = d[0] - y[0];
-            double s = e * e;
-            for (int64_t k = 1; k < n_out; k++) {
-                e = d[k] - y[k];
-                s = s + e * e;
-            }
-            E[p + b] = 0.5 * s;
-        }
     }
     free(t);
     return 0;
@@ -246,6 +221,39 @@ int64_t growbp_mean(const double *E, int64_t n, double *mean)
     return 0;
 }
 
+/* Each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...), e_k = T_k - y_k
+ * summed left to right over the outputs, written to E, and their mean, as
+ * growbp_mean rounds it, written to mean.  Either may be NULL: without E
+ * the errors go to scratch after the tiles.  Returns 0, or 2 when memory
+ * runs out. */
+int64_t growbp_error(const double *hw, const double *ow, const double *X,
+                     const double *T, double *E, int64_t n, int64_t n_in,
+                     int64_t h, int64_t n_out, double *mean)
+{
+    double *t = tiles(n_in, h, n_out, E == NULL ? n : 0);
+    if (t == NULL)
+        return 2;
+    if (E == NULL)
+        E = t + BLOCK * (n_in + h + n_out);
+    for (int64_t p = 0; p < n; p += BLOCK) {
+        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
+        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out) {
+            const double *d = T + (p + b) * n_out;
+            double e = d[0] - y[0];
+            double s = e * e;
+            for (int64_t k = 1; k < n_out; k++) {
+                e = d[k] - y[k];
+                s = s + e * e;
+            }
+            E[p + b] = 0.5 * s;
+        }
+    }
+    if (mean != NULL)
+        growbp_mean(E, n, mean);
+    free(t);
+    return 0;
+}
+
 /* The class of an output or target vector: with one value, 1 where it is
  * >= 0.5; with more, the index of the largest, the lowest on ties, and
  * the first NaN where there is one, as numpy's argmax picks. */
@@ -269,7 +277,7 @@ int64_t growbp_classified(const double *hw, const double *ow,
                           const double *X, const double *T, int64_t n,
                           int64_t n_in, int64_t h, int64_t n_out)
 {
-    double *t = tiles(n_in, h, n_out);
+    double *t = tiles(n_in, h, n_out, 0);
     if (t == NULL)
         return -1;
     int64_t count = 0;

@@ -4,17 +4,17 @@ its mean, the count of correctly classified patterns, and the random
 streams that draw weights and shuffle epochs.
 
 The package enters through :func:`train_epoch`, :func:`forward_outputs`,
-:func:`pattern_errors` and :func:`classified`.  Each checks its arguments
-once, then runs the compiled or the Python kernel on the row-major
-``array('d')`` buffers that a ``Network`` and a ``Partition`` hold;
-:func:`check_fit` alone decides whether a partition fits a network.
-``kernel.c`` checks none of its input: it gets checked buffers, and a
-shuffled epoch's permutation that ``train_epoch`` draws itself.  Both
-classes read their buffers' addresses once, when made, and show each
-buffer as a 2-D ``memoryview`` (:func:`view`); while that view exists
-the buffer cannot be resized (``BufferError``), so the addresses stay
-valid.  :func:`matrix` reads any 2-D nested sequence or buffer, numpy
-arrays included, into such a buffer.
+:func:`pattern_errors`, :func:`average_error` and :func:`classified`.  Each
+checks its arguments once, then runs the compiled or the Python kernel on
+the row-major ``array('d')`` buffers that a ``Network`` and a
+``Partition`` hold; :func:`check_fit` alone decides whether a partition
+fits a network.  ``kernel.c`` checks none of its input: it gets checked
+buffers, and a shuffled epoch's permutation that ``train_epoch`` draws
+itself.  Both classes read their buffers' addresses once, when made, and
+show each buffer as a 2-D ``memoryview`` (:func:`view`); while that view
+exists the buffer cannot be resized (``BufferError``), so the addresses
+stay valid.  :func:`matrix` reads any 2-D nested sequence or buffer,
+numpy arrays included, into such a buffer.
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any machine, given
@@ -49,9 +49,9 @@ Generation", HMC-CS-2014-0905); ``uniform`` is
 numpy's Fisher-Yates pass with masked rejection on buffered 32-bit
 halves of the output.
 
-Training, batch evaluation, the error pass, its mean, the classified
-count and the permutation run in ``kernel.c``, which the entry points
-call through ``ctypes``.  The library is built
+Training, batch evaluation, the error pass and, in the same call, its
+mean, the classified count and the permutation run in ``kernel.c``,
+which the entry points call through ``ctypes``.  The library is built
 with ``gcc -O2 -ffp-contract=off`` at first import into
 ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where that variable is
 unset or not an absolute path), under a name that hashes the source,
@@ -399,7 +399,7 @@ def _bind(lib):
     ptr, size = ctypes.c_void_p, ctypes.c_int64
     lib.growbp_epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
     lib.growbp_forward.argtypes = [ptr] * 4 + [size] * 4
-    lib.growbp_error.argtypes = [ptr] * 5 + [size] * 4
+    lib.growbp_error.argtypes = [ptr] * 5 + [size] * 4 + [ptr]
     lib.growbp_mean.argtypes = [ptr, size, ptr]
     lib.growbp_classified.argtypes = [ptr] * 4 + [size] * 4
     lib.growbp_permutation.argtypes = [ptr, ptr, size]
@@ -531,11 +531,28 @@ def pattern_errors(net, part):
         return array("d", [error(hw, ow, x, d) for x, d
                            in zip(part.X.tolist(), part.T.tolist())])
     errors = array("d", bytes(8 * len(part)))
-    if _lib.growbp_error(*net.addresses, *part.addresses,
-                         errors.buffer_info()[0], len(part), net.n_inputs,
-                         net.h, net.n_outputs) == 2:
-        raise MemoryError("kernel error")
+    _error_pass(net, part, errors.buffer_info()[0], None)
     return errors
+
+
+def average_error(net, part):
+    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2,
+    rounded as numpy's ``mean`` rounds it: :func:`mean` of
+    :func:`pattern_errors`, in one call of the compiled error pass."""
+    if _lib is None:
+        return mean(pattern_errors(net, part))
+    check_fit(net, part, "error")
+    out = ctypes.c_double()
+    _error_pass(net, part, None, ctypes.byref(out))
+    return out.value
+
+
+def _error_pass(net, part, errors, out):
+    """``growbp_error`` on a checked partition: the errors to the address
+    ``errors`` and their mean to ``out``, either of them None."""
+    if _lib.growbp_error(*net.addresses, *part.addresses, errors, len(part),
+                         net.n_inputs, net.h, net.n_outputs, out) == 2:
+        raise MemoryError("kernel error")
 
 
 def mean(E):

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .kernel import Generator, mean, pattern_errors, train_epoch
+from .kernel import Generator, average_error, train_epoch
 from .metrics import efficiency, overall_efficiency
 from .network import Network, add_hidden_unit, check_init_range, init_network
 
@@ -207,12 +207,6 @@ class GrowthHistory:
             return len(self.phases) - 1
         return max(range(len(self.phases)), default=0,
                    key=lambda i: (self.phases[i].overall_eff, -i))
-
-
-def average_error(net, part):
-    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2,
-    rounded as numpy's ``mean`` rounds it."""
-    return mean(pattern_errors(net, part))
 
 
 def _phase_record(net, data, epochs_cumulative):

@@ -34,7 +34,7 @@ from growbp import kernel as kernel_module
 from growbp.dataset import Partition
 from growbp.errors import ArityMismatchError, EmptySetError
 from growbp.kernel import Generator
-from growbp.metrics import classify, efficiency
+from growbp.metrics import efficiency
 from growbp.network import Network, add_hidden_unit, forward_outputs
 from growbp.trainer import average_error, train_epoch
 
@@ -380,7 +380,7 @@ FIT_CHECKED = {
     "train_epoch": lambda net, part: train_epoch(
         net, part, 0.7, Generator(0)),
     "pattern_errors": kernel_module.pattern_errors,
-    "average_error": average_error,
+    "average_error": kernel_module.average_error,
     "efficiency": efficiency,
 }
 
@@ -675,6 +675,55 @@ def test_average_error_is_the_numpy_mean(each_backend, rows, n_out, seed):
         assert bits(average_error(net, part)) == bits(want)
 
 
+# Row counts on and next to the 8-row block edges and numpy's pairwise
+# edges.
+mean_rows = block_rows | st.sampled_from([127, 128, 129, 256, 4001])
+
+
+@given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
+@example((40, 8, 12), 30.0, 0, 4001, True)
+@settings(per_example, max_examples=150)
+def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
+                                                     scale, seed, rows,
+                                                     infinite):
+    # The compiled error pass takes the mean of the errors it keeps in its
+    # own scratch; a padded row's NaN error must not reach it.
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    if infinite:
+        make_infinite(rng, net)
+    for _ in each_backend:
+        want = kernel_module.mean(kernel_module.pattern_errors(net, part))
+        assert nan_bits(kernel_module.average_error(net, part)) == \
+            nan_bits(want)
+
+
+@pytest.mark.skipif(kernel_module._lib is None,
+                    reason="no gcc on PATH: the Python kernel is in use")
+@given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
+@example((40, 8, 12), 30.0, 0, 4001, True)
+@settings(deadline=None, max_examples=100)
+def test_error_pass_means_the_same_with_or_without_errors(shape, scale, seed,
+                                                          rows, infinite):
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    if infinite:
+        make_infinite(rng, net)
+    E = array("d", bytes(8 * rows))
+    means = []
+    for errors in (E.buffer_info()[0], None):
+        out = ctypes.c_double()
+        assert kernel_module._lib.growbp_error(
+            *net.addresses, *part.addresses, errors, rows, *shape,
+            ctypes.byref(out)) == 0
+        means.append(out.value)
+    assert nan_bits(E) == nan_bits(kernel_module.pattern_errors(net, part))
+    assert nan_bits(means[0]) == nan_bits(means[1]) == nan_bits(
+        kernel_module.mean(E))
+
+
 def test_stored_arrays_refuse_resize(each_backend):
     rng = np.random.default_rng(7)
     net = random_net(rng, (3, 2, 2), 1.0)
@@ -812,8 +861,9 @@ def test_classified_count_is_the_argmax_count(each_backend, shape, rows,
         make_infinite(rng, net)
     Y = np.asarray(forward_outputs(net, X))
     want = int(np.count_nonzero(numpy_classes(Y) == numpy_classes(T)))
-    assert classify(Y).tolist() == numpy_classes(Y).tolist()
-    assert classify(T).tolist() == numpy_classes(T).tolist()
+    for M in (Y, T):
+        assert [kernel_module.label(row) for row in M.tolist()] == \
+            numpy_classes(M).tolist()
     for _ in each_backend:
         assert kernel_module.classified(net, part) == want
         assert efficiency(net, part).classified == want

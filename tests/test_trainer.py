@@ -337,6 +337,42 @@ class TestTrainPhase:
         assert record.epochs_cumulative == 10 + used
 
 
+    @pytest.mark.skipif(kernel._lib is None,
+                        reason="no gcc on PATH: the Python kernel is in use")
+    def test_file_order_phase_enters_the_kernel_twice_per_epoch(
+            self, blob_dataset, monkeypatch):
+        # Each kernel call gives up the GIL, so on threads each is a
+        # hand-over.  An epoch and its validation error take one call each;
+        # the record takes three classified counts and two errors.
+        lib, calls = kernel._lib, []
+
+        class Counting:
+            def __getattr__(self, name):
+                fn = getattr(lib, name)
+
+                def counted(*args):
+                    calls.append(name)
+                    return fn(*args)
+
+                return counted
+
+        monkeypatch.setattr(kernel, "_lib", Counting())
+        # Flipped validation targets end the phase on patience; the budget
+        # ends the other.
+        flipped = SplitDataset(blob_dataset.header, blob_dataset.train,
+                               Partition(blob_dataset.valid.X,
+                                         1.0 - np.asarray(
+                                             blob_dataset.valid.T)),
+                               blob_dataset.test)
+        for data in (blob_dataset, flipped):
+            calls.clear()
+            net = init_network(2, 2, 1.0, np.random.default_rng(0))
+            cfg = TrainConfig(epochs_per_phase=12, patience=3)
+            _, used, _ = train_phase(net, data, cfg)
+            assert (used == 12) == (data is blob_dataset)
+            assert len(calls) <= 2 * used + 5, sorted(set(calls))
+
+
 def reference_phase(net, data, cfg, rng=None, epochs_before=0):
     """``train_phase`` as a plain loop that snapshots with ``copy()``.
 
