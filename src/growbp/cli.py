@@ -108,13 +108,18 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_seeds must be a list of seeds, "
                               f"got {self.sweep_seeds!r}")
         # Every seed is checked by TrainConfig's seed rule, so a bad sweep
-        # fails before anything is written.
-        self.sweep_seeds = tuple(map(check_seed, self.sweep_seeds))
-        if len(self.sweep_seeds) == 0:
+        # fails before anything is written.  A range stays one: it cannot
+        # repeat a seed, and its ends bound every seed in it.
+        if not self.sweep_seeds:
             raise ConfigError("sweep_seeds must not be empty")
-        if len(set(self.sweep_seeds)) != len(self.sweep_seeds):
-            raise ConfigError(f"sweep_seeds repeats a seed: "
-                              f"{list(self.sweep_seeds)}")
+        if isinstance(self.sweep_seeds, range):
+            check_seed(self.sweep_seeds[0])
+            check_seed(self.sweep_seeds[-1])
+        else:
+            self.sweep_seeds = tuple(map(check_seed, self.sweep_seeds))
+            if len(set(self.sweep_seeds)) != len(self.sweep_seeds):
+                raise ConfigError(f"sweep_seeds repeats a seed: "
+                                  f"{list(self.sweep_seeds)}")
         if self.n_jobs < 0:
             raise ConfigError(f"n_jobs must be >= 0, got {self.n_jobs}")
 
@@ -335,12 +340,12 @@ def run_experiment(cfg, log=print):
 
 
 def parse_seeds(text):
-    """Parse ``"3"``, ``"1,4,9"`` or the half-open range ``"0:10"``."""
+    """Parse ``"3"``, ``"1,4,9"`` or the half-open ``range`` ``"0:10"``."""
     text = text.strip()
     try:
         if ":" in text:
             lo, _, hi = text.partition(":")
-            seeds = tuple(range(int(lo), int(hi)))
+            seeds = range(int(lo), int(hi))
         else:
             seeds = tuple(
                 int(part) for part in text.split(",") if part.strip()

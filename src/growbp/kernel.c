@@ -1,7 +1,8 @@
-/* The compiled form of growbp.kernel: a whole online epoch, the batch
- * forward pass, the per-pattern error and, in the same pass, its pairwise
- * mean, the count of correctly classified patterns, and an epoch's random
- * permutation, in the order that module's docstring states.
+/* The compiled form of growbp.kernel: a whole online epoch, one
+ * evaluation pass that gives any of the output rows, the per-pattern
+ * errors, their pairwise mean and the count of correctly classified
+ * patterns, and an epoch's random permutation, in the order that module's
+ * docstring states.
  *
  * Every sum runs left to right with the bias last, every product and sum
  * is rounded on its own (build with -ffp-contract=off, never -ffast-math),
@@ -11,13 +12,13 @@
  * weights and outputs equal the Python kernel's bit for bit.
  *
  * The epoch runs one pattern at a time, as the online step must.  The
- * forward, error and classified passes evaluate BLOCK (8) rows at a time
- * with layer_block, a schedule of layer that has no Python twin: each row
- * keeps its own sum and adds in layer's order, so no sum is reblocked and
- * every row gets the bits layer gives it.  The BLOCK sums are independent,
- * which is what lets them run side by side.  A last block of fewer rows is
- * copied into a zero-padded tile, so there is one code path and nothing
- * past X is read; the padded rows' outputs are never used.
+ * evaluation pass runs BLOCK (8) rows at a time with layer_block, a
+ * schedule of layer that has no Python twin: each row keeps its own sum
+ * and adds in layer's order, so no sum is reblocked and every row gets
+ * the bits layer gives it.  The BLOCK sums are independent, which is what
+ * lets them run side by side.  A last block of fewer rows is copied into
+ * a zero-padded tile, so there is one code path and nothing past X is
+ * read; the padded rows' outputs are never used.
  *
  * Only the growbp_ functions are exported, each with the package's
  * prefix: an unprefixed name such as error would share glibc's error(3),
@@ -27,7 +28,7 @@
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
- * values.  growbp_error's E and mean may each be NULL.
+ * values.
  */
 
 #include <math.h>
@@ -130,18 +131,10 @@ static void layer_block(const double *w, int64_t units, const double *a,
     }
 }
 
-/* Scratch for block_outputs: a padded input block, then the hidden and
- * the output tile, BLOCK rows each, and extra doubles after them.  NULL
- * when memory runs out. */
-static double *tiles(int64_t n_in, int64_t h, int64_t n_out, int64_t extra)
-{
-    return malloc((size_t)(BLOCK * (n_in + h + n_out) + extra)
-                  * sizeof(double));
-}
-
 /* The output tile of the block of X that starts at row p, in the tiles
- * t.  A last block of fewer than BLOCK rows is copied into the zeroed
- * pad first. */
+ * t: a padded input block, then the hidden and the output tile, BLOCK
+ * rows each.  A last block of fewer than BLOCK rows is copied into the
+ * zeroed pad first. */
 static const double *block_outputs(const double *hw, const double *ow,
                                    const double *X, int64_t p, int64_t n,
                                    int64_t n_in, int64_t h, int64_t n_out,
@@ -157,30 +150,6 @@ static const double *block_outputs(const double *hw, const double *ow,
     layer_block(hw, h, x, n_in, hidden);
     layer_block(ow, n_out, hidden, h, y);
     return y;
-}
-
-/* The rows of the block that starts at row p that are rows of X. */
-static int64_t block_rows(int64_t p, int64_t n)
-{
-    return n - p < BLOCK ? n - p : BLOCK;
-}
-
-/* The output activations of every row of X, written to the rows of Y.
- * Returns 0, or 2 when memory runs out. */
-int64_t growbp_forward(const double *hw, const double *ow, const double *X,
-                       double *Y, int64_t n, int64_t n_in, int64_t h,
-                       int64_t n_out)
-{
-    double *t = tiles(n_in, h, n_out, 0);
-    if (t == NULL)
-        return 2;
-    for (int64_t p = 0; p < n; p += BLOCK) {
-        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
-        memcpy(Y + p * n_out, y,
-               (size_t)(block_rows(p, n) * n_out) * sizeof(double));
-    }
-    free(t);
-    return 0;
 }
 
 /* numpy's pairwise sum of a contiguous vector: plain sums below 8
@@ -213,47 +182,6 @@ static double pairwise(const double *a, int64_t n)
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
 }
 
-/* The mean of the n values of E, as numpy's E.mean() rounds it, written
- * to mean.  Returns 0. */
-int64_t growbp_mean(const double *E, int64_t n, double *mean)
-{
-    *mean = (0.0 + pairwise(E, n)) / (double)n;
-    return 0;
-}
-
-/* Each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...), e_k = T_k - y_k
- * summed left to right over the outputs, written to E, and their mean, as
- * growbp_mean rounds it, written to mean.  Either may be NULL: without E
- * the errors go to scratch after the tiles.  Returns 0, or 2 when memory
- * runs out. */
-int64_t growbp_error(const double *hw, const double *ow, const double *X,
-                     const double *T, double *E, int64_t n, int64_t n_in,
-                     int64_t h, int64_t n_out, double *mean)
-{
-    double *t = tiles(n_in, h, n_out, E == NULL ? n : 0);
-    if (t == NULL)
-        return 2;
-    if (E == NULL)
-        E = t + BLOCK * (n_in + h + n_out);
-    for (int64_t p = 0; p < n; p += BLOCK) {
-        const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
-        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out) {
-            const double *d = T + (p + b) * n_out;
-            double e = d[0] - y[0];
-            double s = e * e;
-            for (int64_t k = 1; k < n_out; k++) {
-                e = d[k] - y[k];
-                s = s + e * e;
-            }
-            E[p + b] = 0.5 * s;
-        }
-    }
-    if (mean != NULL)
-        growbp_mean(E, n, mean);
-    free(t);
-    return 0;
-}
-
 /* The class of an output or target vector: with one value, 1 where it is
  * >= 0.5; with more, the index of the largest, the lowest on ties, and
  * the first NaN where there is one, as numpy's argmax picks. */
@@ -271,23 +199,53 @@ static int64_t label(const double *v, int64_t n)
     return arg;
 }
 
-/* How many rows of X the net puts in the class of their row of T.
- * Returns the count, or -1 when memory runs out. */
-int64_t growbp_classified(const double *hw, const double *ow,
-                          const double *X, const double *T, int64_t n,
-                          int64_t n_in, int64_t h, int64_t n_out)
+/* One pass of the net over the rows of X, writing what is asked for: the
+ * output rows to Y; each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...),
+ * e_k = T_k - y_k summed left to right over the outputs, to E; their mean,
+ * as numpy's E.mean() rounds it, (0.0 + pairwise(E)) / n, to mean; and how
+ * many rows the net puts in the class of their row of T to count.  Any of
+ * the four may be NULL: without E the errors that mean needs go to scratch
+ * after the tiles, and T may be NULL when E, mean and count all are.
+ * Labels are taken only for count, since their argmax branch is slow on
+ * random targets.  Returns 0, or 2 when memory runs out. */
+int64_t growbp_evaluate(const double *hw, const double *ow, const double *X,
+                        const double *T, double *Y, double *E, int64_t n,
+                        int64_t n_in, int64_t h, int64_t n_out, double *mean,
+                        int64_t *count)
 {
-    double *t = tiles(n_in, h, n_out, 0);
+    int64_t scratch = E == NULL && mean != NULL ? n : 0, c = 0;
+    double *t = malloc((size_t)(BLOCK * (n_in + h + n_out) + scratch)
+                       * sizeof(double));
     if (t == NULL)
-        return -1;
-    int64_t count = 0;
+        return 2;
+    if (scratch)
+        E = t + BLOCK * (n_in + h + n_out);
     for (int64_t p = 0; p < n; p += BLOCK) {
         const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
-        for (int64_t b = 0; b < block_rows(p, n); b++, y += n_out)
-            count += label(y, n_out) == label(T + (p + b) * n_out, n_out);
+        int64_t rows = n - p < BLOCK ? n - p : BLOCK;
+        if (Y != NULL)
+            memcpy(Y + p * n_out, y, (size_t)(rows * n_out) * sizeof(double));
+        for (int64_t b = 0; b < rows; b++, y += n_out) {
+            if (E != NULL) {
+                const double *d = T + (p + b) * n_out;
+                double e = d[0] - y[0];
+                double s = e * e;
+                for (int64_t k = 1; k < n_out; k++) {
+                    e = d[k] - y[k];
+                    s = s + e * e;
+                }
+                E[p + b] = 0.5 * s;
+            }
+            if (count != NULL)
+                c += label(y, n_out) == label(T + (p + b) * n_out, n_out);
+        }
     }
+    if (mean != NULL)
+        *mean = (0.0 + pairwise(E, n)) / (double)n;
+    if (count != NULL)
+        *count = c;
     free(t);
-    return count;
+    return 0;
 }
 
 /* PCG64's next 64-bit output: a 128-bit LCG step, then XSL-RR. */

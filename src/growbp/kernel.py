@@ -1,7 +1,7 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
-backprop step, the epoch, the batch forward pass, the per-pattern error and
-its mean, the count of correctly classified patterns, and the random
-streams that draw weights and shuffle epochs.
+backprop step, the epoch, one evaluation pass that gives the outputs, the
+per-pattern errors and their mean, and the count of correctly classified
+patterns, and the random streams that draw weights and shuffle epochs.
 
 The package enters through :func:`train_epoch`, :func:`forward_outputs`,
 :func:`pattern_errors`, :func:`average_error` and :func:`classified`.  Each
@@ -26,9 +26,9 @@ the same libm ``exp``:
   ``back_j = ow[0][j]*e0 + ow[1][j]*e1 + ...``;
 - a pattern's error is ``0.5 * (e0*e0 + e1*e1 + ...)`` with
   ``ek = dk - yk``, its squares summed left to right over the outputs;
-- the mean of the errors (:func:`mean`) is ``(0.0 + pairwise(E)) / n``,
-  with numpy's pairwise sum of a contiguous vector (:func:`pairwise`),
-  so it equals ``E.mean()`` bitwise;
+- the mean of the errors (:func:`average_error`) is
+  ``(0.0 + pairwise(E)) / n``, with numpy's pairwise sum of a contiguous
+  vector (:func:`pairwise`), so it equals ``E.mean()`` bitwise;
 - every product and sum is rounded on its own: nothing is fused into a
   multiply-add and no other sum is reblocked;
 - the logistic is ``1 / (1 + exp(-s))`` with the C library's ``exp``, and
@@ -49,34 +49,35 @@ Generation", HMC-CS-2014-0905); ``uniform`` is
 numpy's Fisher-Yates pass with masked rejection on buffered 32-bit
 halves of the output.
 
-Training, batch evaluation, the error pass and, in the same call, its
-mean, the classified count and the permutation run in ``kernel.c``,
-which the entry points call through ``ctypes``.  The library is built
-with ``gcc -O2 -ffp-contract=off`` at first import into
-``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where that variable is
-unset or not an absolute path), under a name that hashes the source,
-the flags and the Python ABI, so later imports start no compiler.  If
-that directory cannot be written the build goes to a private temporary
-directory for the process.  Where no ``gcc`` is found or the build
-fails, the entry points run the pure-Python kernel instead;
-:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
+Training, the evaluation pass and the permutation run in ``kernel.c``,
+which the entry points call through ``ctypes``; each of the four
+evaluation entry points asks ``growbp_evaluate`` for only what it
+returns.  The library is built with ``gcc -O2 -ffp-contract=off`` at
+first import into ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where
+that variable is unset or not an absolute path), under a name that
+hashes the source, the flags and the Python ABI, so later imports start
+no compiler.  If that directory cannot be written the build goes to a
+private temporary directory for the process.  Where no ``gcc`` is
+found or the build fails, the entry points run the pure-Python kernel
+instead; :data:`BACKEND` says which one is in use, ``"c"`` or
+``"python"``.
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
 (:func:`logistic`, :func:`layer`, :func:`update`, :func:`pairwise`,
 :func:`label`, :func:`next64`, :func:`permutation`, then :func:`step`
-for the body of ``growbp_epoch``, :func:`forward` for the body of
-``growbp_forward`` and :func:`error` for the body of ``growbp_error``),
-with plain loops over lists of weight rows in the same order.  It is
-much slower, and serves as the fallback and as the reference the tests
-compare the C code against.
+for the body of ``growbp_epoch`` and :func:`evaluate` for the body of
+``growbp_evaluate`` less its mean), with plain loops over lists of
+weight rows in the same order; :func:`forward` is one pattern's two
+:func:`layer` calls.  It is much slower, and serves as the fallback and
+as the reference the tests compare the C code against.
 
 One C function has no Python twin: ``layer_block``, the schedule by
-which ``growbp_forward``, ``growbp_error`` and ``growbp_classified`` run
-:func:`layer` on 8 rows at a time.  It changes when each product is
-added, not what is added to what: every row keeps its own sum and adds
-its terms in :func:`layer`'s order, so no sum is reblocked and each row
-gets the bits the per-row loop here gives it.  A last block of fewer
+which ``growbp_evaluate`` runs :func:`layer` on 8 rows at a time.  It
+changes when each product is added, not what is added to what: every
+row keeps its own sum and adds its terms in :func:`layer`'s order, so no
+sum is reblocked and each row gets the bits the per-row loop here gives
+it.  A last block of fewer
 than 8 rows is padded with zero rows whose outputs are dropped.
 """
 
@@ -195,18 +196,6 @@ def step(hw, ow, x, d, eta):
     update(hw, x, g, eta)
 
 
-def error(hw, ow, x, d):
-    """The error ``0.5 * (e0*e0 + e1*e1 + ...)`` of one pattern, with
-    ``ek = dk - yk`` summed left to right over the outputs."""
-    y = forward(hw, ow, x)[1]
-    e = d[0] - y[0]
-    s = e * e
-    for k in range(1, len(y)):
-        e = d[k] - y[k]
-        s = s + e * e
-    return 0.5 * s
-
-
 def pairwise(a, lo, n):
     """numpy's pairwise sum of ``a[lo:lo + n]``: plain sums below 8 values,
     eight accumulators up to 128, else two halves cut at a multiple of 8."""
@@ -243,6 +232,29 @@ def label(v):
         if not v[k] <= best:
             arg, best = k, v[k]
     return arg
+
+
+def evaluate(hw, ow, X, T, Y, E, count):
+    """The body of ``growbp_evaluate`` less its mean, over the rows ``X``
+    and ``T``: each row's outputs appended to ``Y`` and its error appended
+    to ``E``, where they are not None, and, where ``count`` is true, how
+    many rows the net puts in their target's class, returned (else 0)."""
+    c = 0
+    for i, x in enumerate(X):
+        y = forward(hw, ow, x)[1]
+        if Y is not None:
+            Y.extend(y)
+        if E is not None:
+            d = T[i]
+            e = d[0] - y[0]
+            s = e * e
+            for k in range(1, len(y)):
+                e = d[k] - y[k]
+                s = s + e * e
+            E.append(0.5 * s)
+        if count:
+            c += label(y) == label(T[i])
+    return c
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -398,14 +410,9 @@ def _compile(source, directory, name):
 def _bind(lib):
     ptr, size = ctypes.c_void_p, ctypes.c_int64
     lib.growbp_epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
-    lib.growbp_forward.argtypes = [ptr] * 4 + [size] * 4
-    lib.growbp_error.argtypes = [ptr] * 5 + [size] * 4 + [ptr]
-    lib.growbp_mean.argtypes = [ptr, size, ptr]
-    lib.growbp_classified.argtypes = [ptr] * 4 + [size] * 4
+    lib.growbp_evaluate.argtypes = [ptr] * 6 + [size] * 4 + [ptr] * 2
     lib.growbp_permutation.argtypes = [ptr, ptr, size]
-    for fn in (lib.growbp_epoch, lib.growbp_forward, lib.growbp_error,
-               lib.growbp_mean, lib.growbp_classified,
-               lib.growbp_permutation):
+    for fn in (lib.growbp_epoch, lib.growbp_evaluate, lib.growbp_permutation):
         fn.restype = size
     return lib
 
@@ -505,16 +512,16 @@ def forward_outputs(net, X):
             f"expected (n, {net.n_inputs}) inputs, got {(n, width)}"
         )
     if _lib is None:
-        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
-        Y = array("d", chain.from_iterable(
-            forward(hw, ow, X[i:i + width])[1]
-            for i in range(0, len(X), width)))
+        Y = array("d")
+        evaluate(net.hidden_weights.tolist(), net.output_weights.tolist(),
+                 [X[i:i + width] for i in range(0, len(X), width)], None,
+                 Y, None, False)
         return view(Y, (n, net.n_outputs))
     Y = array("d", bytes(8 * n * net.n_outputs))
-    if _lib.growbp_forward(*net.addresses, X.buffer_info()[0],
-                           Y.buffer_info()[0], n, net.n_inputs, net.h,
-                           net.n_outputs) == 2:
-        raise MemoryError("kernel forward")
+    if _lib.growbp_evaluate(*net.addresses, X.buffer_info()[0], None,
+                            Y.buffer_info()[0], None, n, net.n_inputs,
+                            net.h, net.n_outputs, None, None) == 2:
+        raise MemoryError("kernel evaluate")
     return view(Y, (n, net.n_outputs))
 
 
@@ -527,45 +534,31 @@ def pattern_errors(net, part):
     """
     check_fit(net, part, "error")
     if _lib is None:
-        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
-        return array("d", [error(hw, ow, x, d) for x, d
-                           in zip(part.X.tolist(), part.T.tolist())])
+        errors = array("d")
+        evaluate(net.hidden_weights.tolist(), net.output_weights.tolist(),
+                 part.X.tolist(), part.T.tolist(), None, errors, False)
+        return errors
     errors = array("d", bytes(8 * len(part)))
-    _error_pass(net, part, errors.buffer_info()[0], None)
+    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None,
+                            errors.buffer_info()[0], len(part), net.n_inputs,
+                            net.h, net.n_outputs, None, None) == 2:
+        raise MemoryError("kernel evaluate")
     return errors
 
 
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2,
-    rounded as numpy's ``mean`` rounds it: :func:`mean` of
-    :func:`pattern_errors`, in one call of the compiled error pass."""
+    rounded as numpy's ``mean`` rounds it, ``(0.0 + pairwise(E)) / n``
+    over :func:`pattern_errors`, in one call of the compiled pass."""
     if _lib is None:
-        return mean(pattern_errors(net, part))
+        E = pattern_errors(net, part)
+        return (0.0 + pairwise(E, 0, len(E))) / len(E)
     check_fit(net, part, "error")
     out = ctypes.c_double()
-    _error_pass(net, part, None, ctypes.byref(out))
-    return out.value
-
-
-def _error_pass(net, part, errors, out):
-    """``growbp_error`` on a checked partition: the errors to the address
-    ``errors`` and their mean to ``out``, either of them None."""
-    if _lib.growbp_error(*net.addresses, *part.addresses, errors, len(part),
-                         net.n_inputs, net.h, net.n_outputs, out) == 2:
-        raise MemoryError("kernel error")
-
-
-def mean(E):
-    """The mean of the ``array('d')`` ``E``, as numpy's ``E.mean()`` rounds
-    it: ``(0.0 + pairwise(E)) / n``."""
-    if not (isinstance(E, array) and E.typecode == "d"):
-        raise TypeError(f"E must be an array('d'), got {type(E).__name__}")
-    if not E:
-        raise EmptySetError("mean over an empty pattern set")
-    if _lib is None:
-        return (0.0 + pairwise(E, 0, len(E))) / len(E)
-    out = ctypes.c_double()
-    _lib.growbp_mean(E.buffer_info()[0], len(E), ctypes.byref(out))
+    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None, None,
+                            len(part), net.n_inputs, net.h, net.n_outputs,
+                            ctypes.byref(out), None) == 2:
+        raise MemoryError("kernel evaluate")
     return out.value
 
 
@@ -574,12 +567,12 @@ def classified(net, part):
     each class given by :func:`label`."""
     check_fit(net, part, "efficiency")
     if _lib is None:
-        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
-        return sum(label(forward(hw, ow, x)[1]) == label(d)
-                   for x, d in zip(part.X.tolist(), part.T.tolist()))
-    count = _lib.growbp_classified(*net.addresses, *part.addresses,
-                                   len(part), net.n_inputs, net.h,
-                                   net.n_outputs)
-    if count < 0:
-        raise MemoryError("kernel classified")
-    return count
+        return evaluate(net.hidden_weights.tolist(),
+                        net.output_weights.tolist(), part.X.tolist(),
+                        part.T.tolist(), None, None, True)
+    count = ctypes.c_int64()
+    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None, None,
+                            len(part), net.n_inputs, net.h, net.n_outputs,
+                            None, ctypes.byref(count)) == 2:
+        raise MemoryError("kernel evaluate")
+    return count.value

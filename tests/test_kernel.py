@@ -405,7 +405,7 @@ def test_unfit_partitions_fail_before_the_kernel(
 
     if kernel_module._lib is not None:
         monkeypatch.setattr(kernel_module, "_lib", NoLib())
-    for name in ("step", "forward", "pairwise"):
+    for name in ("step", "forward", "evaluate", "pairwise"):
         monkeypatch.setattr(kernel_module, name, no_kernel)
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
@@ -435,8 +435,7 @@ def test_epoch_takes_only_a_growbp_generator(rng, each_backend):
 
 
 # The symbols kernel.c exports, each with the package's prefix.
-EXPORTS = ("growbp_epoch", "growbp_forward", "growbp_error", "growbp_mean",
-           "growbp_classified", "growbp_permutation")
+EXPORTS = ("growbp_epoch", "growbp_evaluate", "growbp_permutation")
 
 
 def c_type(param):
@@ -478,8 +477,9 @@ def test_compiled_library_exports_only_prefixed_names():
     # An unprefixed name resolves, if at all, to what the process already
     # has: glibc's error(3), never the kernel's own code.
     process = ctypes.CDLL(None)
-    for name in ("epoch", "forward", "error", "layer", "logistic", "mean",
-                 "pairwise", "label", "classified", "next64", "permutation"):
+    for name in ("epoch", "evaluate", "forward", "error", "layer",
+                 "logistic", "mean", "pairwise", "label", "classified",
+                 "next64", "permutation"):
         assert _address(lib, name) == _address(process, name), name
 
 
@@ -694,7 +694,8 @@ def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
     if infinite:
         make_infinite(rng, net)
     for _ in each_backend:
-        want = kernel_module.mean(kernel_module.pattern_errors(net, part))
+        E = kernel_module.pattern_errors(net, part)
+        want = (0.0 + kernel_module.pairwise(E, 0, rows)) / rows
         assert nan_bits(kernel_module.average_error(net, part)) == \
             nan_bits(want)
 
@@ -715,13 +716,13 @@ def test_error_pass_means_the_same_with_or_without_errors(shape, scale, seed,
     means = []
     for errors in (E.buffer_info()[0], None):
         out = ctypes.c_double()
-        assert kernel_module._lib.growbp_error(
-            *net.addresses, *part.addresses, errors, rows, *shape,
-            ctypes.byref(out)) == 0
+        assert kernel_module._lib.growbp_evaluate(
+            *net.addresses, *part.addresses, None, errors, rows, *shape,
+            ctypes.byref(out), None) == 0
         means.append(out.value)
     assert nan_bits(E) == nan_bits(kernel_module.pattern_errors(net, part))
     assert nan_bits(means[0]) == nan_bits(means[1]) == nan_bits(
-        kernel_module.mean(E))
+        (0.0 + kernel_module.pairwise(E, 0, rows)) / rows)
 
 
 def test_stored_arrays_refuse_resize(each_backend):
@@ -818,22 +819,15 @@ def test_pairwise_mean_is_numpys_for_every_length():
         assert bits(got) == bits(want[n - 1]), n
     if kernel_module._lib is None:
         pytest.skip("no gcc on PATH: the Python kernel is in use")
-    out = ctypes.c_double()
-    for n in range(1, 9001):
-        kernel_module._lib.growbp_mean(flat.buffer_info()[0], n,
-                                       ctypes.byref(out))
-        assert bits(out.value) == bits(want[n - 1]), n
-
-
-def test_mean_takes_only_a_double_array_with_values(each_backend):
-    # kernel.c reads len(E) doubles from E's address.
-    for _ in each_backend:
-        assert kernel_module.mean(array("d", [1.0, 2.0, 4.0])) == 7.0 / 3
-        for E in ([1.0, 2.0], array("f", [1.0, 2.0]), np.ones(2)):
-            with pytest.raises(TypeError, match="array"):
-                kernel_module.mean(E)
-        with pytest.raises(EmptySetError):
-            kernel_module.mean(array("d"))
+    # The compiled pass's mean on partitions of those lengths.
+    rng = np.random.default_rng(6)
+    hw, ow, X, T = random_arrays(rng, (3, 4, 2), 2.0, 9000)
+    net = Network(hw, ow)
+    for n in (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
+              8191, 8192, 8193, 9000):
+        part = Partition(X[:n], T[:n])
+        want = np.asarray(kernel_module.pattern_errors(net, part)).mean()
+        assert bits(average_error(net, part)) == bits(want), n
 
 
 def numpy_classes(M):
