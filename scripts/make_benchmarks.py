@@ -24,8 +24,6 @@ import pathlib
 import sys
 from collections import Counter
 
-import numpy as np
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RAW = ROOT / "data" / "raw"
 OUT = ROOT / "src" / "growbp" / "data"
@@ -38,7 +36,7 @@ from growbp.dataset import (  # noqa: E402
     normalize_raw,
     save_dataset,
 )
-from growbp.kernel import matrix  # noqa: E402
+from growbp.kernel import Generator, matrix  # noqa: E402
 
 # One fixed shuffle per dataset so the emitted files are reproducible.
 SHUFFLE_SEEDS = {"cancer1": 1, "heart1": 1, "diabetes1": 1}
@@ -79,8 +77,8 @@ def read_cancer():
     features = []
     for col in columns[2:11]:
         features.append([float(v) for v in impute_mode(col, missing="NA")])
-    X = np.array(features).T
-    T = np.array([one_hot(0 if r[11] == "benign" else 1) for r in body])
+    X = [list(row) for row in zip(*features)]
+    T = [one_hot(0 if r[11] == "benign" else 1) for r in body]
     return X, T, (350, 175, 174)
 
 
@@ -98,8 +96,8 @@ def read_heart():
             features.append([float(codes[v]) for v in col])
         else:
             features.append([float(v) for v in col])
-    X = np.array(features).T
-    T = np.array([[float(r[13])] for r in body])
+    X = [list(row) for row in zip(*features)]
+    T = [[float(r[13])] for r in body]
     return X, T, (152, 76, 75)
 
 
@@ -114,18 +112,19 @@ def read_diabetes():
         parts = ln.split(",")
         X.append([float(v) for v in parts[:8]])
         T.append(one_hot(0 if parts[8].strip() == "negative" else 1))
-    return np.array(X), np.array(T), (384, 192, 192)
+    return X, T, (384, 192, 192)
 
 
 def emit(name, X, T, split):
     n_train, n_valid, n_test = split
     assert len(X) == sum(split)
-    X = np.asarray(normalize_raw(X, X))  # statistics over the whole file
-    order = np.random.default_rng(SHUFFLE_SEEDS[name]).permutation(len(X))
-    X, T = X[order], T[order]
-    n_outputs = T.shape[1]
+    X = normalize_raw(X, X).tolist()  # statistics over the whole file
+    # growbp's Generator draws numpy's default_rng permutation bit for bit.
+    order = Generator(SHUFFLE_SEEDS[name]).permutation(len(X))
+    X, T = [X[i] for i in order], [T[i] for i in order]
+    n_outputs = len(T[0])
     header = DatasetHeader(
-        n_inputs=X.shape[1],
+        n_inputs=len(X[0]),
         n_outputs=n_outputs,
         n_train=n_train,
         n_valid=n_valid,

@@ -109,12 +109,18 @@ class ExperimentConfig:
                               f"got {self.sweep_seeds!r}")
         # Every seed is checked by TrainConfig's seed rule, so a bad sweep
         # fails before anything is written.  A range stays one: it cannot
-        # repeat a seed, and its ends bound every seed in it.
+        # repeat a seed, and its ends bound every seed in it.  Its length
+        # must fit len(), which the sweep and config.json take.
         if not self.sweep_seeds:
             raise ConfigError("sweep_seeds must not be empty")
         if isinstance(self.sweep_seeds, range):
             check_seed(self.sweep_seeds[0])
             check_seed(self.sweep_seeds[-1])
+            try:
+                len(self.sweep_seeds)
+            except OverflowError:
+                raise ConfigError(f"sweep_seeds {self.sweep_seeds} holds "
+                                  f"too many seeds to run") from None
         else:
             self.sweep_seeds = tuple(map(check_seed, self.sweep_seeds))
             if len(set(self.sweep_seeds)) != len(self.sweep_seeds):

@@ -1,15 +1,16 @@
 /* The compiled form of growbp.kernel: a whole online epoch, one
  * evaluation pass that gives any of the output rows, the per-pattern
- * errors, their pairwise mean and the count of correctly classified
- * patterns, and an epoch's random permutation, in the order that module's
- * docstring states.
+ * errors, their mean and the count of correctly classified patterns, and
+ * an epoch's random permutation, in the order that module's docstring
+ * states.
  *
- * Every sum runs left to right with the bias last, every product and sum
- * is rounded on its own (build with -ffp-contract=off, never -ffast-math),
- * and the logistic is 1 / (1 + exp(-s)) with libm's exp, the function
- * Python's math.exp calls.  Where exp overflows to +inf the quotient is
- * exactly 0.0, which is the Python kernel's OverflowError branch.  So the
- * weights and outputs equal the Python kernel's bit for bit.
+ * Every sum runs left to right, a net input with the bias last and the
+ * mean of the errors from 0.0; every product and sum is rounded on its
+ * own (build with -ffp-contract=off, never -ffast-math), and the logistic
+ * is 1 / (1 + exp(-s)) with libm's exp, the function Python's math.exp
+ * calls.  Where exp overflows to +inf the quotient is exactly 0.0, which
+ * is the Python kernel's OverflowError branch.  So the weights, outputs,
+ * errors and means equal the Python kernel's bit for bit.
  *
  * The epoch runs one pattern at a time, as the online step must.  The
  * evaluation pass runs BLOCK (8) rows at a time with layer_block, a
@@ -152,36 +153,6 @@ static const double *block_outputs(const double *hw, const double *ow,
     return y;
 }
 
-/* numpy's pairwise sum of a contiguous vector: plain sums below 8
- * values, eight accumulators up to 128, else two halves cut at a
- * multiple of 8. */
-static double pairwise(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        double res = ((r[0] + r[1]) + (r[2] + r[3]))
-                     + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
 /* The class of an output or target vector: with one value, 1 where it is
  * >= 0.5; with more, the index of the largest, the lowest on ties, and
  * the first NaN where there is one, as numpy's argmax picks. */
@@ -202,31 +173,28 @@ static int64_t label(const double *v, int64_t n)
 /* One pass of the net over the rows of X, writing what is asked for: the
  * output rows to Y; each pattern's error 0.5 * (e_0*e_0 + e_1*e_1 + ...),
  * e_k = T_k - y_k summed left to right over the outputs, to E; their mean,
- * as numpy's E.mean() rounds it, (0.0 + pairwise(E)) / n, to mean; and how
- * many rows the net puts in the class of their row of T to count.  Any of
- * the four may be NULL: without E the errors that mean needs go to scratch
- * after the tiles, and T may be NULL when E, mean and count all are.
- * Labels are taken only for count, since their argmax branch is slow on
- * random targets.  Returns 0, or 2 when memory runs out. */
+ * the errors summed left to right from 0.0 and divided by n, to mean; and
+ * how many rows the net puts in the class of their row of T to count.  Any
+ * of the four may be NULL, and T may be NULL when E, mean and count all
+ * are.  Labels are taken only for count, since their argmax branch is slow
+ * on random targets.  Returns 0, or 2 when memory runs out. */
 int64_t growbp_evaluate(const double *hw, const double *ow, const double *X,
                         const double *T, double *Y, double *E, int64_t n,
                         int64_t n_in, int64_t h, int64_t n_out, double *mean,
                         int64_t *count)
 {
-    int64_t scratch = E == NULL && mean != NULL ? n : 0, c = 0;
-    double *t = malloc((size_t)(BLOCK * (n_in + h + n_out) + scratch)
-                       * sizeof(double));
+    double *t = malloc((size_t)(BLOCK * (n_in + h + n_out)) * sizeof(double));
+    double sum = 0.0;
+    int64_t c = 0;
     if (t == NULL)
         return 2;
-    if (scratch)
-        E = t + BLOCK * (n_in + h + n_out);
     for (int64_t p = 0; p < n; p += BLOCK) {
         const double *y = block_outputs(hw, ow, X, p, n, n_in, h, n_out, t);
         int64_t rows = n - p < BLOCK ? n - p : BLOCK;
         if (Y != NULL)
             memcpy(Y + p * n_out, y, (size_t)(rows * n_out) * sizeof(double));
         for (int64_t b = 0; b < rows; b++, y += n_out) {
-            if (E != NULL) {
+            if (E != NULL || mean != NULL) {
                 const double *d = T + (p + b) * n_out;
                 double e = d[0] - y[0];
                 double s = e * e;
@@ -234,14 +202,17 @@ int64_t growbp_evaluate(const double *hw, const double *ow, const double *X,
                     e = d[k] - y[k];
                     s = s + e * e;
                 }
-                E[p + b] = 0.5 * s;
+                s = 0.5 * s;
+                if (E != NULL)
+                    E[p + b] = s;
+                sum = sum + s;
             }
             if (count != NULL)
                 c += label(y, n_out) == label(T + (p + b) * n_out, n_out);
         }
     }
     if (mean != NULL)
-        *mean = (0.0 + pairwise(E, n)) / (double)n;
+        *mean = sum / (double)n;
     if (count != NULL)
         *count = c;
     free(t);

@@ -26,11 +26,10 @@ the same libm ``exp``:
   ``back_j = ow[0][j]*e0 + ow[1][j]*e1 + ...``;
 - a pattern's error is ``0.5 * (e0*e0 + e1*e1 + ...)`` with
   ``ek = dk - yk``, its squares summed left to right over the outputs;
-- the mean of the errors (:func:`average_error`) is
-  ``(0.0 + pairwise(E)) / n``, with numpy's pairwise sum of a contiguous
-  vector (:func:`pairwise`), so it equals ``E.mean()`` bitwise;
+- the mean of the errors (:func:`average_error`) sums them left to right
+  from 0.0 and divides by their count;
 - every product and sum is rounded on its own: nothing is fused into a
-  multiply-add and no other sum is reblocked;
+  multiply-add and no sum is reblocked;
 - the logistic is ``1 / (1 + exp(-s))`` with the C library's ``exp``, and
   0.0 where ``exp`` overflows, which equals ``scipy.special.expit``
   bitwise, including at +-inf and NaN.
@@ -64,9 +63,9 @@ instead; :data:`BACKEND` says which one is in use, ``"c"`` or
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
-(:func:`logistic`, :func:`layer`, :func:`update`, :func:`pairwise`,
-:func:`label`, :func:`next64`, :func:`permutation`, then :func:`step`
-for the body of ``growbp_epoch`` and :func:`evaluate` for the body of
+(:func:`logistic`, :func:`layer`, :func:`update`, :func:`label`,
+:func:`next64`, :func:`permutation`, then :func:`step` for the body of
+``growbp_epoch`` and :func:`evaluate` for the body of
 ``growbp_evaluate`` less its mean), with plain loops over lists of
 weight rows in the same order; :func:`forward` is one pattern's two
 :func:`layer` calls.  It is much slower, and serves as the fallback and
@@ -194,29 +193,6 @@ def step(hw, ow, x, d, eta):
         g.append(s * hj * (1.0 - hj))
     update(ow, hidden, e, eta)
     update(hw, x, g, eta)
-
-
-def pairwise(a, lo, n):
-    """numpy's pairwise sum of ``a[lo:lo + n]``: plain sums below 8 values,
-    eight accumulators up to 128, else two halves cut at a multiple of 8."""
-    if n < 8:
-        res = 0.0
-        for i in range(lo, lo + n):
-            res += a[i]
-        return res
-    if n <= 128:
-        r = list(a[lo:lo + 8])
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for k in range(8):
-                r[k] += a[i + k]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            res += a[i]
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return pairwise(a, lo, n2) + pairwise(a, lo + n2, n - n2)
 
 
 def label(v):
@@ -547,12 +523,14 @@ def pattern_errors(net, part):
 
 
 def average_error(net, part):
-    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2,
-    rounded as numpy's ``mean`` rounds it, ``(0.0 + pairwise(E)) / n``
-    over :func:`pattern_errors`, in one call of the compiled pass."""
+    """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2:
+    :func:`pattern_errors` summed left to right from 0.0, then divided by
+    their count, in one call of the compiled pass."""
     if _lib is None:
-        E = pattern_errors(net, part)
-        return (0.0 + pairwise(E, 0, len(E))) / len(E)
+        total = 0.0
+        for e in pattern_errors(net, part):
+            total = total + e
+        return total / len(part)
     check_fit(net, part, "error")
     out = ctypes.c_double()
     if _lib.growbp_evaluate(*net.addresses, *part.addresses, None, None,

@@ -31,7 +31,12 @@ from growbp.cli import (
     run_experiment,
 )
 from growbp.dataset import load_dataset, load_raw_csv, save_dataset
-from growbp.errors import ConfigError, GrowbpError
+from growbp.errors import (
+    ConfigError,
+    CountMismatchError,
+    GrowbpError,
+    MalformedValueError,
+)
 from growbp.network import load_network
 from growbp.trainer import (
     STOP_ACCEPTED,
@@ -611,6 +616,8 @@ class TestMakeBenchmarks:
         spec = importlib.util.spec_from_file_location(
             "make_benchmarks", root / "scripts" / "make_benchmarks.py")
         script = importlib.util.module_from_spec(spec)
+        # numpy is needed only by the tests, not to build the data.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         spec.loader.exec_module(script)
         monkeypatch.setattr(script, "OUT", tmp_path)
         script.main()
@@ -738,6 +745,19 @@ def write_render_input(text, name=None):
     return make
 
 
+def write_raw_csv(text, counts=(1, 1, 1, 1)):
+    """A raw CSV ``text`` whose manifest gives ``counts``: the training,
+    validation and test rows, then the target columns."""
+    def make(tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(text)
+        path.with_name("raw.csv.manifest.json").write_text(json.dumps(dict(
+            zip(("training_examples", "validation_examples",
+                 "test_examples", "target_columns"), counts))))
+        return ["train", str(path), "--dataset-kind", "raw-csv"]
+    return make
+
+
 CSV_HEADER = ("h,epochs,train_classified,train_eff,train_mse,"
               "valid_classified,valid_eff,valid_mse,test_classified,"
               "test_eff,overall_eff,best\n")
@@ -757,6 +777,8 @@ BAD_INPUTS = {
     "seeds-negative": lambda tmp: ["train", "heart1", "--seeds=-1"],
     "seeds-range-negative": lambda tmp: ["train", "heart1", "--seeds=-2:3"],
     "seeds-range-empty": lambda tmp: ["train", "heart1", "--seeds", "3:3"],
+    "seeds-range-too-long": lambda tmp: ["train", "heart1", "--seeds",
+                                         f"0:{10**20}"],
     "seed-negative": lambda tmp: ["train", "heart1", "--seed", "-1"],
     "init-range-negative": lambda tmp: ["train", "heart1",
                                         "--init-range", "-1"],
@@ -858,6 +880,25 @@ BAD_INPUTS = {
         json.dumps({**JSON_ROW, "selected": False}) + "\n"
         + json.dumps({**JSON_ROW, "h": 2, "epochs_cumulative": 4}) + "\n"),
     "render-jsonl-nested-deep": write_render_input("[" * 100000),
+    "render-jsonl-seed-str": write_render_input(
+        json.dumps({**JSON_ROW, "seed": "0"}) + "\n"),
+    "render-jsonl-stop-reason-int": write_render_input(
+        json.dumps({**JSON_ROW, "stop_reason": 1}) + "\n"),
+    "render-jsonl-selected-int": write_render_input(
+        json.dumps({**JSON_ROW, "selected": 1}) + "\n"),
+    "raw-csv-no-rows": write_raw_csv("\n\n"),
+    "raw-csv-no-feature-column": write_raw_csv("t\n1\n0\n1\n"),
+    "raw-csv-row-count": write_raw_csv("a,t\n0.5,1\n0.2,0\n"),
+}
+
+# The class each of these faults raises, naming its file.
+FAULT_CLASSES = {
+    "render-jsonl-seed-str": ConfigError,
+    "render-jsonl-stop-reason-int": ConfigError,
+    "render-jsonl-selected-int": ConfigError,
+    "raw-csv-no-rows": CountMismatchError,
+    "raw-csv-no-feature-column": MalformedValueError,
+    "raw-csv-row-count": CountMismatchError,
 }
 
 
@@ -883,6 +924,18 @@ def test_bad_config_or_results_exit_two(case, tmp_path, capsys):
         assert err.endswith(": not a growth-table CSV or JSON lines\n")
     if case in CONFIG_FILE_FAULTS:
         assert err.startswith(f"error: {tmp_path / 'c.json'}: ")
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CLASSES))
+def test_input_faults_raise_their_class_naming_the_file(case, tmp_path):
+    argv = BAD_INPUTS[case](tmp_path)
+    if argv[0] == "train":
+        argv += ["--output", str(tmp_path / "res")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(FAULT_CLASSES[case]) as exc:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args.func(args)
+    assert str(exc.value).startswith(f"{argv[1]}: ")
 
 
 # A row out of growth order is named by its own line, not the stop line.

@@ -6,7 +6,8 @@ first product, runs left to right and adds the bias last.  The entry
 points ``train_epoch``, ``forward_outputs`` and ``pattern_errors`` are
 checked against it on both backends, and the compiled kernel is also
 checked against the Python one, which is its fallback.  numpy is the
-oracle for the random streams, the pairwise mean and the class rule.
+oracle for the random streams, the errors' row sums and the class rule;
+the mean of the errors is checked against a plain left-to-right loop.
 """
 
 import copy
@@ -77,6 +78,15 @@ def ref_step(hw, ow, x, d, eta):
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def left_to_right_mean(E):
+    """The mean of ``E`` as the contract takes it: summed left to right
+    from 0.0, then divided by the count."""
+    total = 0.0
+    for e in E:
+        total = total + float(e)
+    return total / len(E)
 
 
 def one_step(net, x, d, eta):
@@ -363,13 +373,13 @@ def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
 @settings(per_example, max_examples=100)
 def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
                                             seed, rows):
-    # Up to seven outputs the kernel's order is numpy's, so the growth
-    # tables' train_mse and valid_mse keep their digits.
+    # Up to seven outputs numpy sums a row's squares left to right, as
+    # the kernel does.
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
     E = T - np.asarray(forward_outputs(net, X))
-    want = float((0.5 * (E * E).sum(axis=1)).mean())
+    want = left_to_right_mean(0.5 * (E * E).sum(axis=1))
     for _ in each_backend:
         assert bits(average_error(net, part)) == bits(want)
 
@@ -405,7 +415,7 @@ def test_unfit_partitions_fail_before_the_kernel(
 
     if kernel_module._lib is not None:
         monkeypatch.setattr(kernel_module, "_lib", NoLib())
-    for name in ("step", "forward", "evaluate", "pairwise"):
+    for name in ("step", "forward", "evaluate"):
         monkeypatch.setattr(kernel_module, name, no_kernel)
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
@@ -655,9 +665,9 @@ def test_every_package_file_is_shipped():
     assert files <= shipped
 
 
-# numpy sums a contiguous vector pairwise: eight accumulators over blocks
-# of 128, halves cut at multiples of eight.  These lengths sit on and
-# next to those edges.
+# Lengths on and next to the evaluation pass's 8-row blocks and the edges
+# of numpy's pairwise sum (eight accumulators over blocks of 128, halves
+# cut at multiples of eight), where a reblocked sum would differ.
 block_edges = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129,
                                255, 256, 257, 1023, 1024, 1025, 8191, 8192,
                                8193, 9000])
@@ -666,17 +676,17 @@ block_edges = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129,
 @given(st.one_of(block_edges, st.integers(1, 9000)), st.integers(1, 3),
        seeds)
 @settings(per_example, max_examples=60)
-def test_average_error_is_the_numpy_mean(each_backend, rows, n_out, seed):
+def test_average_error_is_the_left_to_right_mean(each_backend, rows, n_out,
+                                                 seed):
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, (1, 2, n_out), 30.0, rows)
     net, part = Network(hw, ow), Partition(X, T)
     for _ in each_backend:
-        want = np.asarray(kernel_module.pattern_errors(net, part)).mean()
+        want = left_to_right_mean(kernel_module.pattern_errors(net, part))
         assert bits(average_error(net, part)) == bits(want)
 
 
-# Row counts on and next to the 8-row block edges and numpy's pairwise
-# edges.
+# Row counts on and next to the 8-row block edges, and longer ones.
 mean_rows = block_rows | st.sampled_from([127, 128, 129, 256, 4001])
 
 
@@ -686,8 +696,8 @@ mean_rows = block_rows | st.sampled_from([127, 128, 129, 256, 4001])
 def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
                                                      scale, seed, rows,
                                                      infinite):
-    # The compiled error pass takes the mean of the errors it keeps in its
-    # own scratch; a padded row's NaN error must not reach it.
+    # The compiled pass sums the errors as it writes them, or without
+    # writing them; a padded row's NaN error must not reach the sum.
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
@@ -695,7 +705,7 @@ def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
         make_infinite(rng, net)
     for _ in each_backend:
         E = kernel_module.pattern_errors(net, part)
-        want = (0.0 + kernel_module.pairwise(E, 0, rows)) / rows
+        want = left_to_right_mean(E)
         assert nan_bits(kernel_module.average_error(net, part)) == \
             nan_bits(want)
 
@@ -722,7 +732,7 @@ def test_error_pass_means_the_same_with_or_without_errors(shape, scale, seed,
         means.append(out.value)
     assert nan_bits(E) == nan_bits(kernel_module.pattern_errors(net, part))
     assert nan_bits(means[0]) == nan_bits(means[1]) == nan_bits(
-        (0.0 + kernel_module.pairwise(E, 0, rows)) / rows)
+        left_to_right_mean(E))
 
 
 def test_stored_arrays_refuse_resize(each_backend):
@@ -806,28 +816,6 @@ def test_generator_interleaves_draws_as_numpy_does(seed, each_backend):
             assert bits(ours.uniform(-0.7, 0.7, n % 5)) == bits(
                 theirs.uniform(-0.7, 0.7, n % 5))
             assert ours.state == numpy_state(theirs)
-
-
-def test_pairwise_mean_is_numpys_for_every_length():
-    E = np.random.default_rng(5).uniform(0.0, 10.0, 9000)
-    flat = array("d", E)
-    want = [float(np.add.reduce(E[:n]) / n) for n in range(1, 9001)]
-    # The Python transcription at and next to numpy's block edges.
-    for n in (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257,
-              1023, 1024, 1025, 8191, 8192, 8193, 9000):
-        got = (0.0 + kernel_module.pairwise(flat, 0, n)) / n
-        assert bits(got) == bits(want[n - 1]), n
-    if kernel_module._lib is None:
-        pytest.skip("no gcc on PATH: the Python kernel is in use")
-    # The compiled pass's mean on partitions of those lengths.
-    rng = np.random.default_rng(6)
-    hw, ow, X, T = random_arrays(rng, (3, 4, 2), 2.0, 9000)
-    net = Network(hw, ow)
-    for n in (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
-              8191, 8192, 8193, 9000):
-        part = Partition(X[:n], T[:n])
-        want = np.asarray(kernel_module.pattern_errors(net, part)).mean()
-        assert bits(average_error(net, part)) == bits(want), n
 
 
 def numpy_classes(M):

@@ -327,9 +327,14 @@ class TestSerialization:
          b"output_weights\n1 2 3\n\n1 2 3\n", MalformedValueError, 10),
         (b"n_inputs 1" + b"0" * 30 + b"\nh 2\nn_outputs 1\nhidden_weights\n"
          b"1 2 3\n4 5 6\noutput_weights\n1 2 3\n", RowArityError, 5),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weight\n1 2 3\n4 5 6\n"
+         b"output_weights\n1 2 3\n", MalformedValueError, 4),
+        (b"n_inputs 2\nh 2\nn_outputs 1\nhidden_weights\n1 2 3\n4 5 6\n"
+         b"outputs_weights\n1 2 3\n", MalformedValueError, 7),
     ], ids=["non-ascii", "ragged-hidden-rows", "wrong-key", "h-two-values",
             "short-block", "file-ends-in-block", "nan-weight",
-            "trailing-row", "huge-width"])
+            "trailing-row", "huge-width", "wrong-hidden-block-name",
+            "wrong-output-block-name"])
     def test_load_names_the_file(self, tmp_path, data, error, line):
         p = tmp_path / "net.txt"
         p.write_bytes(data)

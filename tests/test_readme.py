@@ -2,8 +2,13 @@ import re
 from pathlib import Path
 
 import growbp
-from growbp.cli import render_table
-from growbp.trainer import STOP_H_MAX, GrowthHistory
+from growbp.cli import (
+    build_experiment_config,
+    build_parser,
+    load_any,
+    render_table,
+)
+from growbp.trainer import STOP_H_MAX, GrowthHistory, constructive_train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +26,11 @@ def test_growth_table_header_is_the_csv_header():
     shown = [ln for ln in README.read_text().splitlines()
              if ln.startswith("h,")]
     assert shown == [header]
+
+
+def test_growth_table_example_is_what_cancer1_seed_2_writes():
+    args = build_parser().parse_args(["train", "cancer1", "--seeds", "2"])
+    cfg = build_experiment_config(args)
+    history = constructive_train(load_any(cfg), cfg.train_config(2))[1]
+    text = README.read_text().split("seed 2's table from the run above:")[1]
+    assert text.split("```")[1].lstrip("\n") == render_table(history, "csv")

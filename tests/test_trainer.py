@@ -391,7 +391,10 @@ def reference_phase(net, data, cfg, rng=None, epochs_before=0):
             rng.permutation(len(data.train))
         train_epoch(work, data.train, cfg.eta, shuffle)
         used += 1
-        err = float(np.asarray(pattern_errors(work, data.valid)).mean())
+        err = 0.0
+        for e in pattern_errors(work, data.valid):
+            err = err + e
+        err = err / len(data.valid)
         if err < best_err:
             best_err, best_net, bad = err, work.copy(), 0
         else:
