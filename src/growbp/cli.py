@@ -77,12 +77,14 @@ class ExperimentConfig:
     """Everything a run depends on besides the dataset bytes."""
 
     dataset_path: str
-    dataset_kind: str = "proben1"
+    dataset_kind: str = field(default="proben1",
+                              metadata={"choices": DATASET_KINDS})
     train: TrainConfig = field(default_factory=TrainConfig)
     sweep_seeds: tuple = tuple(range(10))
     output_path: str = "results"
-    output_format: str = "csv"
-    n_jobs: int = 0
+    output_format: str = field(default="csv",
+                               metadata={"choices": OUTPUT_FORMATS})
+    n_jobs: int = field(default=0, metadata={"least": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -90,16 +92,6 @@ class ExperimentConfig:
             raise ConfigError("a dataset path is required")
         if "\0" in self.dataset_path + self.output_path:
             raise ConfigError("paths must not contain NUL characters")
-        if self.dataset_kind not in DATASET_KINDS:
-            raise ConfigError(
-                f"dataset_kind must be one of {DATASET_KINDS}, "
-                f"got {self.dataset_kind!r}"
-            )
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(
-                f"output_format must be one of {OUTPUT_FORMATS}, "
-                f"got {self.output_format!r}"
-            )
         if not isinstance(self.train, TrainConfig):
             raise ConfigError(
                 f"train must be a TrainConfig, got {self.train!r}"
@@ -126,8 +118,6 @@ class ExperimentConfig:
             if len(set(self.sweep_seeds)) != len(self.sweep_seeds):
                 raise ConfigError(f"sweep_seeds repeats a seed: "
                                   f"{list(self.sweep_seeds)}")
-        if self.n_jobs < 0:
-            raise ConfigError(f"n_jobs must be >= 0, got {self.n_jobs}")
 
     def train_config(self, seed):
         return dataclasses.replace(self.train, seed=seed)
@@ -154,12 +144,16 @@ def load_any(cfg):
 
 
 def config_record(cfg):
-    """The flat object ``config.json`` holds, which ``--config`` reads back."""
+    """The flat object ``config.json`` holds, which ``--config`` reads back.
+    A step-1 range of seeds is kept unexpanded, as its ``--seeds`` text."""
     record = dataclasses.asdict(cfg)
     record.update(record.pop("train"))
     del record["seed"]
     record["dataset_path"] = str(resolve_dataset_path(cfg.dataset_path))
-    record["sweep_seeds"] = list(cfg.sweep_seeds)
+    seeds = cfg.sweep_seeds
+    record["sweep_seeds"] = (
+        f"{seeds.start}:{seeds.stop}"
+        if isinstance(seeds, range) and seeds.step == 1 else list(seeds))
     return record
 
 
@@ -381,14 +375,14 @@ def build_experiment_config(args):
     """Merge built-in defaults, dataset preset, config file and flags."""
     flags = {name: value for name, value in vars(args).items()
              if name not in ("config", "func", "command")}
-    if "sweep_seeds" in flags:
-        flags["sweep_seeds"] = parse_seeds(flags["sweep_seeds"])
     file_entries = _load_config_file(args.config) if args.config else {}
     dataset = {**file_entries, **flags}.get("dataset_path")
     if not dataset or not isinstance(dataset, str):
         raise ConfigError("no dataset given (argument or config file)")
     preset = PRESETS.get(match_profile(dataset), {})
     merged = {**preset, **file_entries, **flags}
+    if isinstance(merged.get("sweep_seeds"), str):
+        merged["sweep_seeds"] = parse_seeds(merged["sweep_seeds"])
     train = {f.name: merged.pop(f.name) for f in TRAIN_OPTIONS
              if f.name in merged}
     return ExperimentConfig(train=TrainConfig(**train), **merged)
@@ -480,6 +474,7 @@ def build_parser():
                      "networks with per-seed growth tables."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = " or ".join(DATASET_KINDS)
 
     train = sub.add_parser(
         "train", help="run constructive training over a sweep of seeds"
@@ -493,7 +488,7 @@ def build_parser():
                        default=argparse.SUPPRESS,
                        help="one seed, a comma list or a range, e.g. 0:10")
     train.add_argument("--dataset-kind", dest="dataset_kind",
-                       default=argparse.SUPPRESS, help="proben1 or raw-csv")
+                       default=argparse.SUPPRESS, help=kinds)
     for f in TRAIN_OPTIONS:
         kind = ({"action": argparse.BooleanOptionalAction}
                 if f.type is bool else {"type": f.type})
@@ -502,10 +497,12 @@ def build_parser():
                            help=f.metadata.get("help"), **kind)
     train.add_argument("--output", dest="output_path",
                        default=argparse.SUPPRESS,
-                       help="directory for result files (default: results)")
+                       help=f"directory for result files (default: "
+                            f"{ExperimentConfig.output_path})")
     train.add_argument("--format", dest="output_format",
                        default=argparse.SUPPRESS,
-                       help="csv or json-lines (render prints markdown)")
+                       help=f"{' or '.join(OUTPUT_FORMATS)} "
+                            f"(render prints markdown)")
     train.add_argument("--jobs", dest="n_jobs", type=int,
                        default=argparse.SUPPRESS,
                        help="seeds run at once on threads (0 = one per core)")
@@ -516,7 +513,7 @@ def build_parser():
     )
     inspect.add_argument("dataset")
     inspect.add_argument("--dataset-kind", dest="dataset_kind",
-                         default="proben1", help="proben1 or raw-csv")
+                         default=ExperimentConfig.dataset_kind, help=kinds)
     inspect.set_defaults(func=cmd_inspect)
 
     render = sub.add_parser(

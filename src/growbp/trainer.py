@@ -33,14 +33,18 @@ _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str,
              bool: bool}
 
 
-def checked_value(name, kind, value):
-    """``value`` as a Python ``kind`` (int, float, str or bool), else a
-    :class:`ConfigError` naming the field ``name``.
+def checked_field(f, value):
+    """``value`` as the dataclass field ``f`` takes it, else a
+    :class:`ConfigError` naming the field.
 
-    Bools and strings are rejected for numeric fields, numpy scalars are
-    accepted and converted, and NaN is rejected for float fields.
+    An int, float, str or bool field takes a Python value of its type:
+    bools and strings are rejected for numeric fields, numpy scalars are
+    accepted and converted, and NaN is rejected for float fields.  Then the
+    value must be at least the field's ``least`` and one of its
+    ``choices``, where its metadata declares them.
     """
-    if type(value) is not kind:
+    name, kind = f.name, f.type
+    if kind in _ACCEPTED and type(value) is not kind:
         accepted = _ACCEPTED[kind]
         # A numpy bool exists only where numpy is loaded: look, never
         # import.  The entry is None where numpy is blocked.
@@ -58,24 +62,23 @@ def checked_value(name, kind, value):
             raise ConfigError(f"{name} is out of range: {value!r}") from None
     if kind is float and math.isnan(value):
         raise ConfigError(f"{name} must not be NaN")
+    if f.metadata:
+        least = f.metadata.get("least")
+        if least is not None and value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(
+                f"{name} must be one of {choices}, got {value!r}")
     return value
 
 
 def check_fields(obj):
-    """Check and normalise a dataclass's int, float, str and bool fields
-    with :func:`checked_value`.  Raises :class:`ConfigError`."""
+    """Check and normalise each field of a dataclass with
+    :func:`checked_field`.  Raises :class:`ConfigError`."""
     for f in fields(obj):
-        if f.type in (int, float, str, bool):
-            value = checked_value(f.name, f.type, getattr(obj, f.name))
-            object.__setattr__(obj, f.name, value)  # frozen dataclasses too
-
-
-def check_seed(seed):
-    """A training seed as a Python int >= 0, else :class:`ConfigError`."""
-    seed = checked_value("seed", int, seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+        value = checked_field(f, getattr(obj, f.name))
+        object.__setattr__(obj, f.name, value)  # frozen dataclasses too
 
 
 @dataclass
@@ -92,14 +95,15 @@ class TrainConfig:
     """
 
     eta: float = 0.7
-    epochs_per_phase: int = 500
-    patience: int = 50
-    xi_target: float = 0.0
+    epochs_per_phase: int = field(default=500, metadata={"least": 1})
+    patience: int = field(default=50, metadata={"least": 1})
+    xi_target: float = field(default=0.0, metadata={"least": 0})
     eff_target: float = 100.0
-    h_max: int = 8
+    h_max: int = field(default=8, metadata={"least": 1})
     init_range: float = 1.0
-    seed: int = 0
-    stopping_set: str = "validation"
+    seed: int = field(default=0, metadata={"least": 0})
+    stopping_set: str = field(default="validation",
+                              metadata={"choices": ("validation", "test")})
     shuffle: bool = False
     grow_zero_output: bool = False
     report_only: bool = field(
@@ -111,23 +115,12 @@ class TrainConfig:
         check_fields(self)
         if not 0 < self.eta < math.inf:
             raise ConfigError(f"eta must be > 0 and finite, got {self.eta}")
-        if self.h_max < 1:
-            raise ConfigError(f"h_max must be >= 1, got {self.h_max}")
-        if self.epochs_per_phase < 1:
-            raise ConfigError(
-                f"epochs_per_phase must be >= 1, got {self.epochs_per_phase}"
-            )
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.xi_target < 0:
-            raise ConfigError(f"xi_target must be >= 0, got {self.xi_target}")
         check_init_range(self.init_range)
-        check_seed(self.seed)
-        if self.stopping_set not in ("validation", "test"):
-            raise ConfigError(
-                f"stopping_set must be 'validation' or 'test', "
-                f"got {self.stopping_set!r}"
-            )
+
+
+def check_seed(seed):
+    """A sweep seed as :class:`TrainConfig`'s ``seed`` field takes it."""
+    return checked_field(TrainConfig.__dataclass_fields__["seed"], seed)
 
 
 @dataclass(frozen=True)
@@ -186,12 +179,11 @@ class GrowthHistory:
     """
 
     phases: tuple
-    stop_reason: str
+    stop_reason: str = field(metadata={"choices": (STOP_ACCEPTED,
+                                                   STOP_H_MAX)})
 
     def __post_init__(self):
-        if self.stop_reason not in (STOP_ACCEPTED, STOP_H_MAX):
-            raise ConfigError(f"stop_reason must be {STOP_ACCEPTED!r} or "
-                              f"{STOP_H_MAX!r}, got {self.stop_reason!r}")
+        check_fields(self)
         fault = phase_fault(self.phases)
         if fault is not None:
             raise ConfigError(fault[1])

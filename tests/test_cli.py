@@ -38,6 +38,7 @@ from growbp.errors import (
     MalformedValueError,
 )
 from growbp.network import load_network
+from growbp.profiles import bundled_dataset_path
 from growbp.trainer import (
     STOP_ACCEPTED,
     STOP_H_MAX,
@@ -109,6 +110,16 @@ class TestExperimentConfig:
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset_path="x.dt", output_format="yaml")
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"dataset_path": ""}, "a dataset path is required"),
+        ({"train": {}}, "train must be a TrainConfig, got {}"),
+        ({"n_jobs": -1}, "n_jobs must be >= 0, got -1"),
+    ])
+    def test_rejection_names_the_fault(self, entries, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{"dataset_path": "x.dt", **entries})
+        assert str(exc.value) == message
 
     def test_bad_train_field_rejected_eagerly(self):
         with pytest.raises(ConfigError):
@@ -182,6 +193,11 @@ class TestRenderTable:
         objs = [json.loads(ln) for ln in lines]
         assert [o["selected"] for o in objs] == [False, True]
         assert {o["stop_reason"] for o in objs} == {STOP_H_MAX}
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            render_table(make_history(), "xml")
+        assert str(exc.value) == "unknown table format 'xml'"
 
     def test_rejects_foreign_csv(self):
         with pytest.raises(ConfigError):
@@ -384,6 +400,25 @@ class TestBuildExperimentConfig:
         assert cfg.sweep_seeds == range(10**9)
         assert len(built) == 1
 
+    def test_range_is_written_as_its_seeds_text(self, tmp_path):
+        # Expanded into config.json, this range took 4.1 s and 116 MiB
+        # before the first seed ran.  A longer one would expand past memory.
+        args = build_parser().parse_args(["train", "heart1",
+                                          "--seeds", "0:1000000"])
+        cfg = build_experiment_config(args)
+        conf = tmp_path / "config.json"
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            conf.write_text(json.dumps(config_record(cfg)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - start < 0.2
+        assert peak < 2**20
+        assert json.loads(conf.read_text())["sweep_seeds"] == "0:1000000"
+        assert build_from_config(conf).sweep_seeds == range(10**6)
+
     def test_dataset_from_config_file(self, tmp_path, blob_dataset):
         from growbp.cli import build_experiment_config
         path = write_blob_file(blob_dataset, tmp_path)
@@ -531,6 +566,7 @@ class TestMain:
 # Each .dt header fault and the line or lines it names; test_examples is
 # on line 7.
 HEADER_FAULT_LINES = {"negative-header-count": "line 7",
+                      "overlong-header-count": "line 7",
                       "zero-header-count": "lines 1-7",
                       "huge-header-width": "line 8"}
 
@@ -554,6 +590,8 @@ def write_bad_input(case, blob_dataset, tmp_path):
         else:
             value = {"unicode-digit-header": "²",
                      "negative-header-count": "-1",
+                     "overlong-header-count":
+                         "9" * (sys.get_int_max_str_digits() + 1),
                      "zero-header-count": "0"}[case]
             path.write_text(text.replace("test_examples=10",
                                          f"test_examples={value}"))
@@ -592,6 +630,7 @@ class TestBadInputExitsTwo:
         "manifest-nested-deep", "manifest-count-negative",
         "manifest-count-zero", "manifest-target-columns-zero",
         "negative-header-count", "zero-header-count", "huge-header-width",
+        "overlong-header-count",
     ])
     def test_no_traceback(self, case, command, blob_dataset, tmp_path,
                           capsys):
@@ -787,6 +826,7 @@ BAD_INPUTS = {
     "xi-target-nan": lambda tmp: ["train", "heart1", "--xi-target", "nan"],
     "eta-inf": lambda tmp: ["train", "heart1", "--eta", "inf"],
     "seeds-repeated": lambda tmp: ["train", "heart1", "--seeds", "0,0"],
+    "jobs-negative": lambda tmp: ["train", "heart1", "--jobs", "-1"],
     "format-markdown": lambda tmp: ["train", "heart1", "--format", "markdown"],
     "dataset-kind-unknown": lambda tmp: ["train", "heart1",
                                          "--dataset-kind", "foo"],
@@ -950,6 +990,12 @@ def test_growth_order_faults_name_their_row(case, line, tmp_path, capsys):
     argv = BAD_INPUTS[case](tmp_path)
     assert main(argv) == 2
     assert f"error: {argv[1]}: line {line}: " in capsys.readouterr().err
+
+
+def test_unknown_bundled_name_is_a_key_error():
+    with pytest.raises(KeyError) as exc:
+        bundled_dataset_path("x")
+    assert exc.value.args == ("no bundled dataset named 'x'",)
 
 
 def build_from_config(path):

@@ -1,4 +1,5 @@
 import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,15 @@ class TestParseHeader:
         lines = CANCER1_HEADER[:-1] + ["test_examples=\u00b2"]
         with pytest.raises(MalformedValueError):
             parse_header(list(enumerate(lines, 1)))
+
+    def test_count_longer_than_int_converts(self):
+        # str.isdigit() holds, but int() refuses this many digits.
+        value = "9" * (sys.get_int_max_str_digits() + 1)
+        lines = CANCER1_HEADER[:-1] + [f"test_examples={value}"]
+        with pytest.raises(MalformedValueError) as exc:
+            parse_header(list(enumerate(lines, 1)))
+        assert str(exc.value) == (f"line 7: value for 'test_examples' is "
+                                  f"not an integer >= 0: {value!r}")
 
     def test_unknown_keys_ignored(self):
         lines = CANCER1_HEADER + ["comment=whatever"]
@@ -424,6 +434,11 @@ class TestNormalizeRaw:
     def test_empty_training(self):
         with pytest.raises(EmptyTrainingError):
             normalize_raw(np.array([[1.0]]), np.empty((0, 1)))
+
+    def test_width_mismatch(self):
+        with pytest.raises(MalformedValueError) as exc:
+            normalize_raw([[1.0, 2.0]], [[1.0]])
+        assert str(exc.value) == "features have 2 columns, statistics 1"
 
 
 class TestRawCsv:

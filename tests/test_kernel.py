@@ -33,7 +33,8 @@ from scipy.special import expit
 import growbp
 from growbp import kernel as kernel_module
 from growbp.dataset import Partition
-from growbp.errors import ArityMismatchError, EmptySetError
+from growbp.errors import (ArityMismatchError, EmptySetError,
+                           MalformedValueError)
 from growbp.kernel import Generator
 from growbp.metrics import efficiency
 from growbp.network import Network, add_hidden_unit, forward_outputs
@@ -802,6 +803,23 @@ def test_generator_seeds_as_numpy_does(each_backend):
             assert ours.permutation(5).tolist() == (
                 theirs.permutation(5).tolist()), seed
             assert ours.state == numpy_state(theirs), seed
+
+
+def test_generator_rejects_a_negative_seed():
+    with pytest.raises(ValueError) as exc:
+        Generator(-1)
+    assert str(exc.value) == "seed must be an int >= 0, got -1"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 2.0], [3.0]], "rows of a matrix must be equally long"),
+    # ctypes labels its doubles '<d', a format memoryview cannot list.
+    ((ctypes.c_double * 2 * 2)(), "cannot read numbers of format '<d'"),
+])
+def test_matrix_rejects_ragged_rows_and_unlisted_formats(rows, message):
+    with pytest.raises(MalformedValueError) as exc:
+        kernel_module.matrix(rows)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("seed", [0, 1, 999, *BIG_SEEDS])

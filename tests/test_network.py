@@ -136,6 +136,12 @@ class TestInitNetwork:
             init_network(3, 1, math.nextafter(widest, math.inf),
                          np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_inputs, n_outputs", [(0, 1), (1, 0)])
+    def test_needs_inputs_and_outputs(self, n_inputs, n_outputs):
+        with pytest.raises(MalformedValueError) as exc:
+            init_network(n_inputs, n_outputs, 1.0, np.random.default_rng(0))
+        assert str(exc.value) == "n_inputs and n_outputs must be >= 1"
+
     def test_weights_within_range(self):
         net = init_network(20, 4, 0.3, np.random.default_rng(5))
         assert np.abs(net.hidden_weights).max() <= 0.3
@@ -261,6 +267,11 @@ class TestNetworkValidation:
         hw[0, 0] = np.nan
         with pytest.raises(MalformedValueError):
             Network(hw, np.zeros((1, 2)))
+
+    def test_no_hidden_units_rejected(self):
+        with pytest.raises(MalformedValueError) as exc:
+            Network(np.zeros((0, 3)), np.zeros((1, 1)))
+        assert str(exc.value) == "need at least one hidden unit"
 
     def test_no_output_units_rejected(self):
         with pytest.raises(MalformedValueError):

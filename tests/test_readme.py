@@ -1,3 +1,4 @@
+import argparse
 import re
 from pathlib import Path
 
@@ -34,3 +35,16 @@ def test_growth_table_example_is_what_cancer1_seed_2_writes():
     history = constructive_train(load_any(cfg), cfg.train_config(2))[1]
     text = README.read_text().split("seed 2's table from the run above:")[1]
     assert text.split("```")[1].lstrip("\n") == render_table(history, "csv")
+
+
+def test_every_train_flag_is_in_the_cli_section():
+    cli = README.read_text().split("## CLI", 1)[1].split("\n## ")[0]
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = [flag for action in commands.choices["train"]._actions
+             if not isinstance(action, argparse._HelpAction)
+             for flag in action.option_strings if not flag.startswith("--no-")]
+    assert flags
+    missing = [flag for flag in flags
+               if not re.search(re.escape(flag) + r"(?![\w-])", cli)]
+    assert missing == []

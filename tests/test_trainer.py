@@ -537,6 +537,23 @@ class TestConstructiveTrain:
         with pytest.raises(EmptySetError):
             constructive_train(broken, cfg)
 
+    @pytest.mark.parametrize("stopping_set, stop_reason, hs", [
+        ("test", STOP_ACCEPTED, [1]),
+        ("validation", STOP_H_MAX, [1, 2]),
+    ])
+    def test_stopping_set_is_where_efficiency_is_measured(
+            self, stopping_set, stop_reason, hs):
+        # Trained towards 1, the one pattern is classified right on the
+        # test partition and wrong on validation, whose target is 0.
+        data = one_pattern_dataset([0.5, 0.2], 1.0, 0.0, 1.0)
+        cfg = TrainConfig(stopping_set=stopping_set, xi_target=1.0,
+                          eff_target=100.0, h_max=2, epochs_per_phase=5,
+                          patience=5, init_range=0.01)
+        _, history = constructive_train(data, cfg)
+        assert history.stop_reason == stop_reason
+        assert [(r.h, r.valid_eff, r.test_eff) for r in history.phases] == [
+            (h, 0.0, 100.0) for h in hs]
+
     def test_separable_blobs_reach_full_efficiency(self, blob_dataset):
         cfg = TrainConfig(
             xi_target=math.inf, eff_target=100.0,
@@ -608,3 +625,8 @@ class TestGrowthHistory:
     def test_unknown_stop_reason(self, stop_reason):
         with pytest.raises(ConfigError, match="stop_reason must be"):
             GrowthHistory((self.make_record(1, 90.0),), stop_reason)
+
+    def test_first_phase_must_be_h_1(self):
+        with pytest.raises(ConfigError) as exc:
+            GrowthHistory((self.make_record(2, 90.0),), STOP_ACCEPTED)
+        assert str(exc.value) == "the first phase has h=2, not h=1"
