@@ -101,11 +101,15 @@ class ExperimentConfig:
                               f"got {self.sweep_seeds!r}")
         # Every seed is checked by TrainConfig's seed rule, so a bad sweep
         # fails before anything is written.  A range stays one: it cannot
-        # repeat a seed, and its ends bound every seed in it.  Its length
-        # must fit len(), which the sweep and config.json take.
+        # repeat a seed, and its ends bound every seed in it.  It steps by
+        # 1, as a --seeds range does, so config.json stores it as its ends,
+        # and its length must fit len(), which the sweep takes.
         if not self.sweep_seeds:
             raise ConfigError("sweep_seeds must not be empty")
         if isinstance(self.sweep_seeds, range):
+            if self.sweep_seeds.step != 1:
+                raise ConfigError(f"sweep_seeds {self.sweep_seeds} must "
+                                  f"step by 1")
             check_seed(self.sweep_seeds[0])
             check_seed(self.sweep_seeds[-1])
             try:
@@ -145,15 +149,14 @@ def load_any(cfg):
 
 def config_record(cfg):
     """The flat object ``config.json`` holds, which ``--config`` reads back.
-    A step-1 range of seeds is kept unexpanded, as its ``--seeds`` text."""
+    A range of seeds is kept unexpanded, as its ``--seeds`` text."""
     record = dataclasses.asdict(cfg)
     record.update(record.pop("train"))
     del record["seed"]
     record["dataset_path"] = str(resolve_dataset_path(cfg.dataset_path))
     seeds = cfg.sweep_seeds
-    record["sweep_seeds"] = (
-        f"{seeds.start}:{seeds.stop}"
-        if isinstance(seeds, range) and seeds.step == 1 else list(seeds))
+    record["sweep_seeds"] = (f"{seeds.start}:{seeds.stop}"
+                             if isinstance(seeds, range) else list(seeds))
     return record
 
 

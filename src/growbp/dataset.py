@@ -14,14 +14,20 @@ feature columns with statistics computed on the training partition only.
 
 In memory each partition is one ``Partition``: an input matrix and a
 target matrix with one row per pattern.
+
+Both loaders read the header in Python, and the data rows with
+``growbp_parse`` in ``kernel.c`` (:func:`growbp.kernel.parse_rows`), one
+compiled pass from the text straight into the matrices.  Where that pass
+doubts the rows, and on the Python backend, :func:`_matrix_by_row` reads
+them one at a time; it is the spec, and names the first bad row.
 """
 
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import chain
 
 from .errors import (
     CountMismatchError,
@@ -32,7 +38,7 @@ from .errors import (
     NonFiniteError,
     RowArityError,
 )
-from .kernel import matrix, view
+from .kernel import matrix, parse_rows, view
 
 HEADER_KEYS = (
     "bool_in",
@@ -179,50 +185,36 @@ def parse_header(rows):
         )
 
 
-# Rows that _matrix converts at a time: enough to amortise the per-chunk
-# work, few enough that a chunk's token strings fit in the interpreter's
-# free small-object memory.  At 128 rows and more the wide-holdout sweep
-# needed about 1 MB more peak memory than a row-at-a-time parse.
-_CHUNK_ROWS = 64
+def _matrix(header, text, start, skip, sep):
+    """Validate the header's rows of data, those of ``text`` from offset
+    ``start`` on, into row-major ``array('d')`` inputs and targets,
+    ``(X, T)``.
 
-
-def _matrix(body, sep, n_inputs, width):
-    """Validate ``(line_no, line)`` rows into row-major ``array('d')``
-    inputs and targets, ``(X, T)``.
-
-    Each line is split on ``sep`` and must hold ``width`` finite numbers,
-    the ones after the first ``n_inputs`` the targets, exactly 0 or 1.
-    Rows are converted with ``float`` a chunk at a time and checked over
-    the whole matrix at once; on any fault :func:`_matrix_by_row` reads
-    the rows again and raises the error of the first bad row.
+    Each row is a line split on ``sep`` into the header's count of finite
+    numbers, the ones after its inputs the targets, exactly 0 or 1.  The
+    compiled pass reads them; where it doubts them they are the non-blank
+    lines of ``text`` after the first ``skip``, which must be as many as
+    the header declares, and :func:`_matrix_by_row` reads them again and
+    raises the error of the first bad row.
     """
-    # Rows too short to hold width values are checked before any allocation.
-    if len(body) * width > sum(len(line) for _, line in body):
-        return _matrix_by_row(body, sep, n_inputs, width)
-    X, T, n_targets = array("d"), array("d"), width - n_inputs
-    for start in range(0, len(body), _CHUNK_ROWS):
-        rows = [line.split(sep) for _, line in body[start:start + _CHUNK_ROWS]]
-        if set(map(len, rows)) != {width}:
-            return _matrix_by_row(body, sep, n_inputs, width)
-        try:
-            values = list(map(float, chain.from_iterable(rows)))
-        except ValueError:
-            return _matrix_by_row(body, sep, n_inputs, width)
-        # Cut the target columns out with strided slices, which run in C.
-        targets = [0.0] * (len(rows) * n_targets)
-        for k in range(n_targets):
-            targets[k::n_targets] = values[n_inputs + k::width]
-        for k in range(n_targets):
-            del values[n_inputs::width - k]
-        X.fromlist(values)
-        T.fromlist(targets)
-    if not (all(map(math.isfinite, X)) and set(T) <= {0.0, 1.0}):
-        return _matrix_by_row(body, sep, n_inputs, width)
-    return X, T
+    matrices = parse_rows(text, start, sep, header.total, header.n_inputs,
+                          header.n_outputs)
+    if matrices is not None:
+        return matrices
+    body = numbered_lines(text)[skip:]
+    if len(body) != header.total:
+        raise CountMismatchError(
+            f"expected {header.total} data rows, found {len(body)}"
+        )
+    return _matrix_by_row(body, sep, header.n_inputs,
+                          header.n_inputs + header.n_outputs)
 
 
 def _matrix_by_row(body, sep, n_inputs, width):
-    """:func:`_matrix` one row at a time, checking each row in turn."""
+    """Validate ``(line_no, line)`` rows into row-major ``array('d')``
+    inputs and targets, ``(X, T)``, one row at a time: each line split on
+    ``sep`` must hold ``width`` finite numbers, the ones after the first
+    ``n_inputs`` exactly 0 or 1, and the first that does not raises."""
     X, T = array("d"), array("d")
     for line_no, line in body:
         tokens = line.split(sep)
@@ -265,20 +257,33 @@ def numbered_lines(text):
             if ln.strip()]
 
 
+# A line and its end, where str.splitlines ends it.
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+
+
+def leading_lines(text):
+    """:func:`numbered_lines` as ``(line_no, line, end)``, where ``end`` is
+    the offset in ``text`` after the line's end, read only as far as the
+    caller takes them."""
+    for line_no, m in enumerate(_LINE.finditer(text), 1):
+        line = m.group().strip()
+        if line:
+            yield line_no, line, m.end()
+
+
 def parse_dataset(text):
     """Parse the full text of a ``.dt`` file into a SplitDataset."""
-    body = numbered_lines(text)
-    # The header is the leading run of key=value lines, cut off in place.
-    start = next((i for i, (_, ln) in enumerate(body) if "=" not in ln),
-                 len(body))
-    header = parse_header(body[:start])
-    del body[:start]
-    if len(body) != header.total:
-        raise CountMismatchError(
-            f"expected {header.total} data rows, found {len(body)}"
-        )
-    n = header.n_inputs
-    return _split(header, *_matrix(body, None, n, n + header.n_outputs))
+    # The header is the leading run of key=value lines; the data rows
+    # start after its last line.
+    rows, start = [], 0
+    for line_no, line, end in leading_lines(text):
+        if "=" not in line:
+            break
+        rows.append((line_no, line))
+        start = end
+    header = parse_header(rows)
+    return _split(header, *_matrix(header, text, start, len(rows), None))
 
 
 @contextmanager
@@ -403,11 +408,11 @@ def load_raw_csv(path):
 
 
 def _raw_csv_dataset(text, counts):
-    lines = numbered_lines(text)
-    if not lines:
+    _, names, start = next(leading_lines(text), (0, "", 0))
+    if not names:
         raise CountMismatchError("CSV file has no rows")
     n_targets = counts["target_columns"]
-    n_inputs = len(lines[0][1].split(",")) - n_targets
+    n_inputs = len(names.split(",")) - n_targets
     if n_inputs < 1:
         raise MalformedValueError("CSV must have at least one feature column")
 
@@ -418,12 +423,7 @@ def _raw_csv_dataset(text, counts):
         n_valid=counts["validation_examples"],
         n_test=counts["test_examples"],
     )
-    body = lines[1:]
-    if len(body) != header.total:
-        raise CountMismatchError(
-            f"expected {header.total} data rows, found {len(body)}"
-        )
-    X, T = _matrix(body, ",", n_inputs, n_inputs + n_targets)
+    X, T = _matrix(header, text, start, 1, ",")
     features = normalize_raw(
         view(X, (header.total, n_inputs)),
         view(X[:header.n_train * n_inputs], (header.n_train, n_inputs)))

@@ -2,7 +2,7 @@
  * evaluation pass that gives any of the output rows, the per-pattern
  * errors, their mean and the count of correctly classified patterns, and
  * an epoch's random permutation, in the order that module's docstring
- * states.
+ * states; and the parse of a dataset's data rows.
  *
  * Every sum runs left to right, a net input with the bias last and the
  * mean of the errors from 0.0; every product and sum is rounded on its
@@ -26,6 +26,14 @@
  * and a call from inside the library could bind to that one.  The
  * helpers are static.  Nothing here checks its input: the Python entry
  * points do, and hand a shuffled epoch the order they drew.
+ *
+ * growbp_parse reads the data rows of a .dt body, or of a CSV after its
+ * header row, straight into X and T.  It takes only finite ASCII
+ * decimals, those Python's float() reads: an optional sign, digits with
+ * single underscores between them, a '.' and an optional exponent.  On
+ * anything else, and on any doubt, it returns 1, and growbp.dataset
+ * reads the rows again with its Python reader, which is the spec: it
+ * gives the same values, or raises the error of the first bad row.
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
@@ -266,4 +274,101 @@ int64_t growbp_permutation(uint64_t *g, int64_t *order, int64_t n)
     g[0] = (uint64_t)(state >> 64);
     g[1] = (uint64_t)state;
     return 0;
+}
+
+/* Longest number growbp_parse reads, in characters less its underscores;
+ * a longer one is left to the Python reader. */
+#define TOKEN 64
+
+/* p moved past the spaces and tabs before end. */
+static const char *skip_blanks(const char *p, const char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t'))
+        p++;
+    return p;
+}
+
+static int digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* The number that starts at *p, read into *v, with *p moved past it: the
+ * longest run before end of digits, signs, '.', 'e', 'E' and '_' with a
+ * digit on each side, the underscores dropped.  Returns 0, or 1 where the
+ * run is empty or too long, or strtod stops short of its end or gives a
+ * value that is not finite.  So the numbers read are the finite ASCII
+ * decimals that Python's float() reads, and strtod, correctly rounded as
+ * float() is, gives them the same bits; in a locale whose decimal point
+ * is not '.', strtod stops short and the row is left to Python. */
+static int number(const char **p, const char *end, double *v)
+{
+    char s[TOKEN + 1], *stop;
+    int n = 0;
+    const char *q = *p;
+    for (; q < end; q++) {
+        if (*q == '_') {
+            if (n == 0 || !digit(q[-1]) || q + 1 == end || !digit(q[1]))
+                return 1;
+        } else if (digit(*q) || *q == '.' || *q == '+' || *q == '-'
+                   || *q == 'e' || *q == 'E') {
+            if (n == TOKEN)
+                return 1;
+            s[n++] = *q;
+        } else {
+            break;
+        }
+    }
+    s[n] = '\0';
+    *v = strtod(s, &stop);
+    *p = q;
+    return n == 0 || stop != s + n || !isfinite(*v);
+}
+
+/* The rows data rows of buf[start, len) into X (n_in values a row) and T
+ * (n_out values a row), as growbp.dataset's Python reader takes them.  A
+ * line ends at "\n", "\r\n" or a "\r" that ends the buffer, and a line
+ * of blanks (spaces and tabs) only is skipped.  A row is n_in + n_out
+ * numbers, the last n_out of them exactly 0 or 1, with blanks around
+ * them, split by runs of blanks where sep is 0 and by the character sep
+ * with optional blanks around it otherwise.  Returns 0, or 1 on anything
+ * else, such as another control character, a number that is not read
+ * (see number) or a count of numbers or rows other than these; X and T
+ * are then partly written.  Nothing is read from or past buf + len. */
+int64_t growbp_parse(const char *buf, int64_t start, int64_t len,
+                     int64_t sep, int64_t rows, int64_t n_in, int64_t n_out,
+                     double *X, double *T)
+{
+    const char *p = buf + start, *end = buf + len;
+    int64_t row = 0;
+    while (p < end) {
+        p = skip_blanks(p, end);
+        if (p < end && *p != '\n' && *p != '\r') {
+            if (row == rows)
+                return 1;
+            /* A number ends only at a character no number holds, so two
+             * numbers without a separator between them fail in number. */
+            for (int64_t k = 0; k < n_in + n_out; k++) {
+                double v;
+                if (k > 0 && sep != 0 && (p == end || *p++ != sep))
+                    return 1;
+                p = skip_blanks(p, end);
+                if (number(&p, end, &v))
+                    return 1;
+                if (k < n_in)
+                    X[row * n_in + k] = v;
+                else if (v == 0.0 || v == 1.0)
+                    T[row * n_out + k - n_in] = v;
+                else
+                    return 1;
+                p = skip_blanks(p, end);
+            }
+            row++;
+        }
+        if (p < end && *p == '\r')
+            p++;
+        if (p < end && *p++ != '\n')
+            return 1;
+    }
+    return row != rows;
 }

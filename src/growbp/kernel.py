@@ -1,12 +1,14 @@
 """The arithmetic of the network: the per-pattern forward pass, the online
 backprop step, the epoch, one evaluation pass that gives the outputs, the
 per-pattern errors and their mean, and the count of correctly classified
-patterns, and the random streams that draw weights and shuffle epochs.
+patterns, and the random streams that draw weights and shuffle epochs;
+and the compiled parse of a dataset's data rows.
 
 The package enters through :func:`train_epoch`, :func:`forward_outputs`,
-:func:`pattern_errors`, :func:`average_error` and :func:`classified`.  Each
-checks its arguments once, then runs the compiled or the Python kernel on
-the row-major ``array('d')`` buffers that a ``Network`` and a
+:func:`pattern_errors`, :func:`average_error` and :func:`classified`,
+and reads data rows through :func:`parse_rows`.  Each of the first five
+checks its arguments once, then runs the compiled or the Python kernel
+on the row-major ``array('d')`` buffers that a ``Network`` and a
 ``Partition`` hold; :func:`check_fit` alone decides whether a partition
 fits a network.  ``kernel.c`` checks none of its input: it gets checked
 buffers, and a shuffled epoch's permutation that ``train_epoch`` draws
@@ -48,18 +50,19 @@ Generation", HMC-CS-2014-0905); ``uniform`` is
 numpy's Fisher-Yates pass with masked rejection on buffered 32-bit
 halves of the output.
 
-Training, the evaluation pass and the permutation run in ``kernel.c``,
-which the entry points call through ``ctypes``; each of the four
-evaluation entry points asks ``growbp_evaluate`` for only what it
-returns.  The library is built with ``gcc -O2 -ffp-contract=off`` at
+Training, the evaluation pass, the permutation and the parse of data
+rows run in ``kernel.c``, which the entry points call through
+``ctypes``: ``growbp_epoch``, ``growbp_evaluate``,
+``growbp_permutation`` and ``growbp_parse`` are its exports.  Each of
+the four evaluation entry points asks ``growbp_evaluate`` for only what
+it returns.  The library is built with ``gcc -O2 -ffp-contract=off`` at
 first import into ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where
 that variable is unset or not an absolute path), under a name that
 hashes the source, the flags and the Python ABI, so later imports start
 no compiler.  If that directory cannot be written the build goes to a
-private temporary directory for the process.  Where no ``gcc`` is
-found or the build fails, the entry points run the pure-Python kernel
-instead; :data:`BACKEND` says which one is in use, ``"c"`` or
-``"python"``.
+private temporary directory for the process.  Where no ``gcc`` is found
+or the build fails, the entry points run the pure-Python kernel instead;
+:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
 
 The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C exports
@@ -78,6 +81,21 @@ row keeps its own sum and adds its terms in :func:`layer`'s order, so no
 sum is reblocked and each row gets the bits the per-row loop here gives
 it.  A last block of fewer
 than 8 rows is padded with zero rows whose outputs are dropped.
+
+Nor has ``growbp_parse``, behind :func:`parse_rows`: its reference is
+``growbp.dataset``'s per-row reader, which runs wherever the compiled
+parse returns None.  It reads only finite ASCII decimals, the ones
+``float()`` reads: an optional sign, digits with single underscores
+between them, a ``.`` and an optional exponent, split by runs of spaces
+and tabs, or by commas with optional spaces or tabs around them, one row
+a line, ``\n`` or ``\r\n`` ending a line and lines of blanks skipped.
+Each number is copied, less its underscores, for the C library's
+``strtod``, which rounds correctly as ``float()`` does, so both give the
+same bits.  Anything else, such as ``inf``, a hex number, another
+control character, a number too long for its scratch buffer, a wrong
+count of numbers or rows, a target other than 0 or 1, or a ``strtod``
+that stops short (as in a locale whose decimal point is not ``.``), is
+left to the Python reader.
 """
 
 import ctypes
@@ -85,6 +103,7 @@ import hashlib
 import math
 import os
 import shutil
+import sys
 import sysconfig
 from array import array
 from itertools import chain
@@ -96,6 +115,10 @@ _SOURCE = Path(__file__).with_name("kernel.c")
 # Never -ffast-math or -march=native: either lets the compiler reorder or
 # fuse the arithmetic, and the results would stop matching the contract.
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# The struct formats of a double in this machine's layout; ctypes labels
+# its doubles with the byte order.
+_NATIVE_DOUBLES = ("d", "@d", "=d", ("<" if sys.byteorder == "little"
+                                     else ">") + "d")
 
 
 def matrix(M, error=MalformedValueError):
@@ -118,8 +141,8 @@ def matrix(M, error=MalformedValueError):
     if src.ndim != 2:
         raise error(f"expected a 2-D matrix, got shape {src.shape}")
     flat = array("d")
-    if src.nbytes and src.format == "d" and src.c_contiguous:
-        flat.frombytes(src.cast("B"))
+    if src.nbytes and src.format in _NATIVE_DOUBLES:
+        flat.frombytes(src.cast("B") if src.c_contiguous else src.tobytes())
     elif src.nbytes:
         try:
             flat.extend(chain.from_iterable(src.tolist()))
@@ -388,7 +411,9 @@ def _bind(lib):
     lib.growbp_epoch.argtypes = [ptr] * 5 + [size] * 4 + [ctypes.c_double]
     lib.growbp_evaluate.argtypes = [ptr] * 6 + [size] * 4 + [ptr] * 2
     lib.growbp_permutation.argtypes = [ptr, ptr, size]
-    for fn in (lib.growbp_epoch, lib.growbp_evaluate, lib.growbp_permutation):
+    lib.growbp_parse.argtypes = [ptr] + [size] * 6 + [ptr] * 2
+    for fn in (lib.growbp_epoch, lib.growbp_evaluate, lib.growbp_permutation,
+               lib.growbp_parse):
         fn.restype = size
     return lib
 
@@ -554,3 +579,24 @@ def classified(net, part):
                             None, ctypes.byref(count)) == 2:
         raise MemoryError("kernel evaluate")
     return count.value
+
+
+def parse_rows(text, start, sep, rows, n_inputs, n_outputs):
+    """The ``rows`` data rows of ``text`` from offset ``start`` on, split
+    on ``sep`` (None for runs of blanks, or ``","``), read by
+    ``growbp_parse`` into row-major ``array('d')`` inputs and targets,
+    ``(X, T)``.  None where the Python kernel is in use, ``text`` is not
+    ASCII or ``growbp_parse`` doubts the rows: the caller then reads them
+    with its Python reader, which raises the error of the first bad row."""
+    # Every value takes a character, and all but the last a separator or
+    # a line end after it; rows that cannot fit are not allocated.
+    if _lib is None or not text.isascii() or (
+            2 * rows * (n_inputs + n_outputs) - 1 > len(text) - start):
+        return None
+    X = array("d", [0.0]) * (rows * n_inputs)
+    T = array("d", [0.0]) * (rows * n_outputs)
+    if _lib.growbp_parse(text.encode("ascii"), start, len(text),
+                         ord(sep or "\0"), rows, n_inputs, n_outputs,
+                         X.buffer_info()[0], T.buffer_info()[0]):
+        return None
+    return X, T

@@ -12,8 +12,8 @@ weight untouched.
 import math
 from dataclasses import dataclass
 
-from .dataset import (_count, _matrix, naming, numbered_lines, read_text,
-                      write_text)
+from .dataset import (_count, _matrix_by_row, naming, numbered_lines,
+                      read_text, write_text)
 from .errors import InvalidRangeError, MalformedValueError
 from .kernel import forward_outputs, matrix, view
 
@@ -156,7 +156,8 @@ def parse_network(text):
         if rows[at][1] != key:
             raise MalformedValueError(f"line {rows[at][0]}: expected {key!r}")
         # A short block takes in the end-of-file row, which holds no value.
-        flat, _ = _matrix(rows[at + 1:at + 1 + n], None, width, width)
+        flat, _ = _matrix_by_row(rows[at + 1:at + 1 + n], None, width,
+                                 width)
         weights.append(view(flat, (n, width)))
         at += 1 + n
     if at < len(rows) - 1:

@@ -115,6 +115,11 @@ class TestExperimentConfig:
         ({"dataset_path": ""}, "a dataset path is required"),
         ({"train": {}}, "train must be a TrainConfig, got {}"),
         ({"n_jobs": -1}, "n_jobs must be >= 0, got -1"),
+        # Only a range that steps by 1 is stored as its ends.
+        ({"sweep_seeds": range(0, 2 * 10**6, 2)},
+         "sweep_seeds range(0, 2000000, 2) must step by 1"),
+        ({"sweep_seeds": range(3, 0, -1)},
+         "sweep_seeds range(3, 0, -1) must step by 1"),
     ])
     def test_rejection_names_the_fault(self, entries, message):
         with pytest.raises(ConfigError) as exc:

@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from growbp import dataset
+from growbp import dataset, kernel
 from growbp.dataset import (
     DatasetHeader,
     Partition,
@@ -16,6 +16,7 @@ from growbp.dataset import (
     load_dataset,
     load_raw_csv,
     normalize_raw,
+    numbered_lines,
     parse_dataset,
     parse_header,
     save_dataset,
@@ -30,6 +31,7 @@ from growbp.errors import (
     NonFiniteError,
     RowArityError,
 )
+from growbp.profiles import BUNDLED, bundled_dataset_path
 
 CANCER1_HEADER = [
     "bool_in=0",
@@ -151,6 +153,16 @@ class TestParseDataset:
         rows = ["0.1 0.2 1 0"] * 6 + ["0.1 0.2 0.7 0.3"]
         with pytest.raises(MalformedValueError):
             parse_dataset(tiny_dt(rows=rows))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_presets_take_the_compiled_pass(self, name, each_backend):
+        path = bundled_dataset_path(name)
+        with mock.patch.object(dataset, "_matrix_by_row",
+                               wraps=dataset._matrix_by_row) as by_row:
+            want = load_dataset(path)
+        assert by_row.called == (kernel.BACKEND == "python")
+        for _ in each_backend:
+            assert_same_dataset(load_dataset(path), want)
 
     def test_load_from_disk(self, tmp_path):
         p = tmp_path / "tiny.dt"
@@ -277,6 +289,18 @@ class TestProperties:
     def test_format_parse_round_trip_is_bitwise(self, ds):
         assert_same_dataset(parse_dataset(format_dataset(ds)), ds)
 
+    # Text of the characters str.splitlines and str.strip treat apart.
+    @given(st.text(st.sampled_from("ab= \t\n\r\v\f\x1c\x1d\x1e\x1f\x85"
+                                   "\u2028\u2029\xa0")))
+    def test_leading_lines_are_the_numbered_lines(self, text):
+        assert [(n, ln) for n, ln, _ in dataset.leading_lines(text)] == (
+            numbered_lines(text))
+        # Each ends after its line end, so a cut there splits no line.
+        for _, line, end in dataset.leading_lines(text):
+            head, tail = text[:end].splitlines(), text[end:].splitlines()
+            assert head[-1].strip() == line
+            assert head + tail == text.splitlines()
+
     # Arbitrary text, and lines drawn from near-valid .dt fragments so that
     # inputs reach the row parser and not only the header checks.
     @given(st.one_of(st.text(), st.lists(st.sampled_from(
@@ -298,20 +322,33 @@ class TestProperties:
 INPUT_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1_0", "+1e3", ".5", "-.5", "5.", "-0", "1E-3",
-                     "00012", "+.5e-2", "1_000.000_1"]))
+                     "00012", "+.5e-2", "1_000.000_1", "1e1_0", "1.e5",
+                     "4.9e-324", "1e-400", "0" * 60 + "1"]))
 TARGET_TOKENS = st.sampled_from(["0", "1", "0.0", "1.0", "+1", "-0", "1e0",
                                  "0_0", ".0", "1."])
-# Faults the per-row loop names, each with the token that injects it.
+# Faults the per-row loop names, each with the token that injects it; a
+# "layout" token ends a line or splits a number where float() would not.
 FAULT_TOKENS = {
-    "non-numeric": ["x", "1..2", "0x10", "1,5", "--1", "_1"],
-    "non-finite": ["nan", "inf", "-inf", "1e400", "-Infinity"],
+    "non-numeric": ["x", "1..2", "0x10", "1,5", "--1", "_1", "1__0", "1_",
+                    "1._5", "1e", "1e+", ".", "-", "", "1=2", "1e5e5"],
+    "non-finite": ["nan", "inf", "-inf", "1e400", "-Infinity", "1_e999"],
     "target": ["0.5", "2", "-1", "1e-300"],
+    "layout": ["1\r0", "1\x0b0", "1\x0c0", "1\x1c0", "1\x1f0", "1\x000",
+               "1\x850", "1 0", "1\t0"],
 }
+# What may join two numbers of a row in place of its separator: a line
+# end, a character that is whitespace to Python but not a separator to
+# growbp_parse, and the separators of the other format.
+JOINTS = ["\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x00", "\x85", "\xa0", " ",
+          "\t", ","]
+# Longer than the scratch buffer of growbp_parse, so only float() reads it.
+LONG_TOKEN = "0." + "0" * 80 + "1"
 
 
 @st.composite
 def bodies(draw):
-    """``(body, sep, n_inputs, width)`` of a valid .dt or CSV data block."""
+    """``(rows, sep, n_inputs, width)``: the tokens of the rows of a valid
+    .dt or CSV data block, split on ``sep``."""
     sep = draw(st.sampled_from([None, ","]))
     n_inputs = draw(st.integers(1, 4))
     width = n_inputs + draw(st.integers(1, 3))
@@ -319,15 +356,45 @@ def bodies(draw):
         st.tuples(st.lists(INPUT_TOKENS, min_size=n_inputs,
                            max_size=n_inputs),
                   st.lists(TARGET_TOKENS, min_size=width - n_inputs,
-                           max_size=width - n_inputs)),
-        min_size=1, max_size=12))
-    joiner = " " if sep is None else draw(st.sampled_from([",", ", "]))
-    body = [(i + 3, joiner.join(x + t)) for i, (x, t) in enumerate(rows)]
-    return body, sep, n_inputs, width
+                           max_size=width - n_inputs)).map(
+            lambda row: row[0] + row[1]),
+        min_size=3, max_size=12))
+    return rows, sep, n_inputs, width
 
 
-# Rows per chunk: small ones put chunk edges inside a short body.
-CHUNKS = st.sampled_from([1, 2, 3, dataset._CHUNK_ROWS])
+BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def texts(draw, rows, sep):
+    r"""A header line, then ``rows``, lists of tokens, laid out in one of
+    the ways both readers take: separators of spaces and tabs, or commas
+    with blanks around them, blanks around a row, lines of blanks between
+    rows, ``\n`` or ``\r\n`` line ends, and a last line end or none."""
+    joiner = draw(st.sampled_from([" ", "\t", " \t "] if sep is None else
+                                  [",", ", ", " ,\t"]))
+    lines = ["names=0"]
+    for tokens in rows:
+        lines += draw(st.lists(BLANKS, max_size=1))
+        lines.append(draw(BLANKS) + joiner.join(tokens) + draw(BLANKS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read(text, sep, n_inputs, width, rows):
+    """``_matrix`` on the ``rows`` data rows of ``text`` after its first
+    line, as ``_split`` gets them from a loader."""
+    header = DatasetHeader(n_inputs, width - n_inputs, rows - 2, 1, 1)
+    return dataset._matrix(header, text, text.index("\n") + 1, 1, sep)
+
+
+def read_by_row(text, sep, n_inputs, width, rows):
+    """``_matrix_by_row``, the spec, on the same rows as :func:`read`."""
+    body = numbered_lines(text)[1:]
+    if len(body) != rows:
+        raise CountMismatchError(f"expected {rows} data rows, "
+                                 f"found {len(body)}")
+    return dataset._matrix_by_row(body, sep, n_inputs, width)
 
 
 def raised(fn, *args):
@@ -336,44 +403,149 @@ def raised(fn, *args):
     return type(exc.value), str(exc.value), getattr(exc.value, "line_no", None)
 
 
+def outcome(fn, *args):
+    """The bytes of the matrices ``fn`` returns, or the class, message and
+    line of the DatasetError it raises."""
+    try:
+        return [a.tobytes() for a in fn(*args)]
+    except DatasetError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+per_example = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestBulkParse:
-    """``_matrix`` converts in chunks; ``_matrix_by_row`` is its reference."""
+    """``_matrix`` reads data rows with the compiled ``growbp_parse``, and
+    ``_matrix_by_row`` is its reference and fallback."""
 
-    @given(bodies(), CHUNKS)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_per_row_loop_bitwise(self, case, chunk):
-        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk), \
-                mock.patch.object(dataset, "_matrix_by_row") as by_row:
-            got = dataset._matrix(*case)
-        by_row.assert_not_called()  # valid rows never take the slow path
-        want = dataset._matrix_by_row(*case)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    @given(bodies(), st.data())
+    @settings(per_example, max_examples=300)
+    def test_equals_the_per_row_loop_bitwise(self, each_backend, case, data):
+        rows, sep, n_inputs, width = case
+        args = data.draw(texts(rows, sep)), sep, n_inputs, width, len(rows)
+        want = read_by_row(*args)
+        for backend in each_backend:
+            with mock.patch.object(dataset, "_matrix_by_row",
+                                   wraps=dataset._matrix_by_row) as by_row:
+                got = read(*args)
+            # Valid rows never take the slow path on the compiled backend.
+            assert by_row.called == (backend == "python")
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    @given(bodies(), CHUNKS, st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_faults_raise_as_the_per_row_loop(self, case, chunk, data):
-        body, sep, n_inputs, width = case
-        body = list(body)
-        for row in data.draw(st.lists(st.integers(0, len(body) - 1),
+    @given(bodies(), st.data())
+    @settings(per_example, max_examples=400)
+    def test_faults_raise_as_the_per_row_loop(self, each_backend, case, data):
+        rows, sep, n_inputs, width = case
+        rows = [list(tokens) for tokens in rows]
+        declared = len(rows)
+        for row in data.draw(st.lists(st.integers(0, len(rows) - 1),
                                       min_size=1, max_size=2, unique=True)):
             kind = data.draw(st.sampled_from(
-                ["arity"] + sorted(FAULT_TOKENS)))
-            line_no, line = body[row]
-            tokens = line.split(sep)
-            if kind == "arity":
-                tokens = tokens[:-1] if data.draw(st.booleans()) else (
-                    tokens + ["0"])
+                ["arity", "count", "joint"] + sorted(FAULT_TOKENS)))
+            if kind == "count":  # one row more or fewer than declared
+                declared = len(rows) + (1 if len(rows) == 3 else -1)
+            elif kind == "joint":
+                column = data.draw(st.integers(0, len(rows[row]) - 2))
+                joint = data.draw(st.sampled_from(JOINTS))
+                rows[row][column:column + 2] = [
+                    joint.join(rows[row][column:column + 2])]
+            elif kind == "arity":
+                rows[row] = rows[row][:-1] if data.draw(st.booleans()) else (
+                    rows[row] + ["0"])
             else:
                 column = (data.draw(st.integers(n_inputs, width - 1))
                           if kind == "target" else
                           data.draw(st.integers(0, width - 1)))
-                tokens[column] = data.draw(st.sampled_from(
+                rows[row][column] = data.draw(st.sampled_from(
                     FAULT_TOKENS[kind]))
-            body[row] = (line_no, (" " if sep is None else ",").join(tokens))
-        case = body, sep, n_inputs, width
-        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk):
-            assert raised(dataset._matrix, *case) == raised(
-                dataset._matrix_by_row, *case)
+        # A joint may leave a valid row: then both read the same values.
+        args = data.draw(texts(rows, sep)), sep, n_inputs, width, declared
+        want = outcome(read_by_row, *args)
+        for _ in each_backend:
+            assert outcome(read, *args) == want
+
+    @pytest.mark.parametrize("sep", [None, ","])
+    @pytest.mark.parametrize("kind, token", [
+        (kind, token) for kind in sorted(FAULT_TOKENS)
+        for token in FAULT_TOKENS[kind]])
+    def test_each_fault_token_raises_as_the_per_row_loop(self, each_backend,
+                                                         kind, token, sep):
+        # In an input column, except a target fault, and in a target
+        # column of the middle row.
+        for column in (2,) if kind == "target" else (0, 2):
+            rows = [["0.1", "0.2", "1", "0"] for _ in range(3)]
+            rows[1][column] = token
+            args = self.text(rows, sep), sep, 2, 4, 3
+            want = raised(read_by_row, *args)
+            for _ in each_backend:
+                assert raised(read, *args) == want
+
+    @pytest.mark.parametrize("sep", [None, ","])
+    @pytest.mark.parametrize("joint", JOINTS)
+    def test_each_joint_reads_as_the_per_row_loop(self, each_backend, joint,
+                                                  sep):
+        # Joining the middle row's second and third numbers.
+        rows = [["0.1", "0.2", "1", "0"] for _ in range(3)]
+        rows[1][1:3] = [joint.join(rows[1][1:3])]
+        args = self.text(rows, sep), sep, 2, 4, 3
+        want = outcome(read_by_row, *args)
+        for _ in each_backend:
+            assert outcome(read, *args) == want
+
+    @staticmethod
+    def text(rows, sep):
+        """A header line, then ``rows`` joined by ``sep`` (or a space)."""
+        joiner = " " if sep is None else sep
+        return "names=0\n" + "\n".join(map(joiner.join, rows)) + "\n"
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_a_row_count_other_than_declared_raises(self, each_backend,
+                                                    rows):
+        text = tiny_dt(rows=["0.1 0.2 1 0"] * rows)
+        for _ in each_backend:
+            with pytest.raises(CountMismatchError) as exc:
+                parse_dataset(text)
+            assert str(exc.value) == f"expected 7 data rows, found {rows}"
+
+    @pytest.mark.parametrize("rows, sep, end, fallback", [
+        (["0.1 0.2 1 0", "0.3 0.4 0 1", "0.5 0.6 1 0"], None, "\r\n", False),
+        (["0.1\t0.2\t1\t0", "\t0.3 \t0.4\t0  1 ", "0.5\t0.6 1\t0"], None,
+         "\n", False),
+        (["0.1, 0.2,1 ,\t0", " 0.3 ,0.4,0,1\t", "0.5\t,0.6,1,0"], ",",
+         "\r\n", False),
+        # Lines of blanks between rows are skipped, the last row has no
+        # line end, and its last number ends the buffer.
+        (["0.1 0.2 1 0", " \t", "", "0.3 0.4 0 1", "\t", "0.5 0.6 1 0"],
+         None, "\n", False),
+        ([f"0.1 {LONG_TOKEN} 1 0", "0.3 0.4 0 1", "0.5 0.6 1 0"], None,
+         "\n", True),
+        (["0.1,0.2,1,0", f"0.3,{LONG_TOKEN},0,1", "0.5,0.6,1,0"], ",",
+         "\r\n", True),
+    ])
+    def test_line_ends_blanks_and_long_numbers(self, each_backend, rows,
+                                               sep, end, fallback):
+        args = "names=0" + end + end.join(rows), sep, 2, 4, 3
+        want = read_by_row(*args)
+        for backend in each_backend:
+            with mock.patch.object(dataset, "_matrix_by_row",
+                                   wraps=dataset._matrix_by_row) as by_row:
+                got = read(*args)
+            assert by_row.called == (fallback or backend == "python")
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_lines_of_blanks_still_count(self, each_backend):
+        # A fault after lines of blanks names its line as numbered_lines
+        # counts them, with \r\n line ends as with \n.
+        rows = ["0.1 0.2 1 0", " \t", "", "\t", "0.1 0.2 1 0"] + (
+            ["0.1 0.2 1 0"] * 4 + ["0.1 0.2 1 x"])
+        for end in ("\n", "\r\n"):
+            text = tiny_dt(rows=rows).replace("\n", end)
+            for _ in each_backend:
+                with pytest.raises(MalformedValueError) as exc:
+                    parse_dataset(text)
+                assert str(exc.value) == "line 17: non-numeric value"
 
     @pytest.mark.parametrize("early, late, want", [
         ("nan 0.2 1 0", "0.1 0.2 1", (NonFiniteError, 10)),
@@ -383,7 +555,8 @@ class TestBulkParse:
     ])
     def test_the_earlier_faulty_row_wins_across_chunks(self, early, late,
                                                        want):
-        # Lines 10 and 1210 are in different chunks.
+        # The compiled pass stops at the first fault, and the per-row
+        # loop names it, though a later row breaks another rule.
         rows = ["0.1 0.2 1 0"] * 1500
         rows[2], rows[1202] = early, late
         text = tiny_dt(500, 500, 500, rows)
@@ -476,6 +649,15 @@ class TestRawCsv:
         assert np.isclose(ds.valid.X[0, 0], 2.0)
         # test row b=8 with train span [2, 4]
         assert np.isclose(ds.test.X[0, 1], 3.0)
+
+    def test_takes_the_compiled_pass(self, tmp_path, each_backend):
+        csv_path = self.write_csv(tmp_path)
+        with mock.patch.object(dataset, "_matrix_by_row",
+                               wraps=dataset._matrix_by_row) as by_row:
+            want = load_raw_csv(csv_path)
+        assert by_row.called == (kernel.BACKEND == "python")
+        for _ in each_backend:
+            assert_same_dataset(load_raw_csv(csv_path), want)
 
     def test_single_target_column(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path, n_targets=1))

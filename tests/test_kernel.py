@@ -446,7 +446,8 @@ def test_epoch_takes_only_a_growbp_generator(rng, each_backend):
 
 
 # The symbols kernel.c exports, each with the package's prefix.
-EXPORTS = ("growbp_epoch", "growbp_evaluate", "growbp_permutation")
+EXPORTS = ("growbp_epoch", "growbp_evaluate", "growbp_permutation",
+           "growbp_parse")
 
 
 def c_type(param):
@@ -490,8 +491,36 @@ def test_compiled_library_exports_only_prefixed_names():
     process = ctypes.CDLL(None)
     for name in ("epoch", "evaluate", "forward", "error", "layer",
                  "logistic", "mean", "pairwise", "label", "classified",
-                 "next64", "permutation"):
+                 "next64", "permutation", "parse", "number", "skip_blanks",
+                 "digit"):
         assert _address(lib, name) == _address(process, name), name
+
+
+def test_parse_reads_nothing_past_its_length():
+    if kernel_module._lib is None:
+        pytest.skip("no gcc on PATH: the Python kernel is in use")
+    parse = kernel_module._lib.growbp_parse
+    X, T = (ctypes.c_double * 1)(), (ctypes.c_double * 1)()
+    # Up to offset 9 the row is "0.5 1"; a read past it would see the
+    # target 10, and before offset 4 a row of no numbers.
+    data = b"x=1\n0.5 10"
+    assert parse(data, 4, 9, 0, 1, 1, 1, X, T) == 0
+    assert (X[0], T[0]) == (0.5, 1.0)
+    assert parse(data, 4, 10, 0, 1, 1, 1, X, T) == 1
+    assert parse(data, 0, 9, 0, 1, 1, 1, X, T) == 1
+    # An underscore needs a digit after it before the end.
+    assert parse(b"0.5 1_0", 0, 6, 0, 1, 1, 1, X, T) == 1
+
+
+def test_parse_rows_allocates_only_rows_the_buffer_can_hold():
+    # A trillion rows of two values cannot fit in four bytes: refused
+    # before any allocation.
+    parse_rows = kernel_module.parse_rows
+    assert parse_rows("0 1\n", 0, None, 10**12, 1, 1) is None
+    if kernel_module._lib is not None:
+        assert parse_rows("0 1", 0, None, 1, 1, 1) == (array("d", [0.0]),
+                                                        array("d", [1.0]))
+        assert parse_rows("0 1\xa0", 0, None, 1, 1, 1) is None
 
 
 def test_build_flags_keep_the_order_contract():
@@ -811,15 +840,35 @@ def test_generator_rejects_a_negative_seed():
     assert str(exc.value) == "seed must be an int >= 0, got -1"
 
 
+# Doubles in the other byte order, a layout memoryview cannot list.
+SWAPPED = ">" if sys.byteorder == "little" else "<"
+
+
 @pytest.mark.parametrize("rows, message", [
     ([[1.0, 2.0], [3.0]], "rows of a matrix must be equally long"),
-    # ctypes labels its doubles '<d', a format memoryview cannot list.
-    ((ctypes.c_double * 2 * 2)(), "cannot read numbers of format '<d'"),
+    (np.zeros((2, 2), SWAPPED + "f8"),
+     f"cannot read numbers of format '{SWAPPED}d'"),
 ])
 def test_matrix_rejects_ragged_rows_and_unlisted_formats(rows, message):
     with pytest.raises(MalformedValueError) as exc:
         kernel_module.matrix(rows)
     assert str(exc.value) == message
+
+
+def test_matrix_copies_doubles_labelled_with_the_native_layout():
+    # ctypes labels its doubles with the byte order, '<d' on a
+    # little-endian machine; '@d' names the native layout too.
+    M = (ctypes.c_double * 3 * 2)((1.5, -0.0, 2.0), (3.0, 1e-300, -4.25))
+    want = [1.5, -0.0, 2.0, 3.0, 1e-300, -4.25]
+    assert memoryview(M).format == ("<d" if sys.byteorder == "little"
+                                    else ">d")
+    for matrix in (M, memoryview(M).cast("B").cast("@d", (2, 3))):
+        flat, shape = kernel_module.matrix(matrix)
+        assert shape == (2, 3)
+        assert bits(flat) == bits(want)
+    # Not C-contiguous: copied in row order.
+    flat, shape = kernel_module.matrix(np.arange(6.0).reshape(2, 3)[:, ::2])
+    assert (flat.tolist(), shape) == ([0.0, 2.0, 3.0, 5.0], (2, 2))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 999, *BIG_SEEDS])
