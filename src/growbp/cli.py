@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -319,10 +318,16 @@ def run_experiment(cfg, log=print):
 
     chosen = []
     try:
-        # Serial sweeps take the builtin map, which skips the pool's
-        # hand-offs; a pool that is never submitted to starts no thread.
-        with ThreadPoolExecutor(cfg.jobs()) as pool:
-            ordered_map = pool.map if cfg.jobs() > 1 else map
+        with contextlib.ExitStack() as stack:
+            # A serial sweep runs its seeds in turn with the builtin map:
+            # it builds no pool and does not import concurrent.futures.
+            ordered_map = map
+            if cfg.jobs() > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                ordered_map = stack.enter_context(
+                    ThreadPoolExecutor(cfg.jobs())).map
+            # One entry at a time, so the seeds before a failing one are
+            # still written.
             for entry in ordered_map(run_seed, cfg.sweep_seeds):
                 chosen.append(entry)
     finally:

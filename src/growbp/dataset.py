@@ -15,11 +15,13 @@ feature columns with statistics computed on the training partition only.
 In memory each partition is one ``Partition``: an input matrix and a
 target matrix with one row per pattern.
 
-Both loaders read the header in Python, and the data rows with
-``growbp_parse`` in ``kernel.c`` (:func:`growbp.kernel.parse_rows`), one
-compiled pass from the text straight into the matrices.  Where that pass
-doubts the rows, and on the Python backend, :func:`_matrix_by_row` reads
-them one at a time; it is the spec, and names the first bad row.
+Both loaders read the file's bytes, which must be ASCII, and decode only
+the header lines, which they read in Python.  The data rows go from the
+bytes to ``growbp_parse`` in ``kernel.c``
+(:func:`growbp.kernel.parse_rows`), one compiled pass straight into the
+matrices.  Where that pass doubts the rows, and on the Python backend,
+the whole text is decoded and :func:`_matrix_by_row` reads the rows one
+at a time; it is the spec, and names the first bad row.
 """
 
 import json
@@ -186,9 +188,9 @@ def parse_header(rows):
 
 
 def _matrix(header, text, start, skip, sep):
-    """Validate the header's rows of data, those of ``text`` from offset
-    ``start`` on, into row-major ``array('d')`` inputs and targets,
-    ``(X, T)``.
+    """Validate the header's rows of data, those of ``text``, a str or
+    ASCII bytes, from offset ``start`` on, into row-major ``array('d')``
+    inputs and targets, ``(X, T)``.
 
     Each row is a line split on ``sep`` into the header's count of finite
     numbers, the ones after its inputs the targets, exactly 0 or 1.  The
@@ -201,6 +203,8 @@ def _matrix(header, text, start, skip, sep):
                           header.n_outputs)
     if matrices is not None:
         return matrices
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
     body = numbered_lines(text)[skip:]
     if len(body) != header.total:
         raise CountMismatchError(
@@ -257,23 +261,32 @@ def numbered_lines(text):
             if ln.strip()]
 
 
-# A line and its end, where str.splitlines ends it.
+# A line and its end, where str.splitlines ends it, in a str and in ASCII
+# bytes, which hold none of its three non-ASCII line ends.
 _LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
                    r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+_ASCII_LINE = re.compile(rb"[^\n\r\v\f\x1c-\x1e]*"
+                         rb"(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
 
 
 def leading_lines(text):
     """:func:`numbered_lines` as ``(line_no, line, end)``, where ``end`` is
     the offset in ``text`` after the line's end, read only as far as the
-    caller takes them."""
-    for line_no, m in enumerate(_LINE.finditer(text), 1):
-        line = m.group().strip()
+    caller takes them.  ``text`` is a str or ASCII bytes; a line of bytes
+    is decoded when it is reached."""
+    ascii_bytes = isinstance(text, bytes)
+    matches = (_ASCII_LINE if ascii_bytes else _LINE).finditer(text)
+    for line_no, m in enumerate(matches, 1):
+        line = (m.group().decode("ascii") if ascii_bytes
+                else m.group()).strip()
         if line:
             yield line_no, line, m.end()
 
 
 def parse_dataset(text):
-    """Parse the full text of a ``.dt`` file into a SplitDataset."""
+    """Parse the full text of a ``.dt`` file, a str or the file's bytes,
+    into a SplitDataset."""
+    _check_ascii(text)
     # The header is the leading run of key=value lines; the data rows
     # start after its last line.
     rows, start = [], 0
@@ -300,15 +313,31 @@ def naming(path):
         raise
 
 
-def read_text(path, encoding="ascii", error=MalformedValueError):
-    """The text of ``path``; a byte that does not decode is an ``error``."""
+def _read_bytes(path):
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _decode(data, encoding="ascii", error=MalformedValueError):
+    """The text of the bytes ``data``; a byte that does not decode is an
+    ``error``."""
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
         raise error(f"non-{encoding.upper()} byte at offset "
                     f"{exc.start}") from None
+
+
+def _check_ascii(text):
+    """Raise, as :func:`read_text` does, on the first byte of ``text`` that
+    is not ASCII, where ``text`` is bytes."""
+    if isinstance(text, bytes) and not text.isascii():
+        _decode(text)
+
+
+def read_text(path, encoding="ascii", error=MalformedValueError):
+    """The text of ``path``; a byte that does not decode is an ``error``."""
+    return _decode(_read_bytes(path), encoding, error)
 
 
 def json_object(text, error=MalformedValueError):
@@ -332,7 +361,7 @@ def write_text(path, text):
 def load_dataset(path):
     """Read a Proben1-style ``.dt`` file; a GrowbpError names the file."""
     with naming(path):
-        return parse_dataset(read_text(path))
+        return parse_dataset(_read_bytes(path))
 
 
 def format_dataset(ds):
@@ -404,10 +433,11 @@ def load_raw_csv(path):
                 raise MissingKeyError(key, "manifest")
         counts = {key: _count(key, manifest[key], 1) for key in MANIFEST_KEYS}
     with naming(path):
-        return _raw_csv_dataset(read_text(path), counts)
+        return _raw_csv_dataset(_read_bytes(path), counts)
 
 
 def _raw_csv_dataset(text, counts):
+    _check_ascii(text)
     _, names, start = next(leading_lines(text), (0, "", 0))
     if not names:
         raise CountMismatchError("CSV file has no rows")

@@ -102,18 +102,18 @@ import ctypes
 import hashlib
 import math
 import os
-import shutil
 import sys
-import sysconfig
 from array import array
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import chain
 from pathlib import Path
 
 from .errors import ArityMismatchError, EmptySetError, MalformedValueError
 
 _SOURCE = Path(__file__).with_name("kernel.c")
-# Never -ffast-math or -march=native: either lets the compiler reorder or
-# fuse the arithmetic, and the results would stop matching the contract.
+# Never -ffast-math, which lets the compiler reorder the arithmetic and
+# the results stop matching the contract, nor -march=native, which would
+# enable FMA and tie the cached library to the CPU that built it.
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # The struct formats of a double in this machine's layout; ctypes labels
 # its doubles with the byte order.
@@ -424,9 +424,10 @@ def _load():
         source = _SOURCE.read_bytes()
     except OSError:
         return None  # installed without its C source
+    # The first extension suffix names the interpreter's ABI, as in
+    # ".cpython-311-x86_64-linux-gnu.so".
     key = hashlib.sha256(b"\0".join([
-        source, " ".join(_COMPILE).encode(),
-        str(sysconfig.get_config_var("SOABI")).encode(),
+        source, " ".join(_COMPILE).encode(), EXTENSION_SUFFIXES[0].encode(),
     ])).hexdigest()
     name = f"kernel-{key[:32]}.so"
     cached = os.path.join(_cache_dir(), name)
@@ -435,6 +436,9 @@ def _load():
             return _bind(ctypes.CDLL(cached))
         except OSError:
             pass  # unreadable or damaged: build it again
+    # Only a build needs these, so a cached library loads without them.
+    import shutil
+
     if shutil.which(_COMPILE[0]) is None:
         return None
     import subprocess
@@ -582,20 +586,26 @@ def classified(net, part):
 
 
 def parse_rows(text, start, sep, rows, n_inputs, n_outputs):
-    """The ``rows`` data rows of ``text`` from offset ``start`` on, split
-    on ``sep`` (None for runs of blanks, or ``","``), read by
-    ``growbp_parse`` into row-major ``array('d')`` inputs and targets,
-    ``(X, T)``.  None where the Python kernel is in use, ``text`` is not
-    ASCII or ``growbp_parse`` doubts the rows: the caller then reads them
-    with its Python reader, which raises the error of the first bad row."""
+    """The ``rows`` data rows of ``text``, a file's bytes or a str, from
+    offset ``start`` on, split on ``sep`` (None for runs of blanks, or
+    ``","``), read by ``growbp_parse`` into row-major ``array('d')`` inputs
+    and targets, ``(X, T)``.  Bytes are read in place.  None where the
+    Python kernel is in use, a str is not ASCII or ``growbp_parse`` doubts
+    the rows, as it does any byte that is not ASCII: the caller then reads
+    them with its Python reader, which raises the error of the first bad
+    row."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
     # Every value takes a character, and all but the last a separator or
     # a line end after it; rows that cannot fit are not allocated.
-    if _lib is None or not text.isascii() or (
+    if _lib is None or (
             2 * rows * (n_inputs + n_outputs) - 1 > len(text) - start):
         return None
     X = array("d", [0.0]) * (rows * n_inputs)
     T = array("d", [0.0]) * (rows * n_outputs)
-    if _lib.growbp_parse(text.encode("ascii"), start, len(text),
+    if _lib.growbp_parse(text, start, len(text),
                          ord(sep or "\0"), rows, n_inputs, n_outputs,
                          X.buffer_info()[0], T.buffer_info()[0]):
         return None

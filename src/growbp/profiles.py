@@ -10,7 +10,6 @@ whole experiment.  Presets are defaults only; any explicitly configured
 value wins.
 """
 
-from importlib import resources
 from pathlib import Path
 
 from .dataset import DatasetHeader
@@ -55,10 +54,11 @@ PRESETS = {
 
 
 def bundled_dataset_path(name):
-    """Filesystem path of a bundled benchmark file."""
+    """Filesystem path of a bundled benchmark file.  The files ship next to
+    this module as plain package data, so no resource loader is needed."""
     if name not in BUNDLED:
         raise KeyError(f"no bundled dataset named {name!r}")
-    return Path(str(resources.files("growbp") / "data" / f"{name}.dt"))
+    return Path(__file__).parent / "data" / f"{name}.dt"
 
 
 def match_profile(path):

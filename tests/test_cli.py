@@ -38,7 +38,7 @@ from growbp.errors import (
     MalformedValueError,
 )
 from growbp.network import load_network
-from growbp.profiles import bundled_dataset_path
+from growbp.profiles import BUNDLED, EXPECTED_HEADERS, bundled_dataset_path
 from growbp.trainer import (
     STOP_ACCEPTED,
     STOP_H_MAX,
@@ -995,6 +995,14 @@ def test_growth_order_faults_name_their_row(case, line, tmp_path, capsys):
     argv = BAD_INPUTS[case](tmp_path)
     assert main(argv) == 2
     assert f"error: {argv[1]}: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_name_resolves_to_its_benchmark_file(name):
+    path = bundled_dataset_path(name)
+    assert path.is_file()
+    assert path.parent == Path(growbp.__file__).parent / "data"
+    assert load_dataset(path).header == EXPECTED_HEADERS[name]
 
 
 def test_unknown_bundled_name_is_a_key_error():

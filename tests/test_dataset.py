@@ -175,7 +175,32 @@ class TestParseDataset:
         p.write_bytes(tiny_dt().encode("ascii") + "0.\u00e9 1 1 0\n".encode())
         with pytest.raises(DatasetError) as exc:
             load_dataset(p)
-        assert str(exc.value).startswith(f"{p}: non-ASCII byte")
+        offset = len(tiny_dt()) + 2
+        assert str(exc.value) == f"{p}: non-ASCII byte at offset {offset}"
+        # Handed over as bytes, the same fault is named the same way.
+        with pytest.raises(MalformedValueError) as exc:
+            parse_dataset(p.read_bytes())
+        assert str(exc.value) == f"non-ASCII byte at offset {offset}"
+
+    @pytest.mark.parametrize("kind", ["proben1", "raw-csv"])
+    def test_loaders_hand_the_parse_the_files_bytes(self, tmp_path, kind):
+        # The data rows are read from the bytes of the file: no decoded
+        # copy of it is made where the compiled pass reads them.
+        if kind == "proben1":
+            p = tmp_path / "tiny.dt"
+            p.write_text(tiny_dt())
+            load = load_dataset
+        else:
+            p = tmp_path / "raw.csv"
+            p.write_text("a,b,t\n" + "0.5,1,1\n0.25,2,0\n" * 3)
+            (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(
+                {"training_examples": 2, "validation_examples": 2,
+                 "test_examples": 2, "target_columns": 1}))
+            load = load_raw_csv
+        with mock.patch.object(dataset, "parse_rows",
+                               wraps=dataset.parse_rows) as parse:
+            load(p)
+        assert parse.call_args.args[0] == p.read_bytes()
 
     def test_error_names_the_file_once(self, tmp_path):
         p = tmp_path / "tiny.dt"
@@ -301,6 +326,13 @@ class TestProperties:
             assert head[-1].strip() == line
             assert head + tail == text.splitlines()
 
+    # ASCII text, of the characters str.splitlines and str.strip treat
+    # apart: as bytes it has the same lines, at the same offsets.
+    @given(st.text(st.sampled_from("ab= \t\n\r\v\f\x1c\x1d\x1e\x1f")))
+    def test_leading_lines_of_ascii_bytes_are_the_texts(self, text):
+        assert list(dataset.leading_lines(text.encode("ascii"))) == list(
+            dataset.leading_lines(text))
+
     # Arbitrary text, and lines drawn from near-valid .dt fragments so that
     # inputs reach the row parser and not only the header checks.
     @given(st.one_of(st.text(), st.lists(st.sampled_from(
@@ -382,10 +414,11 @@ def texts(draw, rows, sep):
 
 
 def read(text, sep, n_inputs, width, rows):
-    """``_matrix`` on the ``rows`` data rows of ``text`` after its first
-    line, as ``_split`` gets them from a loader."""
+    """``_matrix`` on the ``rows`` data rows of ``text``, a str or ASCII
+    bytes, after its first line, as ``_split`` gets them from a loader."""
     header = DatasetHeader(n_inputs, width - n_inputs, rows - 2, 1, 1)
-    return dataset._matrix(header, text, text.index("\n") + 1, 1, sep)
+    start = text.index(b"\n" if isinstance(text, bytes) else "\n") + 1
+    return dataset._matrix(header, text, start, 1, sep)
 
 
 def read_by_row(text, sep, n_inputs, width, rows):
@@ -427,12 +460,16 @@ class TestBulkParse:
         args = data.draw(texts(rows, sep)), sep, n_inputs, width, len(rows)
         want = read_by_row(*args)
         for backend in each_backend:
-            with mock.patch.object(dataset, "_matrix_by_row",
-                                   wraps=dataset._matrix_by_row) as by_row:
-                got = read(*args)
-            # Valid rows never take the slow path on the compiled backend.
-            assert by_row.called == (backend == "python")
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            # As a loader hands them over, and as a str.
+            for text in args[0].encode("ascii"), args[0]:
+                with mock.patch.object(dataset, "_matrix_by_row",
+                                       wraps=dataset._matrix_by_row) as by_row:
+                    got = read(text, *args[1:])
+                # Valid rows never take the slow path on the compiled
+                # backend.
+                assert by_row.called == (backend == "python")
+                assert [a.tobytes() for a in got] == [
+                    a.tobytes() for a in want]
 
     @given(bodies(), st.data())
     @settings(per_example, max_examples=400)
@@ -465,6 +502,8 @@ class TestBulkParse:
         want = outcome(read_by_row, *args)
         for _ in each_backend:
             assert outcome(read, *args) == want
+            if args[0].isascii():
+                assert outcome(read, args[0].encode(), *args[1:]) == want
 
     @pytest.mark.parametrize("sep", [None, ","])
     @pytest.mark.parametrize("kind, token", [

@@ -557,10 +557,11 @@ SRC = Path(growbp.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 
 
-def run_python(code, **env):
-    """Run ``code`` in a fresh interpreter with growbp importable."""
+def run_python(code, *options, **env):
+    """Run ``code`` in a fresh interpreter, started with the command-line
+    ``options``, with growbp importable."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **env)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -582,6 +583,29 @@ def test_cli_import_loads_no_scipy(tmp_path):
         f"{str(tmp_path / 'res')!r}])\n"
         f"print(status, [m for m in {absent!r} if m in sys.modules])")
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_serial_run_loads_no_pool_and_no_build_modules(tmp_path):
+    # Only a thread pool, a build of kernel.c or a resource loader needs
+    # these, and -S keeps site's .pth files from importing any of them.
+    lazy = ("concurrent.futures", "logging", "importlib.resources",
+            "sysconfig", "subprocess", "tempfile")
+    cache = str(tmp_path / "cache")
+    run_python("import growbp.kernel", XDG_CACHE_HOME=cache)  # builds it
+    out = run_python("import sys, growbp.cli\n"
+                     f"print([m for m in {lazy!r} if m in sys.modules])",
+                     "-S", XDG_CACHE_HOME=cache)
+    assert out == "[]\n"
+    # A serial sweep maps with the builtin map; two jobs start a pool.
+    for jobs, pool in (1, False), (2, True):
+        out = run_python(
+            "import sys\n"
+            "from growbp.cli import main\n"
+            "status = main(['train', 'heart1', '--seeds', '0:2', '--jobs', "
+            f"'{jobs}', '--output', {str(tmp_path / str(jobs))!r}])\n"
+            "print(status, 'concurrent.futures' in sys.modules)",
+            "-S", XDG_CACHE_HOME=cache)
+        assert out.splitlines()[-1] == f"0 {pool}"
 
 
 # numpy cannot be imported after this prelude.
