@@ -20,8 +20,9 @@ the header lines, which they read in Python.  The data rows go from the
 bytes to ``growbp_parse`` in ``kernel.c``
 (:func:`growbp.kernel.parse_rows`), one compiled pass straight into the
 matrices.  Where that pass doubts the rows, and on the Python backend,
-the whole text is decoded and :func:`_matrix_by_row` reads the rows one
-at a time; it is the spec, and names the first bad row.
+:func:`_matrix_by_row` reads the rows one at a time, each line decoded
+on its own, never the whole text; it is the spec, and names the first
+bad row.
 """
 
 import json
@@ -203,9 +204,8 @@ def _matrix(header, text, start, skip, sep):
                           header.n_outputs)
     if matrices is not None:
         return matrices
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    body = numbered_lines(text)[skip:]
+    body = [(line_no, line) for line_no, line, _ in leading_lines(text)]
+    del body[:skip]
     if len(body) != header.total:
         raise CountMismatchError(
             f"expected {header.total} data rows, found {len(body)}"

@@ -7,11 +7,15 @@ regenerates the copies with ``PYTHONPATH=src python3 tests/test_golden.py``
 and says so in its changelog.
 """
 
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import growbp
 from growbp.cli import (
     ExperimentConfig,
     main,
@@ -114,6 +118,42 @@ def test_render_reproduces_stored_files(name, tmp_path, capsys):
     assert capsys.readouterr().out == "".join(
         f"## seed {seed}\n{render_table(parse_table_csv(table), 'markdown')}"
         for seed, table in zip(seeds, tables))
+
+
+# Makes glibc take its x86-64 exp without FMA, as on a CPU that has none;
+# its bits differ from those of the FMA exp.  Other C libraries ignore it.
+NO_FMA = "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_golden_bytes_hold_with_glibcs_exp_without_fma(backend, tmp_path):
+    # The kernels compute exp themselves, so the C library's choice of exp
+    # reaches no result.  The Python backend runs with no gcc on PATH.
+    if backend == "c" and shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    env = dict(os.environ, GLIBC_TUNABLES=NO_FMA,
+               PYTHONPATH=str(Path(growbp.__file__).resolve().parents[1]))
+    if backend == "python":
+        (tmp_path / "bin").mkdir()
+        env.update(PATH=str(tmp_path / "bin"),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import growbp.kernel, test_golden as g\n"
+        "print(growbp.kernel.BACKEND)\n"
+        f"tmp = Path({str(tmp_path)!r})\n"
+        "for name in g.RUNS:\n"
+        "    g.assert_same_files(name, g.result_files(name, tmp))\n"
+        "for name in g.CLI_RUNS:\n"
+        "    status, files = g.cli_result_files(name, tmp)\n"
+        "    assert status == g.CLI_RUNS[name][1], name\n"
+        "    g.assert_same_files(name, files)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == backend
 
 
 if __name__ == "__main__":

@@ -42,10 +42,7 @@ from growbp.trainer import average_error, train_epoch
 
 
 def ref_sigmoid(s):
-    try:
-        return 1.0 / (1.0 + math.exp(-s))
-    except OverflowError:
-        return 0.0
+    return 1.0 / (1.0 + kernel_module.exp(-s))
 
 
 def ref_dot(row, inputs):
@@ -337,6 +334,30 @@ def test_batch_forward_matches_python_forward(each_backend, shape, scale,
                 X[i].tolist())[1])
 
 
+# Net inputs at the edges of exp's ranges: past |s| < 512 a block of
+# kernel.c's evaluation pass takes growbp_exp lane by lane, and below
+# 2**-54, where glibc's exp returns 1 + s, the lane loop's body runs.
+@pytest.mark.parametrize("s", [-600.0, 600.0, 1e-20, math.nan, math.inf,
+                               -math.inf])
+@pytest.mark.parametrize("rows", [8, 13])
+def test_block_with_a_lane_out_of_exp_range(s, rows, each_backend):
+    # The first hidden unit's net input is the row's input, and the first
+    # output unit's is that unit's activation, 2.6e-261 for s = -600; the
+    # other lanes lie in the main range.  The odd lane goes through every
+    # row of a whole block and of a last block of five.
+    hw = np.array([[1.0, 0.0], [-0.5, 0.25]])
+    ow = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+    net = Network(hw, ow)
+    rng = np.random.default_rng(rows)
+    for lane in range(rows):
+        X = rng.uniform(-5.0, 5.0, (rows, 1))
+        X[lane, 0] = s
+        want = [kernel_module.forward(hw.tolist(), ow.tolist(), x)[1]
+                for x in X.tolist()]
+        for _ in each_backend:
+            assert nan_bits(forward_outputs(net, X)) == nan_bits(want)
+
+
 def ref_pattern_error(net, x, d):
     _, y = ref_forward(net.hidden_weights.tolist(),
                        net.output_weights.tolist(), x)
@@ -492,8 +513,11 @@ def test_compiled_library_exports_only_prefixed_names():
     for name in ("epoch", "evaluate", "forward", "error", "layer",
                  "logistic", "mean", "pairwise", "label", "classified",
                  "next64", "permutation", "parse", "number", "skip_blanks",
-                 "digit"):
+                 "digit", "exp_body", "exp_special", "main_range",
+                 "from_bits", "to_bits", "exp_table"):
         assert _address(lib, name) == _address(process, name), name
+    # The pinned exp is static too.
+    assert _address(lib, "growbp_exp") is None
 
 
 def test_parse_reads_nothing_past_its_length():

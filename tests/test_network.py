@@ -47,13 +47,13 @@ def reference_forward(net, x):
         s = net.hidden_weights[j, net.n_inputs]
         for i in range(net.n_inputs):
             s += net.hidden_weights[j, i] * x[i]
-        hidden.append(1.0 / (1.0 + math.exp(-s)))
+        hidden.append(1.0 / (1.0 + kernel.exp(-s)))
     outputs = []
     for k in range(net.n_outputs):
         s = net.output_weights[k, net.h]
         for j in range(net.h):
             s += net.output_weights[k, j] * hidden[j]
-        outputs.append(1.0 / (1.0 + math.exp(-s)))
+        outputs.append(1.0 / (1.0 + kernel.exp(-s)))
     return hidden, outputs
 
 
