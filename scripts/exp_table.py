@@ -6,8 +6,7 @@ bits of the tail, then the bits of H less j << 45, so that the exp adds
 k << 45 to get the bits of 2**(k >> 7) * H.  This is the table of glibc's
 generic exp (sysdeps/ieee754/dbl-64/e_exp_data.c), computed here with
 ``decimal`` at 60 digits.  ``kernel.c`` holds it as ``exp_table``, in the
-rows printed first, and ``growbp.kernel`` as ``_EXP_TABLE``, in the hex
-text printed after them.
+rows printed, and ``growbp.kernel`` reads it from there.
 
 Run from the repository root:  python3 scripts/exp_table.py
 """
@@ -34,15 +33,7 @@ def table():
     return words
 
 
-def rows(words, per_line, form):
-    """``words`` as indented source lines of ``per_line`` words each, each
-    word written with the format string ``form``."""
-    return ["    " + "".join(form.format(w) for w in words[i:i + per_line])
-            .rstrip() for i in range(0, len(words), per_line)]
-
-
 if __name__ == "__main__":
     words = table()
-    print("\n".join(rows(words, 3, "0x{:016x}, ")))
-    print()
-    print("\n".join(rows(words, 4, "{:016x} ")))
+    for i in range(0, len(words), 3):
+        print("    " + " ".join(f"0x{w:016x}," for w in words[i:i + 3]))

@@ -329,10 +329,11 @@ def _decode(data, encoding="ascii", error=MalformedValueError):
 
 
 def _check_ascii(text):
-    """Raise, as :func:`read_text` does, on the first byte of ``text`` that
-    is not ASCII, where ``text`` is bytes."""
-    if isinstance(text, bytes) and not text.isascii():
-        _decode(text)
+    """Raise, as :func:`read_text` does, on the first character of ``text``,
+    bytes or a str, that is not ASCII; each one before it is one byte."""
+    if not text.isascii():
+        _decode(text.encode(errors="surrogatepass")
+                if isinstance(text, str) else text)
 
 
 def read_text(path, encoding="ascii", error=MalformedValueError):

@@ -35,10 +35,10 @@ machine:
 - the logistic is ``1 / (1 + exp(-s))`` with :func:`exp`, a pinned
   ``exp``: glibc's generic ``exp`` (Tang's table-driven method, ACM TOMS
   15(2), 1989) written out in plain IEEE operations on fixed constants
-  and a 128-entry table that ``scripts/exp_table.py`` generates.  Its
-  bits equal those of the ``exp`` that glibc 2.28 and later run on a CPU
-  without FMA, and stay the same wherever the kernel runs.  Where ``exp``
-  overflows to inf the logistic is 0.0.
+  and a 128-entry table, ``kernel.c``'s ``exp_table``, read from there at
+  import.  Its bits equal those of the ``exp`` that glibc 2.28 and later
+  run on a CPU without FMA, and stay the same wherever the kernel runs.
+  Where ``exp`` overflows to inf the logistic is 0.0.
 
 A pattern's class (:func:`label`) is 1 where its one output is >= 0.5,
 and with more outputs the index of the largest, the lowest on ties and
@@ -119,6 +119,7 @@ from pathlib import Path
 from .errors import ArityMismatchError, EmptySetError, MalformedValueError
 
 _SOURCE = Path(__file__).with_name("kernel.c")
+_KERNEL_C = _SOURCE.read_bytes()  # deleted once the library is loaded
 # Never -ffast-math, which lets the compiler reorder the arithmetic and
 # the results stop matching the contract, nor -march=native, which would
 # enable FMA and tie the cached library to the CPU that built it.
@@ -169,75 +170,10 @@ def view(flat, shape):
 
 
 # kernel.c's exp_table: the bits of the tail of 2**(j/128), then those of
-# its head H less j << 45, for j = 0..127 (scripts/exp_table.py), written
-# as hex text, most significant digit first: a literal of 256 ints takes
-# 0.2 ms more to compile, which a start-up without cached bytecode pays.
-_EXP_TABLE = array("Q", bytes.fromhex("""
-    0000000000000000 3ff0000000000000 3c9b3b4f1a88bf6e 3feff63da9fb3335
-    bc7160139cd8dc5d 3fefec9a3e778061 bc905e7a108766d1 3fefe315e86e7f85
-    3c8cd2523567f613 3fefd9b0d3158574 bc8bce8023f98efa 3fefd06b29ddf6de
-    3c60f74e61e6c861 3fefc74518759bc8 3c90a3e45b33d399 3fefbe3ecac6f383
-    3c979aa65d837b6d 3fefb5586cf9890f 3c8eb51a92fdeffc 3fefac922b7247f7
-    3c3ebe3d702f9cd1 3fefa3ec32d3d1a2 bc6a033489906e0b 3fef9b66affed31b
-    bc9556522a2fbd0e 3fef9301d0125b51 bc5080ef8c4eea55 3fef8abdc06c31cc
-    bc91c923b9d5f416 3fef829aaea92de0 3c80d3e3e95c55af 3fef7a98c8a58e51
-    bc801b15eaa59348 3fef72b83c7d517b bc8f1ff055de323d 3fef6af9388c8dea
-    3c8b898c3f1353bf 3fef635beb6fcb75 bc96d99c7611eb26 3fef5be084045cd4
-    3c9aecf73e3a2f60 3fef54873168b9aa bc8fe782cb86389d 3fef4d5022fcd91d
-    3c8a6f4144a6c38d 3fef463b88628cd6 3c807a05b0e4047d 3fef3f49917ddc96
-    3c968efde3a8a894 3fef387a6e756238 3c875e18f274487d 3fef31ce4fb2a63f
-    3c80472b981fe7f2 3fef2b4565e27cdd bc96b87b3f71085e 3fef24dfe1f56381
-    3c82f7e16d09ab31 3fef1e9df51fdee1 bc3d219b1a6fbffa 3fef187fd0dad990
-    3c8b3782720c0ab4 3fef1285a6e4030b 3c6e149289cecb8f 3fef0cafa93e2f56
-    3c834d754db0abb6 3fef06fe0a31b715 3c864201e2ac744c 3fef0170fc4cd831
-    3c8fdd395dd3f84a 3feefc08b26416ff bc86a3803b8e5b04 3feef6c55f929ff1
-    bc924aedcc4b5068 3feef1a7373aa9cb bc9907f81b512d8e 3feeecae6d05d866
-    bc71d1e83e9436d2 3feee7db34e59ff7 bc991919b3ce1b15 3feee32dc313a8e5
-    3c859f48a72a4c6d 3feedea64c123422 bc9312607a28698a 3feeda4504ac801c
-    bc58a78f4817895b 3feed60a21f72e2a bc7c2c9b67499a1b 3feed1f5d950a897
-    3c4363ed60c2ac11 3feece086061892d 3c9666093b0664ef 3feeca41ed1d0057
-    3c6ecce1daa10379 3feec6a2b5c13cd0 3c93ff8e3f0f1230 3feec32af0d7d3de
-    3c7690cebb7aafb0 3feebfdad5362a27 3c931dbdeb54e077 3feebcb299fddd0d
-    bc8f94340071a38e 3feeb9b2769d2ca7 bc87deccdc93a349 3feeb6daa2cf6642
-    bc78dec6bd0f385f 3feeb42b569d4f82 bc861246ec7b5cf6 3feeb1a4ca5d920f
-    3c93350518fdd78e 3feeaf4736b527da 3c7b98b72f8a9b05 3feead12d497c7fd
-    3c9063e1e21c5409 3feeab07dd485429 3c34c7855019c6ea 3feea9268a5946b7
-    3c9432e62b64c035 3feea76f15ad2148 bc8ce44a6199769f 3feea5e1b976dc09
-    bc8c33c53bef4da8 3feea47eb03a5585 bc845378892be9ae 3feea34634ccc320
-    bc93cedd78565858 3feea23882552225 3c5710aa807e1964 3feea155d44ca973
-    bc93b3efbf5e2228 3feea09e667f3bcd bc6a12ad8734b982 3feea012750bdabf
-    bc6367efb86da9ee 3fee9fb23c651a2f bc80dc3d54e08851 3fee9f7df9519484
-    bc781f647e5a3ecf 3fee9f75e8ec5f74 bc86ee4ac08b7db0 3fee9f9a48a58174
-    bc8619321e55e68a 3fee9feb564267c9 3c909ccb5e09d4d3 3feea0694fde5d3f
-    bc7b32dcb94da51d 3feea11473eb0187 3c94ecfd5467c06b 3feea1ed0130c132
-    3c65ebe1abd66c55 3feea2f336cf4e62 bc88a1c52fb3cf42 3feea427543e1a12
-    bc9369b6f13b3734 3feea589994cce13 bc805e843a19ff1e 3feea71a4623c7ad
-    bc94d450d872576e 3feea8d99b4492ed 3c90ad675b0e8a00 3feeaac7d98a6699
-    3c8db72fc1f0eab4 3feeace5422aa0db bc65b6609cc5e7ff 3feeaf3216b5448c
-    3c7bf68359f35f44 3feeb1ae99157736 bc93091fa71e3d83 3feeb45b0b91ffc6
-    bc5da9b88b6c1e29 3feeb737b0cdc5e5 bc6c23f97c90b959 3feeba44cbc8520f
-    bc92434322f4f9aa 3feebd829fde4e50 bc85ca6cd7668e4b 3feec0f170ca07ba
-    3c71affc2b91ce27 3feec49182a3f090 3c6dd235e10a73bb 3feec86319e32323
-    bc87c50422622263 3feecc667b5de565 3c8b1c86e3e231d5 3feed09bec4a2d33
-    bc91bbd1d3bcbb15 3feed503b23e255d 3c90cc319cee31d2 3feed99e1330b358
-    3c8469846e735ab3 3feede6b5579fdbf bc82dfcd978e9db4 3feee36bbfd3f37a
-    3c8c1a7792cb3387 3feee89f995ad3ad bc907b8f4ad1d9fa 3feeee07298db666
-    bc55c3d956dcaeba 3feef3a2b84f15fb bc90a40e3da6f640 3feef9728de5593a
-    bc68d6f438ad9334 3feeff76f2fb5e47 bc91eee26b588a35 3fef05b030a1064a
-    3c74ffd70a5fddcd 3fef0c1e904bc1d2 bc91bdfbfa9298ac 3fef12c25bd71e09
-    3c736eae30af0cb3 3fef199bdd85529c 3c8ee3325c9ffd94 3fef20ab5fffd07a
-    3c84e08fd10959ac 3fef27f12e57d14b 3c63cdaf384e1a67 3fef2f6d9406e7b5
-    3c676b2c6c921968 3fef3720dcef9069 bc808a1883ccb5d2 3fef3f0b555dc3fa
-    bc8fad5d3ffffa6f 3fef472d4a07897c bc900dae3875a949 3fef4f87080d89f2
-    3c74a385a63d07a7 3fef5818dcfba487 bc82919e2040220f 3fef60e316c98398
-    3c8e5a50d5c192ac 3fef69e603db3285 3c843a59ac016b4b 3fef7321f301b460
-    bc82d52107b43e1f 3fef7c97337b9b5f bc892ab93b470dc9 3fef864614f5a129
-    3c74b604603a88d3 3fef902ee78b3ff6 3c83c5ec519d7271 3fef9a51fbc74c83
-    bc8ff7128fd391f0 3fefa4afa2a490da bc8dae98e223747d 3fefaf482d8e67f1
-    3c8ec3bc41aa2008 3fefba1bee615a27 3c842b94c3a9eb32 3fefc52b376bba97
-    3c8a64a931d185ee 3fefd0765b6e4540 bc8e37bae43be3ed 3fefdbfdad9cbe14
-    3c77893b4d91cd9d 3fefe7c1819e90d8 3c5305c14160cc89 3feff3c22b8f71f1
-"""))
+# its head H less j << 45, for j = 0..127 (scripts/exp_table.py).
+_EXP_TABLE = array("Q", bytes.fromhex(
+    _KERNEL_C.partition(b"exp_table[2 * 128] = {")[2].partition(b"};")[0]
+    .replace(b"0x", b"").replace(b",", b"").decode()))
 if sys.byteorder == "little":
     _EXP_TABLE.byteswap()
 _EXP_TAIL = array("d", _EXP_TABLE[0::2].tobytes()).tolist()
@@ -501,12 +437,14 @@ def _cache_dir():
 
 
 def _compile(source, directory, name):
-    """Build ``source`` into ``directory/name`` and return its path.
+    """Build ``source`` into ``directory/name``, delete the other
+    versions' ``kernel-*.so`` there, and return the new library's path.
 
     The compiler writes a temporary file that is then renamed into place,
     so a process loading the library never sees a partial one, and two
     processes building at once both end up with a whole library.
     """
+    import glob
     import subprocess
     import tempfile
 
@@ -522,6 +460,12 @@ def _compile(source, directory, name):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for entry in glob.glob("kernel-*.so", root_dir=directory):
+        if entry != name:
+            try:
+                os.unlink(os.path.join(directory, entry))
+            except OSError:
+                pass  # deleted already, or not ours to delete
     return path
 
 
@@ -537,24 +481,18 @@ def _bind(lib):
     return lib
 
 
-def _load():
-    """The compiled ``kernel.c``, or None where it cannot be built."""
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError:
-        return None  # installed without its C source
+def _load(source):
+    """The compiled ``source``, kernel.c, or None where it cannot be built."""
     # The first extension suffix names the interpreter's ABI, as in
     # ".cpython-311-x86_64-linux-gnu.so".
     key = hashlib.sha256(b"\0".join([
         source, " ".join(_COMPILE).encode(), EXTENSION_SUFFIXES[0].encode(),
     ])).hexdigest()
     name = f"kernel-{key[:32]}.so"
-    cached = os.path.join(_cache_dir(), name)
-    if os.path.exists(cached):
-        try:
-            return _bind(ctypes.CDLL(cached))
-        except OSError:
-            pass  # unreadable or damaged: build it again
+    try:
+        return _bind(ctypes.CDLL(os.path.join(_cache_dir(), name)))
+    except OSError:
+        pass  # not built yet, unreadable or damaged: build it
     # Only a build needs these, so a cached library loads without them.
     import shutil
 
@@ -569,16 +507,16 @@ def _load():
         return None
     except OSError:
         pass  # the cache directory cannot be written
-    private = tempfile.mkdtemp(prefix="growbp-")
-    try:
-        return _bind(ctypes.CDLL(_compile(source, private, name)))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    finally:
-        shutil.rmtree(private, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="growbp-",
+                                     ignore_cleanup_errors=True) as private:
+        try:
+            return _bind(ctypes.CDLL(_compile(source, private, name)))
+        except (OSError, subprocess.SubprocessError):
+            return None
 
 
-_lib = _load()
+_lib = _load(_KERNEL_C)
+del _KERNEL_C
 BACKEND = "python" if _lib is None else "c"
 
 

@@ -182,6 +182,19 @@ class TestParseDataset:
             parse_dataset(p.read_bytes())
         assert str(exc.value) == f"non-ASCII byte at offset {offset}"
 
+    # float() reads the Arabic-Indic digit 3 as 3.0, and str.splitlines
+    # ends a line at U+2028; a str is held to ASCII as the bytes are.
+    @pytest.mark.parametrize("char", ["\u0663", "\u2028"])
+    def test_non_ascii_str_is_named_as_its_bytes(self, char):
+        text = tiny_dt(rows=[f"0.1 0.{char} 1 0"] + ["0.1 0.2 1 0"] * 6)
+        errors = []
+        for given in (text, text.encode()):
+            with pytest.raises(MalformedValueError) as exc:
+                parse_dataset(given)
+            errors.append(str(exc.value))
+        offset = text.index(char)
+        assert errors == [f"non-ASCII byte at offset {offset}"] * 2
+
     @pytest.mark.parametrize("kind", ["proben1", "raw-csv"])
     def test_loaders_hand_the_parse_the_files_bytes(self, tmp_path, kind):
         # The data rows are read from the bytes of the file: no decoded

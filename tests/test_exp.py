@@ -54,6 +54,19 @@ def test_tables_are_the_scripts():
                                            body.group(1))] == words
 
 
+def test_the_table_is_held_once():
+    # Every word but the bits of 0.0 and 1.0, which other code may hold.
+    words = [f"{w:016x}".encode() for w in exp_table_script().table()[2:]]
+    package = kernel._SOURCE.parent
+    holders = set()
+    for path in package.rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            text = path.read_bytes().lower()
+            if any(w in text for w in words):
+                holders.add(path.relative_to(package).as_posix())
+    assert holders == {"kernel.c"}
+
+
 @pytest.fixture(scope="module")
 def c_exp(tmp_path_factory):
     """``growbp_exp`` of ``kernel.c``, built as the kernel is, over a list

@@ -706,6 +706,19 @@ def test_build_is_cached_and_atomic(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_build_deletes_other_versions_libraries(tmp_path):
+    cache = tmp_path / "cache" / "growbp"
+    cache.mkdir(parents=True)
+    # Another version's library, a build in progress and a stranger.
+    for name in (f"kernel-{'0' * 32}.so", "tmpabc123.so", "notes.txt"):
+        (cache / name).write_text("")
+    run_python("import growbp.kernel", XDG_CACHE_HOME=str(cache.parent))
+    this = os.path.basename(kernel_module._lib._name)
+    assert sorted(os.listdir(cache)) == sorted(
+        ["notes.txt", "tmpabc123.so", this])
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 def test_unwritable_cache_builds_privately(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
