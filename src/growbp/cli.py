@@ -552,6 +552,11 @@ def main(argv=None):
     except (GrowbpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Ctrl-C: the finished seeds are written; 128 + SIGINT, as a shell
+        # reports a command the signal ended.
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

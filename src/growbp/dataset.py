@@ -188,23 +188,23 @@ def parse_header(rows):
         )
 
 
-def _matrix(header, text, start, skip, sep):
-    """Validate the header's rows of data, those of ``text``, a str or
-    ASCII bytes, from offset ``start`` on, into row-major ``array('d')``
+def _matrix(header, data, start, skip, sep):
+    """Validate the header's rows of data, those of the ASCII bytes
+    ``data`` from offset ``start`` on, into row-major ``array('d')``
     inputs and targets, ``(X, T)``.
 
     Each row is a line split on ``sep`` into the header's count of finite
     numbers, the ones after its inputs the targets, exactly 0 or 1.  The
     compiled pass reads them; where it doubts them they are the non-blank
-    lines of ``text`` after the first ``skip``, which must be as many as
+    lines of ``data`` after the first ``skip``, which must be as many as
     the header declares, and :func:`_matrix_by_row` reads them again and
     raises the error of the first bad row.
     """
-    matrices = parse_rows(text, start, sep, header.total, header.n_inputs,
+    matrices = parse_rows(data, start, sep, header.total, header.n_inputs,
                           header.n_outputs)
     if matrices is not None:
         return matrices
-    body = [(line_no, line) for line_no, line, _ in leading_lines(text)]
+    body = [(line_no, line) for line_no, line, _ in leading_lines(data)]
     del body[:skip]
     if len(body) != header.total:
         raise CountMismatchError(
@@ -261,31 +261,27 @@ def numbered_lines(text):
             if ln.strip()]
 
 
-# A line and its end, where str.splitlines ends it, in a str and in ASCII
-# bytes, which hold none of its three non-ASCII line ends.
-_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
-                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+# A line and its end in ASCII bytes, where str.splitlines ends it.
 _ASCII_LINE = re.compile(rb"[^\n\r\v\f\x1c-\x1e]*"
                          rb"(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
 
 
-def leading_lines(text):
-    """:func:`numbered_lines` as ``(line_no, line, end)``, where ``end`` is
-    the offset in ``text`` after the line's end, read only as far as the
-    caller takes them.  ``text`` is a str or ASCII bytes; a line of bytes
-    is decoded when it is reached."""
-    ascii_bytes = isinstance(text, bytes)
-    matches = (_ASCII_LINE if ascii_bytes else _LINE).finditer(text)
-    for line_no, m in enumerate(matches, 1):
-        line = (m.group().decode("ascii") if ascii_bytes
-                else m.group()).strip()
+def leading_lines(data):
+    """:func:`numbered_lines` of the ASCII bytes ``data`` as ``(line_no,
+    line, end)``, ``end`` the offset after the line's end, each line read
+    and decoded only when the caller takes it."""
+    for line_no, m in enumerate(_ASCII_LINE.finditer(data), 1):
+        line = m.group().decode("ascii").strip()
         if line:
             yield line_no, line, m.end()
 
 
 def parse_dataset(text):
-    """Parse the full text of a ``.dt`` file, a str or the file's bytes,
-    into a SplitDataset."""
+    """Parse the full text of a ``.dt`` file, the file's bytes or a str,
+    into a SplitDataset.  A str is encoded once, so its first character
+    that is not ASCII is named by the offset its bytes give."""
+    if isinstance(text, str):
+        text = text.encode(errors="surrogatepass")
     _check_ascii(text)
     # The header is the leading run of key=value lines; the data rows
     # start after its last line.
@@ -328,12 +324,10 @@ def _decode(data, encoding="ascii", error=MalformedValueError):
                     f"{exc.start}") from None
 
 
-def _check_ascii(text):
-    """Raise, as :func:`read_text` does, on the first character of ``text``,
-    bytes or a str, that is not ASCII; each one before it is one byte."""
-    if not text.isascii():
-        _decode(text.encode(errors="surrogatepass")
-                if isinstance(text, str) else text)
+def _check_ascii(data):
+    """Raise, as :func:`read_text` does, on the first non-ASCII byte."""
+    if not data.isascii():
+        _decode(data)
 
 
 def read_text(path, encoding="ascii", error=MalformedValueError):
@@ -437,9 +431,9 @@ def load_raw_csv(path):
         return _raw_csv_dataset(_read_bytes(path), counts)
 
 
-def _raw_csv_dataset(text, counts):
-    _check_ascii(text)
-    _, names, start = next(leading_lines(text), (0, "", 0))
+def _raw_csv_dataset(data, counts):
+    _check_ascii(data)
+    _, names, start = next(leading_lines(data), (0, "", 0))
     if not names:
         raise CountMismatchError("CSV file has no rows")
     n_targets = counts["target_columns"]
@@ -454,7 +448,7 @@ def _raw_csv_dataset(text, counts):
         n_valid=counts["validation_examples"],
         n_test=counts["test_examples"],
     )
-    X, T = _matrix(header, text, start, 1, ",")
+    X, T = _matrix(header, data, start, 1, ",")
     features = normalize_raw(
         view(X, (header.total, n_inputs)),
         view(X[:header.n_train * n_inputs], (header.n_train, n_inputs)))

@@ -6,13 +6,13 @@ and the compiled parse of a dataset's data rows.
 
 The package enters through :func:`train_epoch`, :func:`forward_outputs`,
 :func:`pattern_errors`, :func:`average_error` and :func:`classified`,
-and reads data rows through :func:`parse_rows`.  Each of the first five
-checks its arguments once, then runs the compiled or the Python kernel
-on the row-major ``array('d')`` buffers that a ``Network`` and a
-``Partition`` hold; :func:`check_fit` alone decides whether a partition
-fits a network.  ``kernel.c`` checks none of its input: it gets checked
-buffers, and a shuffled epoch's permutation that ``train_epoch`` draws
-itself.  Both classes read their buffers' addresses once, when made, and
+and reads a file's ASCII data rows through :func:`parse_rows`.  Each of
+the first five checks its arguments once, then runs the compiled or the
+Python kernel on the row-major ``array('d')`` buffers that a ``Network``
+and a ``Partition`` hold; :func:`check_fit` alone decides whether a
+partition fits a network.  ``kernel.c`` checks none of its input: it gets
+checked buffers, and a shuffled epoch's permutation that ``train_epoch``
+draws itself.  Both classes read their buffers' addresses once, when made, and
 show each buffer as a 2-D ``memoryview`` (:func:`view`); while that view
 exists the buffer cannot be resized (``BufferError``), so the addresses
 stay valid.  :func:`matrix` reads any 2-D nested sequence or buffer,
@@ -57,10 +57,11 @@ halves of the output.
 Training, the evaluation pass, the permutation and the parse of data
 rows run in ``kernel.c``, which the entry points call through
 ``ctypes``: ``growbp_epoch``, ``growbp_evaluate``,
-``growbp_permutation`` and ``growbp_parse`` are its exports.  Each of
-the four evaluation entry points asks ``growbp_evaluate`` for only what
-it returns.  The library is built with ``gcc -O2 -ffp-contract=off`` at
-first import into ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where
+``growbp_permutation`` and ``growbp_parse`` are its exports.  The four
+evaluation entry points share one dispatch, the one call of
+``growbp_evaluate`` and of :func:`evaluate`, and each asks it for only
+what it returns.  The library is built with ``gcc -O2 -ffp-contract=off``
+at first import into ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where
 that variable is unset or not an absolute path), under a name that
 hashes the source, the flags and the Python ABI, so later imports start
 no compiler.  If that directory cannot be written the build goes to a
@@ -72,8 +73,8 @@ The pure-Python kernel is ``kernel.c`` transcribed function by function
 under the same names, less the ``growbp_`` prefix of the C functions
 (:func:`exp`, :func:`logistic`, :func:`layer`, :func:`update`,
 :func:`label`, :func:`next64`, :func:`permutation`, then :func:`step` for
-the body of ``growbp_epoch`` and :func:`evaluate` for the body of
-``growbp_evaluate`` less its mean), with plain loops over lists of
+the body of ``growbp_epoch`` and :func:`evaluate` for the whole of
+``growbp_evaluate``, its mean included), with plain loops over lists of
 weight rows in the same order; :func:`forward` is one pattern's two
 :func:`layer` calls.  It is much slower, and serves as the fallback and
 as the reference the tests compare the C code against.
@@ -128,6 +129,8 @@ _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # its doubles with the byte order.
 _NATIVE_DOUBLES = ("d", "@d", "=d", ("<" if sys.byteorder == "little"
                                      else ">") + "d")
+# growbp_evaluate's out-parameters, each made only where it is asked for.
+_MEAN, _COUNT = ctypes.c_double * 1, ctypes.c_int64 * 1
 
 
 def matrix(M, error=MalformedValueError):
@@ -288,27 +291,32 @@ def label(v):
     return arg
 
 
-def evaluate(hw, ow, X, T, Y, E, count):
-    """The body of ``growbp_evaluate`` less its mean, over the rows ``X``
-    and ``T``: each row's outputs appended to ``Y`` and its error appended
-    to ``E``, where they are not None, and, where ``count`` is true, how
-    many rows the net puts in their target's class, returned (else 0)."""
-    c = 0
+def evaluate(hw, ow, X, T, Y, E, mean, count):
+    """The body of ``growbp_evaluate`` over the rows ``X`` and ``T``: each
+    row's outputs and error written to its place in ``Y`` and ``E``, where
+    they are not None.  Returns the errors' mean, summed left to right
+    from 0.0 and divided by the count of rows, where ``mean`` is true, and
+    how many rows the net puts in their target's class, where ``count`` is
+    true; each is None where it is not asked for."""
+    total, c = 0.0, 0
     for i, x in enumerate(X):
         y = forward(hw, ow, x)[1]
         if Y is not None:
-            Y.extend(y)
-        if E is not None:
+            Y[i * len(y):(i + 1) * len(y)] = array("d", y)
+        if E is not None or mean:
             d = T[i]
             e = d[0] - y[0]
             s = e * e
             for k in range(1, len(y)):
                 e = d[k] - y[k]
                 s = s + e * e
-            E.append(0.5 * s)
+            s = 0.5 * s
+            if E is not None:
+                E[i] = s
+            total = total + s
         if count:
             c += label(y) == label(T[i])
-    return c
+    return total / len(X) if mean else None, c if count else None
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -562,6 +570,32 @@ def train_epoch(net, train, eta, rng=None):
     return net
 
 
+def _evaluate(net, X, T, addresses, outputs=False, errors=False,
+              mean=False, count=False):
+    """``growbp_evaluate``, or :func:`evaluate` on the Python backend, of
+    ``net`` on the 2-D views ``X`` and ``T`` (None for outputs alone) at
+    ``addresses``: ``(outputs, errors, mean, count)``, the first two as
+    ``array('d')``, each None and not made unless asked for."""
+    n = len(X)
+    Y = array("d", bytes(8 * n * net.n_outputs)) if outputs else None
+    E = array("d", bytes(8 * n)) if errors else None
+    if _lib is None:
+        # A view with no rows is a ctypes array's, which cannot list them.
+        return (Y, E, *evaluate(
+            net.hidden_weights.tolist(), net.output_weights.tolist(),
+            X.tolist() if n else [], None if T is None else T.tolist(), Y, E,
+            mean, count))
+    m = _MEAN() if mean else None
+    c = _COUNT() if count else None
+    if _lib.growbp_evaluate(
+            *net.addresses, *addresses,
+            None if Y is None else Y.buffer_info()[0],
+            None if E is None else E.buffer_info()[0],
+            n, net.n_inputs, net.h, net.n_outputs, m, c) == 2:
+        raise MemoryError("kernel evaluate")
+    return Y, E, m and m[0], c and c[0]
+
+
 def forward_outputs(net, X):
     """Evaluate the network on a matrix of inputs, one row per pattern.
 
@@ -573,17 +607,8 @@ def forward_outputs(net, X):
         raise ArityMismatchError(
             f"expected (n, {net.n_inputs}) inputs, got {(n, width)}"
         )
-    if _lib is None:
-        Y = array("d")
-        evaluate(net.hidden_weights.tolist(), net.output_weights.tolist(),
-                 [X[i:i + width] for i in range(0, len(X), width)], None,
-                 Y, None, False)
-        return view(Y, (n, net.n_outputs))
-    Y = array("d", bytes(8 * n * net.n_outputs))
-    if _lib.growbp_evaluate(*net.addresses, X.buffer_info()[0], None,
-                            Y.buffer_info()[0], None, n, net.n_inputs,
-                            net.h, net.n_outputs, None, None) == 2:
-        raise MemoryError("kernel evaluate")
+    Y = _evaluate(net, view(X, (n, width)), None, (X.buffer_info()[0], None),
+                  outputs=True)[0]
     return view(Y, (n, net.n_outputs))
 
 
@@ -595,74 +620,39 @@ def pattern_errors(net, part):
     ``array('d')`` with one value per row of the partition.
     """
     check_fit(net, part, "error")
-    if _lib is None:
-        errors = array("d")
-        evaluate(net.hidden_weights.tolist(), net.output_weights.tolist(),
-                 part.X.tolist(), part.T.tolist(), None, errors, False)
-        return errors
-    errors = array("d", bytes(8 * len(part)))
-    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None,
-                            errors.buffer_info()[0], len(part), net.n_inputs,
-                            net.h, net.n_outputs, None, None) == 2:
-        raise MemoryError("kernel evaluate")
-    return errors
+    return _evaluate(net, part.X, part.T, part.addresses, errors=True)[1]
 
 
 def average_error(net, part):
     """Mean over a partition of the per-pattern error xi = |d - y|^2 / 2:
     :func:`pattern_errors` summed left to right from 0.0, then divided by
-    their count, in one call of the compiled pass."""
-    if _lib is None:
-        total = 0.0
-        for e in pattern_errors(net, part):
-            total = total + e
-        return total / len(part)
+    their count, in one evaluation pass that keeps no errors."""
     check_fit(net, part, "error")
-    out = ctypes.c_double()
-    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None, None,
-                            len(part), net.n_inputs, net.h, net.n_outputs,
-                            ctypes.byref(out), None) == 2:
-        raise MemoryError("kernel evaluate")
-    return out.value
+    return _evaluate(net, part.X, part.T, part.addresses, mean=True)[2]
 
 
 def classified(net, part):
     """How many patterns of ``part`` the net puts in their target's class,
     each class given by :func:`label`."""
     check_fit(net, part, "efficiency")
-    if _lib is None:
-        return evaluate(net.hidden_weights.tolist(),
-                        net.output_weights.tolist(), part.X.tolist(),
-                        part.T.tolist(), None, None, True)
-    count = ctypes.c_int64()
-    if _lib.growbp_evaluate(*net.addresses, *part.addresses, None, None,
-                            len(part), net.n_inputs, net.h, net.n_outputs,
-                            None, ctypes.byref(count)) == 2:
-        raise MemoryError("kernel evaluate")
-    return count.value
+    return _evaluate(net, part.X, part.T, part.addresses, count=True)[3]
 
 
-def parse_rows(text, start, sep, rows, n_inputs, n_outputs):
-    """The ``rows`` data rows of ``text``, a file's bytes or a str, from
-    offset ``start`` on, split on ``sep`` (None for runs of blanks, or
-    ``","``), read by ``growbp_parse`` into row-major ``array('d')`` inputs
-    and targets, ``(X, T)``.  Bytes are read in place.  None where the
-    Python kernel is in use, a str is not ASCII or ``growbp_parse`` doubts
-    the rows, as it does any byte that is not ASCII: the caller then reads
-    them with its Python reader, which raises the error of the first bad
-    row."""
-    if isinstance(text, str):
-        if not text.isascii():
-            return None
-        text = text.encode("ascii")
+def parse_rows(data, start, sep, rows, n_inputs, n_outputs):
+    """The ``rows`` data rows of a file's ASCII bytes ``data`` from offset
+    ``start`` on, split on ``sep`` (None for runs of blanks, or ``","``),
+    read in place by ``growbp_parse`` into row-major ``array('d')`` inputs
+    and targets, ``(X, T)``.  None on the Python kernel or where
+    ``growbp_parse`` doubts the rows: the caller's Python reader then
+    reads them and raises the error of the first bad row."""
     # Every value takes a character, and all but the last a separator or
     # a line end after it; rows that cannot fit are not allocated.
     if _lib is None or (
-            2 * rows * (n_inputs + n_outputs) - 1 > len(text) - start):
+            2 * rows * (n_inputs + n_outputs) - 1 > len(data) - start):
         return None
     X = array("d", [0.0]) * (rows * n_inputs)
     T = array("d", [0.0]) * (rows * n_outputs)
-    if _lib.growbp_parse(text, start, len(text),
+    if _lib.growbp_parse(data, start, len(data),
                          ord(sep or "\0"), rows, n_inputs, n_outputs,
                          X.buffer_info()[0], T.buffer_info()[0]):
         return None

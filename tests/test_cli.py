@@ -1,10 +1,12 @@
 import contextlib
+import csv
 import dataclasses
 import importlib.util
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -529,6 +531,42 @@ class TestMain:
         finally:
             os.close(write_fd)
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupt_ends_with_one_line(self, tmp_path, jobs):
+        # SIGINT, as Ctrl-C sends it, once the sweep has begun: the seeds
+        # finished before the interrupted one are written, and the run
+        # ends with status 130 and one line, not a traceback.
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(growbp.__file__).parents[1]),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "growbp.cli", "train", "diabetes1",
+             "--seeds", "0:400", "--jobs", jobs, "--output", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "config.json").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err.decode().splitlines()) == (
+            130, ["error: interrupted"])
+        written = sorted(int(p.stem.split("_")[1])
+                         for p in out.glob("seed_*.csv"))
+        summary = []
+        if (out / "summary.csv").exists():
+            with open(out / "summary.csv", newline="") as fh:
+                summary = [int(row["seed"]) for row in csv.DictReader(fh)]
+        assert summary == written == list(range(len(written)))
+        assert len(written) < 400
 
     def test_inspect_flags_header_mismatch(self, blob_dataset, tmp_path,
                                            capsys):

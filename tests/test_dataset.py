@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from unittest import mock
@@ -328,23 +329,34 @@ class TestProperties:
         assert_same_dataset(parse_dataset(format_dataset(ds)), ds)
 
     # Text of the characters str.splitlines and str.strip treat apart.
+    # Its ASCII bytes have its lines; a text that is not ASCII is refused
+    # before any line is read.
     @given(st.text(st.sampled_from("ab= \t\n\r\v\f\x1c\x1d\x1e\x1f\x85"
                                    "\u2028\u2029\xa0")))
     def test_leading_lines_are_the_numbered_lines(self, text):
-        assert [(n, ln) for n, ln, _ in dataset.leading_lines(text)] == (
+        if not text.isascii():
+            refused_as_non_ascii(text)
+            return
+        data = text.encode("ascii")
+        assert [(n, ln) for n, ln, _ in dataset.leading_lines(data)] == (
             numbered_lines(text))
         # Each ends after its line end, so a cut there splits no line.
-        for _, line, end in dataset.leading_lines(text):
+        for _, line, end in dataset.leading_lines(data):
             head, tail = text[:end].splitlines(), text[end:].splitlines()
             assert head[-1].strip() == line
             assert head + tail == text.splitlines()
 
     # ASCII text, of the characters str.splitlines and str.strip treat
-    # apart: as bytes it has the same lines, at the same offsets.
+    # apart: as bytes it has the text's lines, each ending at the offset
+    # where str.splitlines ends it.
     @given(st.text(st.sampled_from("ab= \t\n\r\v\f\x1c\x1d\x1e\x1f")))
     def test_leading_lines_of_ascii_bytes_are_the_texts(self, text):
-        assert list(dataset.leading_lines(text.encode("ascii"))) == list(
-            dataset.leading_lines(text))
+        lines = text.splitlines(keepends=True)
+        ends = itertools.accumulate(map(len, lines))
+        assert list(dataset.leading_lines(text.encode("ascii"))) == [
+            (n, line.strip(), end)
+            for n, (line, end) in enumerate(zip(lines, ends), 1)
+            if line.strip()]
 
     # Arbitrary text, and lines drawn from near-valid .dt fragments so that
     # inputs reach the row parser and not only the header checks.
@@ -427,11 +439,20 @@ def texts(draw, rows, sep):
 
 
 def read(text, sep, n_inputs, width, rows):
-    """``_matrix`` on the ``rows`` data rows of ``text``, a str or ASCII
-    bytes, after its first line, as ``_split`` gets them from a loader."""
+    """``_matrix`` on the ``rows`` data rows of the ASCII ``text`` after its
+    first line, as bytes, as ``_split`` gets them from a loader."""
     header = DatasetHeader(n_inputs, width - n_inputs, rows - 2, 1, 1)
-    start = text.index(b"\n" if isinstance(text, bytes) else "\n") + 1
-    return dataset._matrix(header, text, start, 1, sep)
+    data = text.encode("ascii")
+    return dataset._matrix(header, data, data.index(b"\n") + 1, 1, sep)
+
+
+def refused_as_non_ascii(text):
+    """A text that is not ASCII never reaches ``_matrix``: ``parse_dataset``
+    names the offset of its first other character."""
+    offset = next(i for i, char in enumerate(text) if not char.isascii())
+    with pytest.raises(MalformedValueError) as exc:
+        parse_dataset(text)
+    assert str(exc.value) == f"non-ASCII byte at offset {offset}"
 
 
 def read_by_row(text, sep, n_inputs, width, rows):
@@ -473,16 +494,12 @@ class TestBulkParse:
         args = data.draw(texts(rows, sep)), sep, n_inputs, width, len(rows)
         want = read_by_row(*args)
         for backend in each_backend:
-            # As a loader hands them over, and as a str.
-            for text in args[0].encode("ascii"), args[0]:
-                with mock.patch.object(dataset, "_matrix_by_row",
-                                       wraps=dataset._matrix_by_row) as by_row:
-                    got = read(text, *args[1:])
-                # Valid rows never take the slow path on the compiled
-                # backend.
-                assert by_row.called == (backend == "python")
-                assert [a.tobytes() for a in got] == [
-                    a.tobytes() for a in want]
+            with mock.patch.object(dataset, "_matrix_by_row",
+                                   wraps=dataset._matrix_by_row) as by_row:
+                got = read(*args)
+            # Valid rows never take the slow path on the compiled backend.
+            assert by_row.called == (backend == "python")
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @given(bodies(), st.data())
     @settings(per_example, max_examples=400)
@@ -512,11 +529,12 @@ class TestBulkParse:
                     FAULT_TOKENS[kind]))
         # A joint may leave a valid row: then both read the same values.
         args = data.draw(texts(rows, sep)), sep, n_inputs, width, declared
+        if not args[0].isascii():
+            refused_as_non_ascii(args[0])
+            return
         want = outcome(read_by_row, *args)
         for _ in each_backend:
             assert outcome(read, *args) == want
-            if args[0].isascii():
-                assert outcome(read, args[0].encode(), *args[1:]) == want
 
     @pytest.mark.parametrize("sep", [None, ","])
     @pytest.mark.parametrize("kind, token", [
@@ -530,6 +548,9 @@ class TestBulkParse:
             rows = [["0.1", "0.2", "1", "0"] for _ in range(3)]
             rows[1][column] = token
             args = self.text(rows, sep), sep, 2, 4, 3
+            if not args[0].isascii():
+                refused_as_non_ascii(args[0])
+                continue
             want = raised(read_by_row, *args)
             for _ in each_backend:
                 assert raised(read, *args) == want
@@ -542,6 +563,9 @@ class TestBulkParse:
         rows = [["0.1", "0.2", "1", "0"] for _ in range(3)]
         rows[1][1:3] = [joint.join(rows[1][1:3])]
         args = self.text(rows, sep), sep, 2, 4, 3
+        if not args[0].isascii():
+            refused_as_non_ascii(args[0])
+            return
         want = outcome(read_by_row, *args)
         for _ in each_backend:
             assert outcome(read, *args) == want

@@ -493,6 +493,14 @@ def test_every_c_entry_point_is_bound_to_its_prototype():
         assert entry.restype is ctypes.c_int64, name
 
 
+def test_evaluation_pass_has_one_call_site():
+    # _evaluate alone calls growbp_evaluate, and on the Python backend
+    # its twin evaluate.
+    source = Path(kernel_module.__file__).read_text()
+    assert source.count("_lib.growbp_evaluate(") == 1
+    assert len(re.findall(r"(?<![\w.])(?<!def )evaluate\(", source)) == 1
+
+
 def _address(lib, name):
     """Where ``name`` resolves from ``lib``, or None where it does not."""
     try:
@@ -540,11 +548,12 @@ def test_parse_rows_allocates_only_rows_the_buffer_can_hold():
     # A trillion rows of two values cannot fit in four bytes: refused
     # before any allocation.
     parse_rows = kernel_module.parse_rows
-    assert parse_rows("0 1\n", 0, None, 10**12, 1, 1) is None
+    assert parse_rows(b"0 1\n", 0, None, 10**12, 1, 1) is None
     if kernel_module._lib is not None:
-        assert parse_rows("0 1", 0, None, 1, 1, 1) == (array("d", [0.0]),
-                                                        array("d", [1.0]))
-        assert parse_rows("0 1\xa0", 0, None, 1, 1, 1) is None
+        assert parse_rows(b"0 1", 0, None, 1, 1, 1) == (array("d", [0.0]),
+                                                         array("d", [1.0]))
+        # growbp_parse doubts any byte that is not ASCII.
+        assert parse_rows("0 1\xa0".encode(), 0, None, 1, 1, 1) is None
 
 
 def test_build_flags_keep_the_order_contract():
@@ -824,6 +833,43 @@ def test_error_pass_means_the_same_with_or_without_errors(shape, scale, seed,
     assert nan_bits(E) == nan_bits(kernel_module.pattern_errors(net, part))
     assert nan_bits(means[0]) == nan_bits(means[1]) == nan_bits(
         left_to_right_mean(E))
+
+
+EVALUATION_RESULTS = ("outputs", "errors", "mean", "count")
+
+
+@given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
+@example((40, 8, 12), 30.0, 0, 4001, True)
+@settings(per_example, max_examples=100)
+def test_evaluation_pass_gives_each_result_as_it_does_alone(
+        each_backend, shape, scale, seed, rows, infinite):
+    # The one dispatch of both backends: all four results asked for at
+    # once are each the result asked for alone, and the mean is the
+    # errors' left-to-right mean.
+    rng = np.random.default_rng(seed)
+    hw, ow, X, T = random_arrays(rng, shape, scale, rows)
+    net, part = Network(hw, ow), Partition(X, T)
+    if infinite:
+        make_infinite(rng, net)
+    per_backend = []
+    for _ in each_backend:
+        def evaluate(*names):
+            Y, E, mean, count = kernel_module._evaluate(
+                net, part.X, part.T, part.addresses,
+                **dict.fromkeys(names, True))
+            return [None if Y is None else nan_bits(Y),
+                    None if E is None else nan_bits(E),
+                    None if mean is None else nan_bits(mean), count]
+
+        together = evaluate(*EVALUATION_RESULTS)
+        for i, name in enumerate(EVALUATION_RESULTS):
+            alone = [None] * 4
+            alone[i] = together[i]
+            assert evaluate(name) == alone, name
+        E = np.frombuffer(together[1])
+        assert together[2] == nan_bits(left_to_right_mean(E))
+        per_backend.append(together)
+    assert per_backend[0] == per_backend[1]
 
 
 def test_stored_arrays_refuse_resize(each_backend):
