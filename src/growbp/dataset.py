@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteError,
     RowArityError,
 )
-from .kernel import matrix, parse_rows, view
+from .kernel import Held, matrix, parse_rows, view
 
 HEADER_KEYS = (
     "bool_in",
@@ -57,44 +57,23 @@ MANIFEST_KEYS = HEADER_KEYS[4:] + ("target_columns",)
 
 
 @dataclass(frozen=True)
-class Partition:
-    """The patterns of one partition: input rows ``X``, 0/1 target rows ``T``.
-
-    Each is stored as a row-major ``array('d')`` copy of the matrix that
-    was passed and shown as a 2-D ``memoryview`` of it.  ``addresses``
-    holds the buffers' addresses and, as in ``Network``, the views keep
-    the buffers from being resized.
-    """
+class Partition(Held):
+    """The patterns of one partition: input rows ``X``, 0/1 target rows
+    ``T``, held by ``growbp.kernel.Held`` as 2-D views."""
 
     X: memoryview
     T: memoryview
 
-    def __post_init__(self):
-        (X, x_shape), (T, t_shape) = matrix(self.X), matrix(self.T)
+    def _check(self, X, T):
+        (_, x_shape), (_, t_shape) = X, T
         if x_shape[0] != t_shape[0]:
             raise MalformedValueError(
                 f"a partition needs inputs and targets with equal row "
                 f"counts, got {x_shape} and {t_shape}"
             )
-        object.__setattr__(self, "X", view(X, x_shape))
-        object.__setattr__(self, "T", view(T, t_shape))
-        object.__setattr__(self, "addresses",
-                           (X.buffer_info()[0], T.buffer_info()[0]))
-
-    def __reduce__(self):
-        # Through the constructor, so a copy reads its own addresses; as
-        # bytes and shapes, since rows with no values would lose a width.
-        return _partition, (self.X.tobytes(), self.X.shape,
-                            self.T.tobytes(), self.T.shape)
 
     def __len__(self):
         return self.X.shape[0]
-
-
-def _partition(x, x_shape, t, t_shape):
-    """The Partition whose matrices hold the doubles of ``x`` and ``t``."""
-    return Partition(view(array("d", x), x_shape),
-                     view(array("d", t), t_shape))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ Python kernel on the row-major ``array('d')`` buffers that a ``Network``
 and a ``Partition`` hold; :func:`check_fit` alone decides whether a
 partition fits a network.  ``kernel.c`` checks none of its input: it gets
 checked buffers, and a shuffled epoch's permutation that ``train_epoch``
-draws itself.  Both classes read their buffers' addresses once, when made, and
-show each buffer as a 2-D ``memoryview`` (:func:`view`); while that view
-exists the buffer cannot be resized (``BufferError``), so the addresses
-stay valid.  :func:`matrix` reads any 2-D nested sequence or buffer,
-numpy arrays included, into such a buffer.
+draws itself.  Both classes hold their buffers through :class:`Held`,
+which reads their addresses once, when made, and shows each buffer as a
+2-D ``memoryview`` (:func:`view`); while that view exists the buffer
+cannot be resized (``BufferError``), so the addresses stay valid.
+:func:`matrix` reads any 2-D nested sequence or buffer, numpy arrays
+included, into such a buffer.
 
 Every function here follows one order contract, so training, per-pattern
 evaluation and batch evaluation round identically on any IEEE-754
@@ -131,6 +132,9 @@ _NATIVE_DOUBLES = ("d", "@d", "=d", ("<" if sys.byteorder == "little"
                                      else ">") + "d")
 # growbp_evaluate's out-parameters, each made only where it is asked for.
 _MEAN, _COUNT = ctypes.c_double * 1, ctypes.c_int64 * 1
+# _ZERO * n is n zeros in a buffer of exactly their size, so a sanitizer
+# sees a read past its end; an array that grows keeps spare room there.
+_ZERO = array("d", [0.0])
 
 
 def matrix(M, error=MalformedValueError):
@@ -143,7 +147,7 @@ def matrix(M, error=MalformedValueError):
     except TypeError:  # not a buffer: a sequence of rows
         try:
             rows = [list(row) for row in M]
-            flat = array("d", chain.from_iterable(rows))
+            flat = array("d", [v for row in rows for v in row])
         except (TypeError, ValueError):
             raise error("expected a 2-D matrix of numbers") from None
         shape = (len(rows), len(rows[0]) if rows else 0)
@@ -152,12 +156,13 @@ def matrix(M, error=MalformedValueError):
         return flat, shape
     if src.ndim != 2:
         raise error(f"expected a 2-D matrix, got shape {src.shape}")
-    flat = array("d")
+    flat = _ZERO * (src.shape[0] * src.shape[1])
     if src.nbytes and src.format in _NATIVE_DOUBLES:
-        flat.frombytes(src.cast("B") if src.c_contiguous else src.tobytes())
+        memoryview(flat).cast("B")[:] = (src.cast("B") if src.c_contiguous
+                                         else src.tobytes())
     elif src.nbytes:
         try:
-            flat.extend(chain.from_iterable(src.tolist()))
+            flat[:] = array("d", chain.from_iterable(src.tolist()))
         except (TypeError, NotImplementedError):
             raise error(f"cannot read numbers of format {src.format!r}")
     return flat, src.shape
@@ -166,10 +171,44 @@ def matrix(M, error=MalformedValueError):
 def view(flat, shape):
     """``flat`` as a 2-D ``memoryview`` of ``shape``, which keeps it from
     being resized.  ``memoryview.cast`` refuses a zero in the shape, so a
-    view with no elements is a ctypes array's."""
-    if not flat:
-        return memoryview((ctypes.c_double * shape[1] * shape[0])())
+    view of no rows is a row of zeros cut to none, and a matrix of no
+    columns, which no network or dataset can take, is refused."""
+    if not shape[1]:
+        raise MalformedValueError(
+            f"a matrix needs at least one column, got shape {shape}")
+    if not shape[0]:
+        return view(_ZERO * shape[1], (1, shape[1]))[:0]
     return memoryview(flat).cast("B").cast("d", shape)
+
+
+class Held:
+    """The base of a frozen dataclass whose fields are all matrices for
+    ``kernel.c``, as ``Network``'s and ``Partition``'s are.  Each field is
+    held as a row-major ``array('d')`` copy (:func:`matrix`), which the
+    subclass's ``_check`` may reject, shown as a 2-D :func:`view`, and
+    ``addresses`` holds the views' buffers' addresses."""
+
+    def __post_init__(self):
+        names = self.__dataclass_fields__
+        matrices = [matrix(getattr(self, name)) for name in names]
+        self._check(*matrices)
+        addresses = []
+        for name, m in zip(names, matrices):
+            object.__setattr__(self, name, view(*m))
+            addresses.append(getattr(self, name).obj.buffer_info()[0])
+        object.__setattr__(self, "addresses", tuple(addresses))
+
+    def __reduce__(self):
+        # Through the constructor, so a copy reads its own addresses; as
+        # bytes and shapes, so a matrix of no rows keeps its width.
+        return _held, (type(self), *[
+            (getattr(self, name).tobytes(), getattr(self, name).shape)
+            for name in self.__dataclass_fields__])
+
+
+def _held(cls, *matrices):
+    """The ``cls`` whose fields hold the doubles and shapes ``matrices``."""
+    return cls(*[view(array("d", data), shape) for data, shape in matrices])
 
 
 # kernel.c's exp_table: the bits of the tail of 2**(j/128), then those of
@@ -424,7 +463,7 @@ class Generator:
 
     def permutation(self, n):
         """A random order of ``range(n)``, as an ``array('q')``."""
-        order = array("q", bytes(8 * n))
+        order = array("q", [0]) * n
         if _lib is None:
             permutation(self.state, order)
             return order
@@ -577,14 +616,12 @@ def _evaluate(net, X, T, addresses, outputs=False, errors=False,
     ``addresses``: ``(outputs, errors, mean, count)``, the first two as
     ``array('d')``, each None and not made unless asked for."""
     n = len(X)
-    Y = array("d", bytes(8 * n * net.n_outputs)) if outputs else None
-    E = array("d", bytes(8 * n)) if errors else None
+    Y = _ZERO * (n * net.n_outputs) if outputs else None
+    E = _ZERO * n if errors else None
     if _lib is None:
-        # A view with no rows is a ctypes array's, which cannot list them.
         return (Y, E, *evaluate(
             net.hidden_weights.tolist(), net.output_weights.tolist(),
-            X.tolist() if n else [], None if T is None else T.tolist(), Y, E,
-            mean, count))
+            X.tolist(), None if T is None else T.tolist(), Y, E, mean, count))
     m = _MEAN() if mean else None
     c = _COUNT() if count else None
     if _lib.growbp_evaluate(
@@ -650,8 +687,8 @@ def parse_rows(data, start, sep, rows, n_inputs, n_outputs):
     if _lib is None or (
             2 * rows * (n_inputs + n_outputs) - 1 > len(data) - start):
         return None
-    X = array("d", [0.0]) * (rows * n_inputs)
-    T = array("d", [0.0]) * (rows * n_outputs)
+    X = _ZERO * (rows * n_inputs)
+    T = _ZERO * (rows * n_outputs)
     if _lib.growbp_parse(data, start, len(data),
                          ord(sep or "\0"), rows, n_inputs, n_outputs,
                          X.buffer_info()[0], T.buffer_info()[0]):

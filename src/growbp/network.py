@@ -15,29 +15,22 @@ from dataclasses import dataclass
 from .dataset import (_count, _matrix_by_row, naming, numbered_lines,
                       read_text, write_text)
 from .errors import InvalidRangeError, MalformedValueError
-from .kernel import forward_outputs, matrix, view
+from .kernel import Held, forward_outputs, view
 
 NETWORK_KEYS = ("n_inputs", "h", "n_outputs")
 
 
 @dataclass(frozen=True, eq=False)
-class Network:
-    """Weights of a 1-hidden-layer feedforward net, biases included.
-
-    Each matrix is stored as a row-major ``array('d')`` copy of what was
-    given and shown as a writeable 2-D ``memoryview`` of it
-    (``growbp.kernel.view``): training updates it in place.
-    ``addresses`` holds the buffers' addresses, read once here for the
-    compiled kernel; while the views exist the buffers cannot be resized
-    (``BufferError``), which would move them away from those addresses.
+class Network(Held):
+    """Weights of a 1-hidden-layer feedforward net, biases included, held
+    by ``growbp.kernel.Held`` as 2-D views that training updates in place.
     """
 
     hidden_weights: memoryview
     output_weights: memoryview
 
-    def __post_init__(self):
-        hw, hw_shape = matrix(self.hidden_weights)
-        ow, ow_shape = matrix(self.output_weights)
+    def _check(self, hidden, output):
+        (hw, hw_shape), (ow, ow_shape) = hidden, output
         if hw_shape[0] < 1:
             raise MalformedValueError("need at least one hidden unit")
         if ow_shape[0] < 1:
@@ -48,16 +41,6 @@ class Network:
             )
         if not all(map(math.isfinite, hw + ow)):
             raise MalformedValueError("weights must be finite")
-        object.__setattr__(self, "hidden_weights", view(hw, hw_shape))
-        object.__setattr__(self, "output_weights", view(ow, ow_shape))
-        object.__setattr__(self, "addresses",
-                           (hw.buffer_info()[0], ow.buffer_info()[0]))
-
-    def __reduce__(self):
-        # Through the constructor, so a deep copy or an unpickled network
-        # reads the addresses of its own buffers.
-        return Network, (self.hidden_weights.tolist(),
-                         self.output_weights.tolist())
 
     @property
     def n_inputs(self):

@@ -287,10 +287,16 @@ class TestPartition:
         (np.zeros(3), np.zeros((3, 1))),
         (np.zeros((3, 2)), np.zeros(3)),
         (np.zeros((3, 2)), np.zeros((2, 1))),
+        # No network or header takes a matrix of no columns.
+        (np.zeros((3, 0)), np.zeros((3, 1))),
+        (np.zeros((3, 2)), np.zeros((3, 0))),
+        (np.zeros((0, 0)), np.zeros((0, 1))),
     ])
     def test_rejects_bad_shapes(self, X, T):
-        with pytest.raises(MalformedValueError):
+        with pytest.raises(MalformedValueError) as exc:
             Partition(X, T)
+        # The message names the shape at fault.
+        assert any(str(M.shape) in str(exc.value) for M in (X, T))
 
 
 def assert_same_dataset(got, want):

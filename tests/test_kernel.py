@@ -316,6 +316,7 @@ def make_infinite(rng, net):
 @given(block_shapes, big_scales, seeds, st.just(0) | block_rows,
        st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
+@example((3, 2, 2), 30.0, 0, 0, False)
 @settings(per_example, max_examples=150)
 def test_batch_forward_matches_python_forward(each_backend, shape, scale,
                                               seed, rows, infinite):
@@ -327,7 +328,10 @@ def test_batch_forward_matches_python_forward(each_backend, shape, scale,
     for _ in each_backend:
         Y = forward_outputs(net, X)
         assert Y.shape == (rows, shape[2])
+        # Every view lists, one of no rows as [].
+        assert len(Y.tolist()) == rows
         Y = np.asarray(Y)
+        assert Y.shape == (rows, shape[2])
         for i in range(rows):
             assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
                 net.hidden_weights.tolist(), net.output_weights.tolist(),
@@ -499,6 +503,16 @@ def test_evaluation_pass_has_one_call_site():
     source = Path(kernel_module.__file__).read_text()
     assert source.count("_lib.growbp_evaluate(") == 1
     assert len(re.findall(r"(?<![\w.])(?<!def )evaluate\(", source)) == 1
+
+
+def test_kernel_alone_holds_the_matrices():
+    # growbp.kernel.Held alone reads a class's addresses and copies it
+    # through its constructor; no other module holds buffers its own way.
+    package = Path(kernel_module.__file__).parent
+    holders = {path.name for path in package.glob("*.py") if re.search(
+        r"def __reduce(_ex)?__|[\"']addresses[\"']|\.addresses\s*=(?!=)",
+        path.read_text())}
+    assert holders == {"kernel.py"}
 
 
 def _address(lib, name):
@@ -906,17 +920,26 @@ def test_stored_arrays_refuse_resize(each_backend):
 def test_duplicates_address_their_own_arrays(duplicate):
     rng = np.random.default_rng(8)
     net = random_net(rng, (3, 2, 2), 1.0)
-    part = Partition(rng.uniform(0, 1, (5, 3)), np.eye(2)[[0, 1, 1, 0, 1]])
-    for obj, arrays in ((duplicate(net), "hidden_weights output_weights"),
-                        (duplicate(part), "X T")):
-        assert obj.addresses == tuple(getattr(obj, name).obj.buffer_info()[0]
-                                      for name in arrays.split())
+    X = rng.uniform(0, 1, (5, 3))
+    X[0, 0], X[1, 1] = -0.0, 5e-324
+    part = Partition(X, np.eye(2)[[0, 1, 1, 0, 1]])
+    empty = Partition(np.empty((0, 3)), np.empty((0, 2)))
+    for obj, arrays in ((net, "hidden_weights output_weights"),
+                        (part, "X T"), (empty, "X T")):
+        twin = duplicate(obj)
+        names = arrays.split()
+        assert twin.addresses == tuple(
+            getattr(twin, name).obj.buffer_info()[0] for name in names)
+        # Every bit kept, -0.0 and the subnormal too.
+        assert [getattr(twin, name).tobytes() for name in names] == [
+            getattr(obj, name).tobytes() for name in names]
     before = bits(net.hidden_weights) + bits(net.output_weights)
     train_epoch(copy.deepcopy(net), part, 0.7)
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
-    # A partition with no rows keeps its widths.
-    empty = duplicate(Partition(np.empty((0, 3)), np.empty((0, 2))))
+    # A partition with no rows keeps its widths and lists as [].
+    empty = duplicate(empty)
     assert (empty.X.shape, empty.T.shape) == ((0, 3), (0, 2))
+    assert empty.X.tolist() == empty.T.tolist() == []
 
 
 def numpy_state(rng):
