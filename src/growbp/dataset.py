@@ -63,6 +63,9 @@ class Partition(Held):
 
     X: memoryview
     T: memoryview
+    # Equal by value, but unhashable, as its writable views are; else the
+    # dataclass would hash them and raise a memoryview's ValueError.
+    __hash__ = None
 
     def _check(self, X, T):
         (_, x_shape), (_, t_shape) = X, T
@@ -271,7 +274,11 @@ def parse_dataset(text):
         rows.append((line_no, line))
         start = end
     header = parse_header(rows)
-    return _split(header, *_matrix(header, text, start, len(rows), None))
+    X, T = _matrix(header, text, start, len(rows), None)
+    # From Python 3.11 no caller's frame holds the bytes, so this frees
+    # them before _split copies the rows.
+    del text
+    return _split(header, X, T)
 
 
 @contextmanager
@@ -428,6 +435,7 @@ def _raw_csv_dataset(data, counts):
         n_test=counts["test_examples"],
     )
     X, T = _matrix(header, data, start, 1, ",")
+    del data  # as in parse_dataset
     features = normalize_raw(
         view(X, (header.total, n_inputs)),
         view(X[:header.n_train * n_inputs], (header.n_train, n_inputs)))

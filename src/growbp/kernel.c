@@ -19,7 +19,8 @@
  * and adds in layer's order, so no sum is reblocked and every row gets
  * the bits layer gives it.  The BLOCK sums are independent, which is what
  * lets them run side by side, and so are the BLOCK exps of a unit, which
- * logistic_block runs in one lane loop.  A last block of fewer rows is
+ * logistic_block runs as four pairs, two doubles per instruction, with
+ * the bits the scalar exp gives each lane.  A last block of fewer rows is
  * copied into a zero-padded tile, so there is one code path and nothing
  * past X is read; the padded rows' outputs are never used.
  *
@@ -195,8 +196,8 @@ static double exp_special(double tmp, uint64_t sbits, uint64_t ki)
 /* exp(x) for |x| < 512 where big is 0, and for 512 <= |x| < 1024 where
  * it is 1.  Adding 1.5 * 2^52 rounds x * 128/ln2 to the integer k,
  * held in the low bits of ki; ln2/128 is split into a part whose product
- * with k is exact and the rest.  Inline, or GCC calls it from the lane
- * loop of logistic_block, one lane at a time. */
+ * with k is exact and the rest.  exp_pair below is its main range on
+ * two lanes at once. */
 static inline double exp_body(double x, int big)
 {
     double kd = 0x1.71547652b82fep7 * x + 0x1.8p52;
@@ -293,15 +294,40 @@ int64_t growbp_epoch(double *hw, double *ow, const double *X,
     return 0;
 }
 
+/* Two doubles, and their bits, that each operator takes lane by lane, as
+ * one SSE2 (x86-64) or NEON (aarch64) instruction. */
+typedef double pair __attribute__((vector_size(16)));
+typedef uint64_t pair_bits __attribute__((vector_size(16)));
+
+/* exp_body(x, 0) on both lanes of x: the same operations in the same
+ * order on each lane, so each gets the bits exp_body gives it.  Only the
+ * table reads are made lane by lane. */
+static inline pair exp_pair(pair x)
+{
+    pair kd = 0x1.71547652b82fep7 * x + 0x1.8p52;
+    pair_bits ki = (pair_bits)kd;
+    kd = kd - 0x1.8p52;
+    pair r = x + kd * -0x1.62e42fefa0000p-8 + kd * -0x1.cf79abc9e3b3ap-47;
+    pair r2 = r * r;
+    const uint64_t *t0 = exp_table + 2 * (ki[0] % 128);
+    const uint64_t *t1 = exp_table + 2 * (ki[1] % 128);
+    pair tail = (pair)(pair_bits){t0[0], t1[0]};
+    pair tmp = tail + r
+               + r2 * (0x1.ffffffffffdbdp-2 + r * 0x1.555555555543cp-3)
+               + r2 * r2 * (0x1.55555cf172b91p-5 + r * 0x1.1111167a4d017p-7);
+    pair scale = (pair)((pair_bits){t0[1], t1[1]} + (ki << 45));
+    return scale + scale * tmp;
+}
+
 /* Rows per block.  The unroll pragmas spell it out, because GCC does not
  * expand a macro in them. */
 #define BLOCK 8
 
 /* 1 / (1 + exp(v)), which is logistic(-v), in place for the BLOCK values
  * v[0], v[stride], ...: where all of them lie in exp's main range, one
- * branch-free loop runs exp_body on every lane, so their exps run side by
- * side; otherwise each lane takes growbp_exp.  Both give the bits
- * logistic gives. */
+ * branch-free loop runs exp_pair on the lanes two at a time, so their
+ * exps run side by side; otherwise each lane takes growbp_exp.  Both give
+ * the bits logistic gives. */
 static void logistic_block(double *v, int64_t stride)
 {
     double x[BLOCK];
@@ -312,9 +338,12 @@ static void logistic_block(double *v, int64_t stride)
         in_range &= main_range(x[b]);
     }
     if (in_range) {
-#pragma GCC unroll 8
-        for (int b = 0; b < BLOCK; b++)
-            v[b * stride] = 1.0 / (1.0 + exp_body(x[b], 0));
+#pragma GCC unroll 4
+        for (int b = 0; b < BLOCK; b += 2) {
+            pair y = 1.0 / (1.0 + exp_pair((pair){x[b], x[b + 1]}));
+            v[b * stride] = y[0];
+            v[(b + 1) * stride] = y[1];
+        }
     } else {
         for (int b = 0; b < BLOCK; b++)
             v[b * stride] = 1.0 / (1.0 + growbp_exp(x[b]));

@@ -88,9 +88,12 @@ sum is reblocked and each row gets the bits the per-row loop here gives
 it.  A last block of fewer than 8 rows is padded with zero rows whose
 outputs are dropped.  ``logistic_block`` then takes a unit's 8 logistics
 in one lane loop: where all 8 exponents lie in ``exp``'s main range,
-``|x| < 512``, it runs the main-range part of the ``exp`` on every lane
-without a branch, and otherwise the whole ``exp`` lane by lane; both
-give :func:`logistic`'s bits.
+``|x| < 512``, it runs the main-range part of the ``exp`` without a
+branch as four pairs of lanes, two doubles per instruction (``exp_pair``,
+in GCC's vector extensions: each lane takes the same operations in the
+same order, nothing fused, and only the table reads go lane by lane),
+and otherwise the whole ``exp`` lane by lane; both give
+:func:`logistic`'s bits.
 
 Nor has ``growbp_parse``, behind :func:`parse_rows`: its reference is
 ``growbp.dataset``'s per-row reader, which runs wherever the compiled

@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -216,6 +217,40 @@ class TestParseDataset:
             load(p)
         assert parse.call_args.args[0] == p.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["proben1", "raw-csv"])
+    def test_load_frees_the_files_bytes_before_the_partitions(self, tmp_path,
+                                                              kind):
+        # At its peak a load holds the file's bytes and the parsed X and T,
+        # or X and T and the partitions' copies of them, never all three.
+        if kernel.BACKEND != "c":
+            pytest.skip("the Python reader holds the file's lines as well")
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.0, 1.0, (3000, 9))
+        T = rng.integers(0, 2, (3000, 1)).astype(np.float64)
+        rows = [" ".join(map(repr, r)) for r in np.hstack([X, T]).tolist()]
+        if kind == "proben1":
+            p = tmp_path / "wide.dt"
+            p.write_text(tiny_dt(40, 1480, 1480, rows).replace(
+                "real_in=2", "real_in=9").replace("bool_out=2", "bool_out=1"))
+            load = load_dataset
+        else:
+            p = tmp_path / "wide.csv"
+            p.write_text("\n".join([",".join("abcdefghit")]
+                                   + [r.replace(" ", ",") for r in rows]))
+            (tmp_path / "wide.csv.manifest.json").write_text(json.dumps(
+                {"training_examples": 40, "validation_examples": 1480,
+                 "test_examples": 1480, "target_columns": 1}))
+            load = load_raw_csv
+        load(p)  # imports and caches whatever the first load needs
+        tracemalloc.start()
+        try:
+            ds = load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.header.total == 3000
+        assert peak < p.stat().st_size + 1.5 * (X.nbytes + T.nbytes)
+
     def test_error_names_the_file_once(self, tmp_path):
         p = tmp_path / "tiny.dt"
         p.write_text(tiny_dt(rows=["0.1 0.2 1 0"] * 6 + ["0.1 0.2 1"]))
@@ -297,6 +332,17 @@ class TestPartition:
             Partition(X, T)
         # The message names the shape at fault.
         assert any(str(M.shape) in str(exc.value) for M in (X, T))
+
+    def test_equal_by_value_and_unhashable(self):
+        ds = parse_dataset(tiny_dt())
+        same = parse_dataset(tiny_dt())
+        assert ds.train == same.train and ds == same
+        assert ds.train != ds.valid and ds != parse_dataset(
+            tiny_dt(rows=[f"0.{i} 0.5 1 0" for i in range(7)]))
+        for obj in (ds.train, ds):
+            with pytest.raises(TypeError,
+                               match="unhashable type: 'Partition'"):
+                hash(obj)
 
 
 def assert_same_dataset(got, want):

@@ -362,6 +362,44 @@ def test_block_with_a_lane_out_of_exp_range(s, rows, each_backend):
             assert nan_bits(forward_outputs(net, X)) == nan_bits(want)
 
 
+def exp_table_row(y):
+    """The row j of ``kernel.c``'s ``exp_table`` that ``exp(y)`` reads."""
+    kd = (kernel_module._INV_LN2_N * y + kernel_module._SHIFT
+          - kernel_module._SHIFT)
+    return int(kd) & 127
+
+
+# kernel.c's evaluation pass runs a block's exps as pairs of lanes, rows
+# 2i and 2i + 1, each lane reading its own exp_table row.  The hidden
+# unit's net input is the row's value x and its exp takes -x.  Table row j
+# is read at rows j and 129 + j, once in each lane and next to a j of its
+# own; an edge value sits between the two runs, and four more end the
+# rows in a block of 5: +-2**-54, where exp is 1 + x, -0.0, and +-511.99
+# near the main range's end.
+@given(seeds)
+@settings(per_example, max_examples=25)
+def test_every_exp_table_row_in_both_lanes_of_a_pair(each_backend, seed):
+    rng = np.random.default_rng(seed)
+    j = np.arange(128)
+
+    def one_value_per_row():
+        # |128 k + j| ln2/128 < 511.99 for k in -738..737, of both signs.
+        k = 128 * rng.integers(-738, 738, 128) + j
+        y = (k + rng.uniform(-0.45, 0.45, 128)) * (math.log(2.0) / 128)
+        assert [exp_table_row(v) for v in y] == j.tolist()
+        return (-y).tolist()
+
+    edges = rng.permutation([-0.0, 2.0**-54, -2.0**-54, 511.99, -511.99])
+    rows = (one_value_per_row() + edges[:1].tolist() + one_value_per_row()
+            + edges[1:].tolist())
+    assert len(rows) % 8 == 5
+    hw, ow = [[1.0, 0.0]], [[1.0, 0.0]]
+    net = Network(hw, ow)
+    want = [kernel_module.forward(hw, ow, [x])[1] for x in rows]
+    for _ in each_backend:
+        assert bits(forward_outputs(net, [[x] for x in rows])) == bits(want)
+
+
 def ref_pattern_error(net, x, d):
     _, y = ref_forward(net.hidden_weights.tolist(),
                        net.output_weights.tolist(), x)
@@ -578,6 +616,29 @@ def test_build_flags_keep_the_order_contract():
     for unsafe in ("-ffast-math", "-fassociative-math",
                    "-funsafe-math-optimizations", "-march=native"):
         assert unsafe not in flags
+
+
+# x86-64's FMA mnemonics (vfmadd213sd, vfnmsub231pd, ...) and aarch64's
+# (fmadd, fnmsub, and NEON's fmla and fmls).
+FUSED = re.compile(r"v?fn?m(add|sub)|fml[as]")
+
+
+def test_compiled_library_has_no_fused_multiply_add():
+    # -ffp-contract=off keeps every product rounded on its own; vector
+    # code or an -m flag must not bring a fused instruction back.
+    if kernel_module._lib is None:
+        pytest.skip("the Python kernel is in use")
+    if shutil.which("objdump") is None:
+        pytest.skip("needs objdump")
+    proc = subprocess.run(["objdump", "-d", kernel_module._lib._name],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    # A disassembled line is address, bytes, then the instruction.
+    mnemonics = [line.split("\t")[2].split()[0]
+                 for line in proc.stdout.splitlines()
+                 if line.count("\t") >= 2 and line.split("\t")[2].strip()]
+    assert "<growbp_evaluate>:" in proc.stdout and len(mnemonics) > 100
+    assert [m for m in mnemonics if FUSED.match(m)] == []
 
 
 def test_compiled_whenever_gcc_is_found():
