@@ -36,7 +36,7 @@ from growbp.dataset import (  # noqa: E402
     normalize_raw,
     save_dataset,
 )
-from growbp.kernel import Generator, matrix  # noqa: E402
+from growbp.kernel import Generator, matrix, view  # noqa: E402
 
 # One fixed shuffle per dataset so the emitted files are reproducible.
 SHUFFLE_SEEDS = {"cancer1": 1, "heart1": 1, "diabetes1": 1}
@@ -118,7 +118,9 @@ def read_diabetes():
 def emit(name, X, T, split):
     n_train, n_valid, n_test = split
     assert len(X) == sum(split)
-    X = normalize_raw(X, X).tolist()  # statistics over the whole file
+    width, flat = len(X[0]), matrix(X)[0]
+    normalize_raw(flat, width, len(X))  # statistics over the whole file
+    X = view(flat, (len(X), width)).tolist()
     # growbp's Generator draws numpy's default_rng permutation bit for bit.
     order = Generator(SHUFFLE_SEEDS[name]).permutation(len(X))
     X, T = [X[i] for i in order], [T[i] for i in order]

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import trainer
 from .dataset import (json_object, load_dataset, load_raw_csv, naming,
                       numbered_lines, read_text, write_text)
 from .errors import ConfigError, GrowbpError
@@ -317,6 +318,7 @@ def run_experiment(cfg, log=print):
         return seed, history, history.phases[history.selected_index()]
 
     chosen = []
+    trainer.interrupted = False
     try:
         with contextlib.ExitStack() as stack:
             # A serial sweep runs its seeds in turn with the builtin map:
@@ -328,8 +330,13 @@ def run_experiment(cfg, log=print):
                     ThreadPoolExecutor(cfg.jobs())).map
             # One entry at a time, so the seeds before a failing one are
             # still written.
-            for entry in ordered_map(run_seed, cfg.sweep_seeds):
-                chosen.append(entry)
+            try:
+                for entry in ordered_map(run_seed, cfg.sweep_seeds):
+                    chosen.append(entry)
+            except KeyboardInterrupt:
+                # The seeds running on threads stop at their next epoch.
+                trainer.interrupted = True
+                raise
     finally:
         best = _flush_results(cfg, outdir, chosen) if chosen else None
 

@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteError,
     RowArityError,
 )
-from .kernel import Held, matrix, parse_rows, view
+from .kernel import Held, parse_rows, view
 
 HEADER_KEYS = (
     "bool_in",
@@ -371,30 +371,19 @@ def save_dataset(ds, path):
     write_text(path, format_dataset(ds))
 
 
-def normalize_raw(features, stats_source):
-    """Min-max scale feature columns using training-partition statistics.
-
-    Each column is mapped by (x - min) / (max - min) with min and max
-    computed over ``stats_source`` (the training rows) only, so validation
-    and test values may fall outside [0, 1]; they are not clamped.
-    Constant columns map to 0.  Both arguments are 2-D matrices with the
-    same number of columns, and so is the result, a 2-D view.
-    """
-    stats, (_, width) = matrix(stats_source)
-    if not stats:
+def normalize_raw(X, width, n_train):
+    """Min-max scale, in place, the ``width`` columns of the row-major
+    ``array('d')`` ``X`` with the min and max of its first ``n_train``
+    rows, the training partition: (x - min) / (max - min), not clamped,
+    so later rows may fall outside [0, 1]; a constant column maps to 0."""
+    if n_train < 1:
         raise EmptyTrainingError("training partition is empty")
-    flat, shape = matrix(features)
-    if shape[1] != width:
-        raise MalformedValueError(
-            f"features have {shape[1]} columns, statistics {width}")
-    lo = [min(stats[j::width]) for j in range(width)]
-    span = [max(stats[j::width]) - lo[j] for j in range(width)]
-    scaled = array("d", flat)
+    stats = memoryview(X)[:n_train * width]
     for j in range(width):
-        scaled[j::width] = array("d", [
-            (x - lo[j]) / span[j] if span[j] != 0.0 else 0.0
-            for x in flat[j::width]])
-    return view(scaled, shape)
+        lo = min(stats[j::width])
+        span = max(stats[j::width]) - lo
+        X[j::width] = array("d", [(x - lo) / span if span != 0.0 else 0.0
+                                  for x in X[j::width]])
 
 
 def load_raw_csv(path):
@@ -436,7 +425,5 @@ def _raw_csv_dataset(data, counts):
     )
     X, T = _matrix(header, data, start, 1, ",")
     del data  # as in parse_dataset
-    features = normalize_raw(
-        view(X, (header.total, n_inputs)),
-        view(X[:header.n_train * n_inputs], (header.n_train, n_inputs)))
-    return _split(header, features.obj, T)
+    normalize_raw(X, n_inputs, header.n_train)
+    return _split(header, X, T)

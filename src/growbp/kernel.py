@@ -211,7 +211,7 @@ class Held:
 
 def _held(cls, *matrices):
     """The ``cls`` whose fields hold the doubles and shapes ``matrices``."""
-    return cls(*[view(array("d", data), shape) for data, shape in matrices])
+    return cls(*[view(data, shape) for data, shape in matrices])
 
 
 # kernel.c's exp_table: the bits of the tail of 2**(j/128), then those of

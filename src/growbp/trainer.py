@@ -28,6 +28,10 @@ from .network import Network, add_hidden_unit, check_init_range, init_network
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
 
+# Set when a sweep is interrupted, until the next sweep starts: a phase, on
+# any thread, then raises KeyboardInterrupt before its next epoch.
+interrupted = False
+
 
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str,
              bool: bool}
@@ -243,6 +247,8 @@ def train_phase(net, data, cfg, rng=None, epochs_before=0):
     bad = 0
     epochs_used = 0
     for _ in range(cfg.epochs_per_phase):
+        if interrupted:
+            raise KeyboardInterrupt
         train_epoch(work, data.train, cfg.eta, rng if cfg.shuffle else None)
         epochs_used += 1
         err = average_error(work, data.valid)

@@ -538,27 +538,9 @@ class TestMain:
         # finished before the interrupted one are written, and the run
         # ends with status 130 and one line, not a traceback.
         out = tmp_path / "out"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(growbp.__file__).parents[1]),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "growbp.cli", "train", "diabetes1",
-             "--seeds", "0:400", "--jobs", jobs, "--output", str(out)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
-        try:
-            deadline = time.monotonic() + 60
-            while not (out / "config.json").exists():
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            time.sleep(0.3)
-            proc.send_signal(signal.SIGINT)
-            _, err = proc.communicate(timeout=5)
-        finally:
-            proc.kill()
-            proc.wait()
-        assert (proc.returncode, err.decode().splitlines()) == (
-            130, ["error: interrupted"])
+        status, err, _ = interrupted_train(
+            out, "diabetes1", "--seeds", "0:400", "--jobs", jobs, timeout=5)
+        assert (status, err) == (130, ["error: interrupted"])
         written = sorted(int(p.stem.split("_")[1])
                          for p in out.glob("seed_*.csv"))
         summary = []
@@ -567,6 +549,18 @@ class TestMain:
                 summary = [int(row["seed"]) for row in csv.DictReader(fh)]
         assert summary == written == list(range(len(written)))
         assert len(written) < 400
+
+    def test_interrupt_stops_the_seeds_running_on_threads(self, tmp_path):
+        # Seeds of many seconds each: the two running on threads stop at
+        # their next epoch, so the run ends at once and writes no seed.
+        out = tmp_path / "out"
+        status, err, seconds = interrupted_train(
+            out, "diabetes1", "--seeds", "0:8", "--jobs", "2",
+            "--report-only", "--h-max", "6", "--epochs-per-phase", "20000",
+            "--patience", "20000", timeout=2)
+        assert (status, err) == (130, ["error: interrupted"])
+        assert seconds < 2
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
     def test_inspect_flags_header_mismatch(self, blob_dataset, tmp_path,
                                            capsys):
@@ -689,6 +683,34 @@ class TestBadInputExitsTwo:
         if case in HEADER_FAULT_LINES:
             assert err.startswith(
                 f"error: {path}: {HEADER_FAULT_LINES[case]}: ")
+
+
+def interrupted_train(out, *args, timeout):
+    """Run ``growbp train ARGS --output OUT`` and send it SIGINT, as Ctrl-C
+    does, once its sweep has begun.  Its exit status, its stderr lines and
+    the seconds from the signal to its exit; the exit must come within
+    ``timeout`` seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(growbp.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "growbp.cli", "train", *args,
+         "--output", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "config.json").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=timeout)
+        seconds = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    return proc.returncode, err.decode().splitlines(), seconds
 
 
 class TestMakeBenchmarks:

@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 import sys
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -716,30 +718,43 @@ class TestBulkParse:
                                   "non-numeric value")
 
 
+def scaled(rows, n_train):
+    """``normalize_raw`` of ``rows`` as lists, scaled on the first
+    ``n_train``."""
+    X = array("d", [v for row in rows for v in row])
+    normalize_raw(X, len(rows[0]), n_train)
+    return [X[i:i + len(rows[0])].tolist()
+            for i in range(0, len(X), len(rows[0]))]
+
+
+def scaled_by_column(rows, n_train):
+    """The min-max scaling of ``rows``, column by column, each with the
+    minimum and maximum of its first ``n_train`` values."""
+    columns = []
+    for col in zip(*rows):
+        lo = min(col[:n_train])
+        span = max(col[:n_train]) - lo
+        columns.append([(x - lo) / span if span != 0.0 else 0.0
+                        for x in col])
+    return [list(row) for row in zip(*columns)]
+
+
 class TestNormalizeRaw:
     def test_linear_map_endpoints(self):
-        col = np.array([[0.0], [5.0], [10.0]])
-        out = normalize_raw(col, col)
-        assert np.allclose(np.asarray(out)[:, 0], [0.0, 0.5, 1.0])
+        assert scaled([[0.0], [5.0], [10.0]], 3) == [[0.0], [0.5], [1.0]]
 
     def test_constant_column_maps_to_zero(self):
-        col = np.array([[3.0], [3.0], [3.0]])
-        out = normalize_raw(col, col)
-        assert np.array_equal(np.asarray(out)[:, 0], [0.0, 0.0, 0.0])
+        assert scaled([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]], 3) == [
+            [0.0, 0.0], [0.0, 0.5], [0.0, 1.0]]
 
     def test_out_of_range_not_clamped(self):
-        train = np.array([[0.0], [10.0]])
-        out = normalize_raw(np.array([[12.0]]), train)
-        assert np.isclose(out[0, 0], 1.2)
+        # Only the training rows, the first two, give the statistics.
+        assert scaled([[0.0], [10.0], [12.0], [-5.0]], 2) == [
+            [0.0], [1.0], [1.2], [-0.5]]
 
     def test_empty_training(self):
         with pytest.raises(EmptyTrainingError):
-            normalize_raw(np.array([[1.0]]), np.empty((0, 1)))
-
-    def test_width_mismatch(self):
-        with pytest.raises(MalformedValueError) as exc:
-            normalize_raw([[1.0, 2.0]], [[1.0]])
-        assert str(exc.value) == "features have 2 columns, statistics 1"
+            normalize_raw(array("d", [1.0]), 1, 0)
 
 
 class TestRawCsv:
@@ -786,6 +801,76 @@ class TestRawCsv:
         assert by_row.called == (kernel.BACKEND == "python")
         for _ in each_backend:
             assert_same_dataset(load_raw_csv(csv_path), want)
+
+    @given(st.data())
+    @settings(per_example, max_examples=100)
+    def test_scales_each_column_on_the_training_rows(self, tmp_path,
+                                                      each_backend, data):
+        # Bitwise the per-column reference, with constant columns and later
+        # rows outside the training rows' range among the draws.
+        width, n_targets = data.draw(st.integers(1, 6)), data.draw(
+            st.integers(1, 2))
+        sizes = [data.draw(st.integers(1, 5)) for _ in range(3)]
+        constant = [data.draw(st.booleans()) for _ in range(width)]
+        first = [data.draw(st.floats(-100, 100)) for _ in range(width)]
+        features, targets = [], []
+        for i in range(sum(sizes)):
+            later = i >= sizes[0]
+            features.append([
+                data.draw(st.floats(-1e4, 1e4)) if later
+                else first[j] if constant[j]
+                else data.draw(st.floats(-100, 100)) for j in range(width)])
+            targets.append([float(data.draw(st.integers(0, 1)))
+                            for _ in range(n_targets)])
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("\n".join(
+            [",".join(f"c{j}" for j in range(width + n_targets))]
+            + [",".join(map(repr, x + t))
+               for x, t in zip(features, targets)]) + "\n")
+        (tmp_path / "raw.csv.manifest.json").write_text(json.dumps(
+            dict(zip(dataset.MANIFEST_KEYS, (*sizes, n_targets)))))
+        want = [array("d", [v for row in rows for v in row]).tobytes()
+                for rows in (scaled_by_column(features, sizes[0]), targets)]
+        for _ in each_backend:
+            ds = load_raw_csv(csv_path)
+            parts = (ds.train, ds.valid, ds.test)
+            assert [b"".join(p.X.tobytes() for p in parts),
+                    b"".join(p.T.tobytes() for p in parts)] == want
+
+    def test_scales_the_parsed_rows_in_place(self, tmp_path, each_backend,
+                                             monkeypatch):
+        # From the end of the parse on, a load holds the parsed rows, and
+        # then the partitions' copies of them too: twice the rows.  The
+        # file's bytes, about half the rows here, go before the scaling,
+        # which adds a column's worth at a time.
+        rng = random.Random(3)
+        n, width = 3000, 20
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("\n".join(
+            [",".join(f"c{j}" for j in range(width + 1))]
+            + [",".join([str(rng.randrange(-500, 500)) for _ in range(width)]
+                        + [str(rng.randrange(2))]) for _ in range(n)]))
+        (tmp_path / "wide.csv.manifest.json").write_text(json.dumps(
+            dict(zip(dataset.MANIFEST_KEYS, (1000, 1000, 1000, 1)))))
+        rows = 8 * n * (width + 1)
+        parse = dataset._matrix
+
+        def parsed(*args):
+            X, T = parse(*args)
+            tracemalloc.reset_peak()
+            return X, T
+
+        monkeypatch.setattr(dataset, "_matrix", parsed)
+        for _ in each_backend:
+            load_raw_csv(csv_path)  # imports whatever the first load needs
+            tracemalloc.start()
+            try:
+                ds = load_raw_csv(csv_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.header.total == n
+            assert peak < 2.25 * rows
 
     def test_single_target_column(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path, n_targets=1))

@@ -483,6 +483,29 @@ class TestPhaseAgainstReference:
                                match="weights must be finite"):
                 train_phase(net, data, cfg)
 
+    def test_interrupted_flag_stops_the_phase_before_its_next_epoch(
+            self, blob_dataset, each_backend, monkeypatch):
+        # An interrupted sweep sets the flag while a seed is mid-phase on
+        # another thread: the phase raises before training again.
+        epochs = []
+
+        def interrupting_epoch(*args):
+            epochs.append(train_epoch(*args))
+            if len(epochs) == 3:
+                trainer.interrupted = True
+
+        monkeypatch.setattr(trainer, "train_epoch", interrupting_epoch)
+        monkeypatch.setattr(trainer, "interrupted", False)  # put back after
+        net = init_network(2, 2, 1.0, np.random.default_rng(0))
+        cfg = TrainConfig(epochs_per_phase=50, patience=50)
+        for _ in each_backend:
+            epochs.clear()
+            with pytest.raises(KeyboardInterrupt):
+                train_phase(net, blob_dataset, cfg)
+            assert len(epochs) == 3
+            trainer.interrupted = False
+            assert train_phase(net, blob_dataset, cfg)[1] == 50
+
 
 class TestConstructiveTrain:
     def test_vacuous_targets_accept_first_phase(self, blob_dataset):
