@@ -31,6 +31,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .errors import (
     CountMismatchError,
@@ -179,19 +180,20 @@ def _matrix(header, data, start, skip, sep):
     numbers, the ones after its inputs the targets, exactly 0 or 1.  The
     compiled pass reads them; where it doubts them they are the non-blank
     lines of ``data`` after the first ``skip``, which must be as many as
-    the header declares, and :func:`_matrix_by_row` reads them again and
-    raises the error of the first bad row.
+    the header declares, and :func:`_matrix_by_row` reads them again,
+    one line at a time, and raises the error of the first bad row.
     """
     matrices = parse_rows(data, start, sep, header.total, header.n_inputs,
                           header.n_outputs)
     if matrices is not None:
         return matrices
-    body = [(line_no, line) for line_no, line, _ in leading_lines(data)]
-    del body[:skip]
-    if len(body) != header.total:
+    found = sum(1 for _ in leading_lines(data)) - skip
+    if found != header.total:
         raise CountMismatchError(
-            f"expected {header.total} data rows, found {len(body)}"
+            f"expected {header.total} data rows, found {found}"
         )
+    body = ((line_no, line) for line_no, line, _ in
+            islice(leading_lines(data), skip, None))
     return _matrix_by_row(body, sep, header.n_inputs,
                           header.n_inputs + header.n_outputs)
 

@@ -33,10 +33,16 @@
  * growbp_parse reads the data rows of a .dt body, or of a CSV after its
  * header row, straight into X and T.  It takes only finite ASCII
  * decimals, those Python's float() reads: an optional sign, digits with
- * single underscores between them, a '.' and an optional exponent.  On
- * anything else, and on any doubt, it returns 1, and growbp.dataset
- * reads the rows again with its Python reader, which is the spec: it
- * gives the same values, or raises the error of the first bad row.
+ * single underscores between them, a '.' and an optional exponent.  A
+ * number without underscores, of at most 19 digits from its first that
+ * is not 0, with a decimal exponent from -30 to 22 (or the value 0) and
+ * at most 64 characters, read_decimal converts itself, correctly rounded
+ * by the Eisel-Lemire method (Lemire, SP&E 51(8), 2021; Mushtak and
+ * Lemire, SP&E 53(6), 2023); only the rest go to the C library's strtod,
+ * and only they depend on the locale's decimal point.  On anything else,
+ * and on any doubt, it returns 1, and growbp.dataset reads the rows
+ * again with its Python reader, which is the spec: it gives the same
+ * values, or raises the error of the first bad row.
  *
  * Arrays are row-major float64: hw is h x (n_in + 1), ow is
  * n_out x (h + 1), X is n x n_in, T and Y are n x n_out and E holds n
@@ -515,6 +521,67 @@ int64_t growbp_permutation(uint64_t *g, int64_t *order, int64_t n)
  * a longer one is left to the Python reader. */
 #define TOKEN 64
 
+/* The decimal exponents q that read_decimal takes, and the 128-bit
+ * approximations of 5^q, high word first, that its product uses, from
+ * Q_MIN on.  scripts/pow5_table.py generates them. */
+#define Q_MIN (-30)
+#define Q_MAX 22
+static const uint64_t pow5_table[2 * (Q_MAX - Q_MIN + 1)] = {
+    0xa2425ff75e14fc31, 0xa1258379a94d028d,
+    0xcad2f7f5359a3b3e, 0x096ee45813a04330,
+    0xfd87b5f28300ca0d, 0x8bca9d6e188853fc,
+    0x9e74d1b791e07e48, 0x775ea264cf55347e,
+    0xc612062576589dda, 0x95364afe032a819e,
+    0xf79687aed3eec551, 0x3a83ddbd83f52205,
+    0x9abe14cd44753b52, 0xc4926a9672793543,
+    0xc16d9a0095928a27, 0x75b7053c0f178294,
+    0xf1c90080baf72cb1, 0x5324c68b12dd6339,
+    0x971da05074da7bee, 0xd3f6fc16ebca5e04,
+    0xbce5086492111aea, 0x88f4bb1ca6bcf585,
+    0xec1e4a7db69561a5, 0x2b31e9e3d06c32e6,
+    0x9392ee8e921d5d07, 0x3aff322e62439fd0,
+    0xb877aa3236a4b449, 0x09befeb9fad487c3,
+    0xe69594bec44de15b, 0x4c2ebe687989a9b4,
+    0x901d7cf73ab0acd9, 0x0f9d37014bf60a11,
+    0xb424dc35095cd80f, 0x538484c19ef38c95,
+    0xe12e13424bb40e13, 0x2865a5f206b06fba,
+    0x8cbccc096f5088cb, 0xf93f87b7442e45d4,
+    0xafebff0bcb24aafe, 0xf78f69a51539d749,
+    0xdbe6fecebdedd5be, 0xb573440e5a884d1c,
+    0x89705f4136b4a597, 0x31680a88f8953031,
+    0xabcc77118461cefc, 0xfdc20d2b36ba7c3e,
+    0xd6bf94d5e57a42bc, 0x3d32907604691b4d,
+    0x8637bd05af6c69b5, 0xa63f9a49c2c1b110,
+    0xa7c5ac471b478423, 0x0fcf80dc33721d54,
+    0xd1b71758e219652b, 0xd3c36113404ea4a9,
+    0x83126e978d4fdf3b, 0x645a1cac083126ea,
+    0xa3d70a3d70a3d70a, 0x3d70a3d70a3d70a4,
+    0xcccccccccccccccc, 0xcccccccccccccccd,
+    0x8000000000000000, 0x0000000000000000,
+    0xa000000000000000, 0x0000000000000000,
+    0xc800000000000000, 0x0000000000000000,
+    0xfa00000000000000, 0x0000000000000000,
+    0x9c40000000000000, 0x0000000000000000,
+    0xc350000000000000, 0x0000000000000000,
+    0xf424000000000000, 0x0000000000000000,
+    0x9896800000000000, 0x0000000000000000,
+    0xbebc200000000000, 0x0000000000000000,
+    0xee6b280000000000, 0x0000000000000000,
+    0x9502f90000000000, 0x0000000000000000,
+    0xba43b74000000000, 0x0000000000000000,
+    0xe8d4a51000000000, 0x0000000000000000,
+    0x9184e72a00000000, 0x0000000000000000,
+    0xb5e620f480000000, 0x0000000000000000,
+    0xe35fa931a0000000, 0x0000000000000000,
+    0x8e1bc9bf04000000, 0x0000000000000000,
+    0xb1a2bc2ec5000000, 0x0000000000000000,
+    0xde0b6b3a76400000, 0x0000000000000000,
+    0x8ac7230489e80000, 0x0000000000000000,
+    0xad78ebc5ac620000, 0x0000000000000000,
+    0xd8d726b7177a8000, 0x0000000000000000,
+    0x878678326eac9000, 0x0000000000000000,
+};
+
 /* p moved past the spaces and tabs before end. */
 static const char *skip_blanks(const char *p, const char *end)
 {
@@ -528,25 +595,128 @@ static int digit(char c)
     return c >= '0' && c <= '9';
 }
 
+/* A character a number holds, less the underscore. */
+static int numeric(char c)
+{
+    return digit(c) || c == '.' || c == '+' || c == '-' || c == 'e'
+           || c == 'E';
+}
+
+/* The bits of the double nearest w 10^q, ties to even, for w > 0 of at
+ * most 19 digits and Q_MIN <= q <= Q_MAX, by the Eisel-Lemire method
+ * (Lemire, "Number parsing at a gigabyte per second", Software: Practice
+ * and Experience 51(8), 2021), as fast_float computes it: w shifted to
+ * its top bit times the top 64 bits of 5^q, the low 64 added where the
+ * bits kept are all ones, and the top 54 bits of the product rounded.
+ * Mushtak and Lemire, "Fast number parsing without fallback", SP&E 53(6),
+ * 2023, prove that this product always rounds correctly.  A tie is exact
+ * only for -4 <= q <= 23, and then rounds to even.  In this range of q
+ * the result is normal and finite. */
+static uint64_t eisel_lemire(uint64_t w, int q)
+{
+    int lz = __builtin_clzll(w);
+    const uint64_t *t = pow5_table + 2 * (q - Q_MIN);
+    w <<= lz;
+    u128 product = (u128)w * t[0];
+    if (((uint64_t)(product >> 64) & 0x1ff) == 0x1ff)
+        product += ((u128)w * t[1]) >> 64;
+    uint64_t hi = (uint64_t)(product >> 64);
+    int upper = (int)(hi >> 63), shift = upper + 9;
+    uint64_t m = hi >> shift;
+    /* The biased binary exponent: floor(q log2(10)), with 217706 / 2^16
+     * for log2(10) and GCC's >> flooring a negative int, plus where the
+     * product's top bit lies, less the shift of w. */
+    int64_t e = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if ((uint64_t)product <= 1 && q >= -4 && q <= 23 && (m & 3) == 1
+        && (m << shift) == hi)
+        m &= ~(uint64_t)1;  /* a tie: round down to even */
+    m = (m + (m & 1)) >> 1;
+    if (m == (uint64_t)1 << 53) {  /* rounded up to the next power of 2 */
+        m = 0;
+        e++;
+    }
+    return (uint64_t)e << 52 | (m & (((uint64_t)1 << 52) - 1));
+}
+
+/* The end of the digits from c on, their value added to *w shifted left
+ * by as many decimal places; *w wraps past 19 digits. */
+static const char *digits(const char *c, const char *end, uint64_t *w)
+{
+    for (; c < end && digit(*c); c++)
+        *w = *w * 10 + (uint64_t)(*c - '0');
+    return c;
+}
+
+/* Read *p as [sign] digits [. digits] [e|E [sign] digits], with a digit
+ * before the exponent, at most 19 digits from the first that is not 0,
+ * at most TOKEN characters and no character a number holds after it.
+ * Where the number is 0 or its exponent q lies in Q_MIN..Q_MAX, its
+ * exact double goes to *v, *p is moved past it and 0 is returned; else
+ * 1, and *p is left where it was. */
+static int read_decimal(const char **p, const char *end, double *v)
+{
+    const char *c = *p, *first, *z;
+    uint64_t w = 0, negative = c < end && *c == '-';
+    int64_t n, q = 0;
+    if (c < end && (*c == '-' || *c == '+'))
+        c++;
+    c = digits(first = c, end, &w);
+    n = c - first;
+    if (c < end && *c == '.') {
+        z = ++c;
+        c = digits(c, end, &w);
+        q = z - c;
+        n -= q;
+    }
+    if (n == 0)
+        return 1;
+    if (n > 19) {  /* count the digits from the first that is not 0 */
+        for (z = first; z < c && (*z == '0' || *z == '.'); z++)
+            n -= *z == '0';
+        if (n > 19)
+            return 1;
+    }
+    if (c < end && (*c == 'e' || *c == 'E')) {
+        int64_t exponent = 0, sign = 1;
+        if (++c < end && (*c == '-' || *c == '+'))
+            sign = *c++ == '-' ? -1 : 1;
+        for (first = c; c < end && digit(*c); c++)
+            if (exponent < 1000)
+                exponent = 10 * exponent + (*c - '0');
+        if (c == first)
+            return 1;
+        q += sign * exponent;
+    }
+    if ((c < end && (numeric(*c) || *c == '_')) || c - *p > TOKEN
+        || (w != 0 && (q < Q_MIN || q > Q_MAX)))
+        return 1;
+    *v = from_bits((w == 0 ? 0 : eisel_lemire(w, (int)q)) | negative << 63);
+    *p = c;
+    return 0;
+}
+
 /* The number that starts at *p, read into *v, with *p moved past it: the
  * longest run before end of digits, signs, '.', 'e', 'E' and '_' with a
- * digit on each side, the underscores dropped.  Returns 0, or 1 where the
+ * digit on each side.  read_decimal reads it where it can; else the run
+ * is copied less its underscores for strtod.  Returns 0, or 1 where the
  * run is empty or too long, or strtod stops short of its end or gives a
  * value that is not finite.  So the numbers read are the finite ASCII
- * decimals that Python's float() reads, and strtod, correctly rounded as
- * float() is, gives them the same bits; in a locale whose decimal point
- * is not '.', strtod stops short and the row is left to Python. */
+ * decimals that Python's float() reads, and both read_decimal and
+ * strtod, correctly rounded as float() is, give them the same bits; in a
+ * locale whose decimal point is not '.', strtod stops short and the row
+ * is left to Python. */
 static int number(const char **p, const char *end, double *v)
 {
     char s[TOKEN + 1], *stop;
     int n = 0;
     const char *q = *p;
+    if (read_decimal(p, end, v) == 0)
+        return 0;
     for (; q < end; q++) {
         if (*q == '_') {
             if (n == 0 || !digit(q[-1]) || q + 1 == end || !digit(q[1]))
                 return 1;
-        } else if (digit(*q) || *q == '.' || *q == '+' || *q == '-'
-                   || *q == 'e' || *q == 'E') {
+        } else if (numeric(*q)) {
             if (n == TOKEN)
                 return 1;
             s[n++] = *q;

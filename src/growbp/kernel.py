@@ -102,13 +102,21 @@ parse returns None.  It reads only finite ASCII decimals, the ones
 between them, a ``.`` and an optional exponent, split by runs of spaces
 and tabs, or by commas with optional spaces or tabs around them, one row
 a line, ``\n`` or ``\r\n`` ending a line and lines of blanks skipped.
-Each number is copied, less its underscores, for the C library's
-``strtod``, which rounds correctly as ``float()`` does, so both give the
-same bits.  Anything else, such as ``inf``, a hex number, another
-control character, a number too long for its scratch buffer, a wrong
-count of numbers or rows, a target other than 0 or 1, or a ``strtod``
-that stops short (as in a locale whose decimal point is not ``.``), is
-left to the Python reader.
+A number with no underscore, at most 19 digits from its first that is
+not 0, a decimal exponent from -30 to 22 (or the value 0) and at most 64
+characters, such as the ``repr`` of any value whose magnitude lies in
+[1e-14, 1e23), is converted in ``kernel.c`` itself by the Eisel-Lemire
+method: one 64 x 128-bit product of its digits with a table of powers of
+five (``pow5_table``, from ``scripts/pow5_table.py``), correctly rounded
+as ``float()`` is, in any locale (Lemire, "Number parsing at a gigabyte
+per second", Software: Practice and Experience 51(8), 2021; Mushtak and
+Lemire, "Fast number parsing without fallback", SP&E 53(6), 2023).
+Only the other numbers are copied, less their underscores, for the C
+library's ``strtod``, which rounds correctly too.  Anything else, such
+as ``inf``, a hex number, another control character, a number too long
+for its scratch buffer, a wrong count of numbers or rows, a target
+other than 0 or 1, or a ``strtod`` that stops short (as in a locale
+whose decimal point is not ``.``), is left to the Python reader.
 """
 
 import ctypes

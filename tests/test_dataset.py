@@ -36,6 +36,7 @@ from growbp.errors import (
     RowArityError,
 )
 from growbp.profiles import BUNDLED, bundled_dataset_path
+from test_decimal import SHAPES, decimals
 
 CANCER1_HEADER = [
     "bool_in=0",
@@ -221,37 +222,41 @@ class TestParseDataset:
 
     @pytest.mark.parametrize("kind", ["proben1", "raw-csv"])
     def test_load_frees_the_files_bytes_before_the_partitions(self, tmp_path,
-                                                              kind):
+                                                              kind,
+                                                              each_backend):
         # At its peak a load holds the file's bytes and the parsed X and T,
-        # or X and T and the partitions' copies of them, never all three.
-        if kernel.BACKEND != "c":
-            pytest.skip("the Python reader holds the file's lines as well")
+        # or X and T and the partitions' copies of them, never all three;
+        # the Python reader holds one decoded line at a time, not them all.
         rng = np.random.default_rng(0)
-        X = rng.uniform(0.0, 1.0, (3000, 9))
+        width = 20
+        X = rng.uniform(0.0, 1.0, (3000, width))
         T = rng.integers(0, 2, (3000, 1)).astype(np.float64)
         rows = [" ".join(map(repr, r)) for r in np.hstack([X, T]).tolist()]
         if kind == "proben1":
             p = tmp_path / "wide.dt"
             p.write_text(tiny_dt(40, 1480, 1480, rows).replace(
-                "real_in=2", "real_in=9").replace("bool_out=2", "bool_out=1"))
+                "real_in=2", f"real_in={width}").replace("bool_out=2",
+                                                         "bool_out=1"))
             load = load_dataset
         else:
             p = tmp_path / "wide.csv"
-            p.write_text("\n".join([",".join("abcdefghit")]
+            names = ",".join(f"c{j}" for j in range(width + 1))
+            p.write_text("\n".join([names]
                                    + [r.replace(" ", ",") for r in rows]))
             (tmp_path / "wide.csv.manifest.json").write_text(json.dumps(
                 {"training_examples": 40, "validation_examples": 1480,
                  "test_examples": 1480, "target_columns": 1}))
             load = load_raw_csv
-        load(p)  # imports and caches whatever the first load needs
-        tracemalloc.start()
-        try:
-            ds = load(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ds.header.total == 3000
-        assert peak < p.stat().st_size + 1.5 * (X.nbytes + T.nbytes)
+        for _ in each_backend:
+            load(p)  # imports and caches whatever the first load needs
+            tracemalloc.start()
+            try:
+                ds = load(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.header.total == 3000
+            assert peak < p.stat().st_size + 1.5 * (X.nbytes + T.nbytes)
 
     def test_error_names_the_file_once(self, tmp_path):
         p = tmp_path / "tiny.dt"
@@ -428,13 +433,15 @@ class TestProperties:
         assert isinstance(ds, SplitDataset)
 
 
-# Tokens float() reads that a stricter parser might not, and targets
-# written in more than one way.
+# Tokens float() reads that a stricter parser might not, the shapes at
+# the edges of growbp_parse's exact reader, and targets written in more
+# than one way.
 INPUT_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1_0", "+1e3", ".5", "-.5", "5.", "-0", "1E-3",
                      "00012", "+.5e-2", "1_000.000_1", "1e1_0", "1.e5",
-                     "4.9e-324", "1e-400", "0" * 60 + "1"]))
+                     "4.9e-324", "1e-400", "0" * 60 + "1"]),
+    decimals(), st.sampled_from(SHAPES))
 TARGET_TOKENS = st.sampled_from(["0", "1", "0.0", "1.0", "+1", "-0", "1e0",
                                  "0_0", ".0", "1."])
 # Faults the per-row loop names, each with the token that injects it; a
@@ -554,6 +561,19 @@ class TestBulkParse:
             # Valid rows never take the slow path on the compiled backend.
             assert by_row.called == (backend == "python")
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.skipif(kernel._lib is None, reason="no compiled kernel")
+    @given(st.lists(decimals() | st.sampled_from(SHAPES), min_size=3,
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_decimals_read_as_float_reads_them(self, tokens):
+        # Exactly or through strtod, never through the per-row loop.
+        text = "names=0\n" + "\n".join(f"{t} 1" for t in tokens) + "\n"
+        with mock.patch.object(dataset, "_matrix_by_row",
+                               wraps=dataset._matrix_by_row) as by_row:
+            X, _ = read(text, None, 1, 2, len(tokens))
+        assert not by_row.called
+        assert X.tobytes() == array("d", map(float, tokens)).tobytes()
 
     @given(bodies(), st.data())
     @settings(per_example, max_examples=400)

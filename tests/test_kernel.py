@@ -574,7 +574,8 @@ def test_compiled_library_exports_only_prefixed_names():
                  "logistic", "mean", "pairwise", "label", "classified",
                  "next64", "permutation", "parse", "number", "skip_blanks",
                  "digit", "exp_body", "exp_special", "main_range",
-                 "from_bits", "to_bits", "exp_table"):
+                 "from_bits", "to_bits", "exp_table", "numeric", "digits",
+                 "read_decimal", "eisel_lemire", "pow5_table"):
         assert _address(lib, name) == _address(process, name), name
     # The pinned exp is static too.
     assert _address(lib, "growbp_exp") is None

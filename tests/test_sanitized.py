@@ -90,11 +90,16 @@ block_rows = st.integers(1, 20) | st.sampled_from(
     [7, 8, 9, 15, 16, 17, 63, 65, 257, 1023, 3999, 4001])
 
 # Numbers both readers take, one of 64 characters filling
-# growbp_parse's scratch buffer, and targets; then numbers only the
-# Python reader takes, longer ones among them, and ones neither takes.
+# growbp_parse's scratch buffer, significands of 19 and 20 digits, of 0
+# and at the exact reader's exponents Q_MIN - 1, Q_MIN, Q_MAX and
+# Q_MAX + 1, and targets; then numbers only the Python reader takes,
+# longer ones among them, and ones neither takes.
 inputs = st.sampled_from([
     "0", "1", "0.5", "-0.25", "+1e-3", ".5", "5.", "1E+2", "-0.0",
-    "4.9e-324", "1_000.5", "0." + "0" * 61 + "1"])
+    "4.9e-324", "1_000.5", "0." + "0" * 61 + "1", "9999999999999999999",
+    "18446744073709551615", "0.1234567890123456789", "0e-40", "-0.000e99",
+    "1e-31", "1e-30", "9.999e-27", "1e22", "9999999999999999999e22",
+    "1e23"])
 targets = st.sampled_from(["0", "1", "1.0", "0e5", "-0"])
 bad_numbers = st.sampled_from([
     "0." + "0" * 62 + "1", "0." + "0" * 80 + "1", "1e400", "nan", "inf",
