@@ -6,7 +6,8 @@ bits of the tail, then the bits of H less j << 45, so that the exp adds
 k << 45 to get the bits of 2**(k >> 7) * H.  This is the table of glibc's
 generic exp (sysdeps/ieee754/dbl-64/e_exp_data.c), computed here with
 ``decimal`` at 60 digits.  ``kernel.c`` holds it as ``exp_table``, in the
-rows printed, and ``growbp.kernel`` reads it from there.
+rows printed, and the tests' transcription, ``tests/oracle.py``, reads it
+from there.
 
 Run from the repository root:  python3 scripts/exp_table.py
 """

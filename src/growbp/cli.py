@@ -318,7 +318,6 @@ def run_experiment(cfg, log=print):
         return seed, history, history.phases[history.selected_index()]
 
     chosen = []
-    trainer.interrupted = False
     try:
         with contextlib.ExitStack() as stack:
             # A serial sweep runs its seeds in turn with the builtin map:
@@ -338,6 +337,8 @@ def run_experiment(cfg, log=print):
                 trainer.interrupted = True
                 raise
     finally:
+        # The pool's threads have all ended, so no phase reads the flag.
+        trainer.interrupted = False
         best = _flush_results(cfg, outdir, chosen) if chosen else None
 
     for seed, history, rec in chosen:

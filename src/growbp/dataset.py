@@ -19,10 +19,9 @@ Both loaders read the file's bytes, which must be ASCII, and decode only
 the header lines, which they read in Python.  The data rows go from the
 bytes to ``growbp_parse`` in ``kernel.c``
 (:func:`growbp.kernel.parse_rows`), one compiled pass straight into the
-matrices.  Where that pass doubts the rows, and on the Python backend,
-:func:`_matrix_by_row` reads the rows one at a time, each line decoded
-on its own, never the whole text; it is the spec, and names the first
-bad row.
+matrices.  Where that pass doubts the rows, :func:`_matrix_by_row`
+reads them one at a time, each line decoded on its own, never the whole
+text; it is the spec, and names the first bad row.
 """
 
 import json
@@ -37,6 +36,7 @@ from .errors import (
     CountMismatchError,
     EmptyTrainingError,
     GrowbpError,
+    KernelBuildError,
     MalformedValueError,
     MissingKeyError,
     NonFiniteError,
@@ -289,9 +289,12 @@ def naming(path):
 
     Each of growbp's loaders parses its file inside it, so a fault in any
     input file names that file, and the line where the message has one.
+    A :class:`KernelBuildError`, the first parse's, is no file's fault.
     """
     try:
         yield
+    except KernelBuildError:
+        raise
     except GrowbpError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

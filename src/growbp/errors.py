@@ -55,6 +55,10 @@ class EmptySetError(GrowbpError):
     """An operation that averages or counts over patterns got no patterns."""
 
 
+class KernelBuildError(GrowbpError):
+    """``kernel.c`` could not be built: no C compiler, or it failed."""
+
+
 class ConfigError(GrowbpError):
     """A training or experiment configuration violates its invariants."""
 

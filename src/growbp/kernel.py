@@ -7,11 +7,11 @@ and the compiled parse of a dataset's data rows.
 The package enters through :func:`train_epoch`, :func:`forward_outputs`,
 :func:`pattern_errors`, :func:`average_error` and :func:`classified`,
 and reads a file's ASCII data rows through :func:`parse_rows`.  Each of
-the first five checks its arguments once, then runs the compiled or the
-Python kernel on the row-major ``array('d')`` buffers that a ``Network``
-and a ``Partition`` hold; :func:`check_fit` alone decides whether a
-partition fits a network.  ``kernel.c`` checks none of its input: it gets
-checked buffers, and a shuffled epoch's permutation that ``train_epoch``
+the first five checks its arguments once, then runs the compiled kernel
+on the row-major ``array('d')`` buffers that a ``Network`` and a
+``Partition`` hold; :func:`check_fit` alone decides whether a partition
+fits a network.  ``kernel.c`` checks none of its input: it gets checked
+buffers, and a shuffled epoch's permutation that ``train_epoch``
 draws itself.  Both classes hold their buffers through :class:`Held`,
 which reads their addresses once, when made, and shows each buffer as a
 2-D ``memoryview`` (:func:`view`); while that view exists the buffer
@@ -33,18 +33,18 @@ machine:
   from 0.0 and divides by their count;
 - every product and sum is rounded on its own: nothing is fused into a
   multiply-add and no sum is reblocked;
-- the logistic is ``1 / (1 + exp(-s))`` with :func:`exp`, a pinned
-  ``exp``: glibc's generic ``exp`` (Tang's table-driven method, ACM TOMS
-  15(2), 1989) written out in plain IEEE operations on fixed constants
-  and a 128-entry table, ``kernel.c``'s ``exp_table``, read from there at
-  import.  Its bits equal those of the ``exp`` that glibc 2.28 and later
-  run on a CPU without FMA, and stay the same wherever the kernel runs.
+- the logistic is ``1 / (1 + exp(-s))`` with a pinned ``exp``,
+  ``kernel.c``'s ``growbp_exp``: glibc's generic ``exp`` (Tang's
+  table-driven method, ACM TOMS 15(2), 1989) written out in plain IEEE
+  operations on fixed constants and a 128-entry table, ``exp_table``.
+  Its bits equal those of the ``exp`` that glibc 2.28 and later run on a
+  CPU without FMA, and stay the same wherever the kernel runs.
   Where ``exp`` overflows to inf the logistic is 0.0.
 
-A pattern's class (:func:`label`) is 1 where its one output is >= 0.5,
-and with more outputs the index of the largest, the lowest on ties and
-the first NaN where there is one, as numpy's ``argmax`` picks; a target
-row's class follows the same rule.
+A pattern's class (``kernel.c``'s ``label``) is 1 where its one output
+is >= 0.5, and with more outputs the index of the largest, the lowest on
+ties and the first NaN where there is one, as numpy's ``argmax`` picks;
+a target row's class follows the same rule.
 
 The random streams are numpy's ``default_rng(seed)`` reproduced bit for
 bit (:class:`Generator`): SeedSequence's hash mix seeds PCG64, a 128-bit
@@ -60,40 +60,34 @@ rows run in ``kernel.c``, which the entry points call through
 ``ctypes``: ``growbp_epoch``, ``growbp_evaluate``,
 ``growbp_permutation`` and ``growbp_parse`` are its exports.  The four
 evaluation entry points share one dispatch, the one call of
-``growbp_evaluate`` and of :func:`evaluate`, and each asks it for only
-what it returns.  The library is built with ``gcc -O2 -ffp-contract=off``
-at first import into ``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where
-that variable is unset or not an absolute path), under a name that
-hashes the source, the flags and the Python ABI, so later imports start
-no compiler.  If that directory cannot be written the build goes to a
-private temporary directory for the process.  Where no ``gcc`` is found
-or the build fails, the entry points run the pure-Python kernel instead;
-:data:`BACKEND` says which one is in use, ``"c"`` or ``"python"``.
+``growbp_evaluate``, and each asks it for only what it returns.  The
+library is built with ``gcc -O2 -ffp-contract=off`` at first import into
+``$XDG_CACHE_HOME/growbp`` (``~/.cache/growbp`` where that variable is
+unset or not an absolute path), under a name that hashes the source, the
+flags and the Python ABI, so later imports start no compiler.  If that
+directory cannot be written the build goes to a private temporary
+directory for the process.  Nothing runs in the library's place: where
+no ``gcc`` is found or the build fails, the first call into it raises a
+:class:`~growbp.errors.KernelBuildError` that names the compiler command
+and the last line the compiler wrote.
 
-The pure-Python kernel is ``kernel.c`` transcribed function by function
-under the same names, less the ``growbp_`` prefix of the C functions
-(:func:`exp`, :func:`logistic`, :func:`layer`, :func:`update`,
-:func:`label`, :func:`next64`, :func:`permutation`, then :func:`step` for
-the body of ``growbp_epoch`` and :func:`evaluate` for the whole of
-``growbp_evaluate``, its mean included), with plain loops over lists of
-weight rows in the same order; :func:`forward` is one pattern's two
-:func:`layer` calls.  It is much slower, and serves as the fallback and
-as the reference the tests compare the C code against.
+The tests hold ``kernel.c`` transcribed into Python function by function,
+``tests/oracle.py``, and compare the compiled kernel with it bitwise.
 
-Two C schedules have no Python twin.  ``layer_block`` is the schedule by
-which ``growbp_evaluate`` runs :func:`layer` on 8 rows at a time.  It
+Two C schedules have no transcription.  ``layer_block`` is the schedule
+by which ``growbp_evaluate`` runs ``layer`` on 8 rows at a time.  It
 changes when each product is added, not what is added to what: every
-row keeps its own sum and adds its terms in :func:`layer`'s order, so no
-sum is reblocked and each row gets the bits the per-row loop here gives
-it.  A last block of fewer than 8 rows is padded with zero rows whose
-outputs are dropped.  ``logistic_block`` then takes a unit's 8 logistics
-in one lane loop: where all 8 exponents lie in ``exp``'s main range,
+row keeps its own sum and adds its terms in ``layer``'s order, so no sum
+is reblocked and each row gets the bits of the per-row loop.  A last
+block of fewer than 8 rows is padded with zero rows whose outputs are
+dropped.  ``logistic_block`` then takes a unit's 8 logistics in one lane
+loop: where all 8 exponents lie in ``exp``'s main range,
 ``|x| < 512``, it runs the main-range part of the ``exp`` without a
 branch as four pairs of lanes, two doubles per instruction (``exp_pair``,
 in GCC's vector extensions: each lane takes the same operations in the
 same order, nothing fused, and only the table reads go lane by lane),
-and otherwise the whole ``exp`` lane by lane; both give
-:func:`logistic`'s bits.
+and otherwise the whole ``exp`` lane by lane; both give ``logistic``'s
+bits.
 
 Nor has ``growbp_parse``, behind :func:`parse_rows`: its reference is
 ``growbp.dataset``'s per-row reader, which runs wherever the compiled
@@ -121,7 +115,6 @@ whose decimal point is not ``.``), is left to the Python reader.
 
 import ctypes
 import hashlib
-import math
 import os
 import sys
 from array import array
@@ -129,10 +122,10 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import chain
 from pathlib import Path
 
-from .errors import ArityMismatchError, EmptySetError, MalformedValueError
+from .errors import (ArityMismatchError, EmptySetError, KernelBuildError,
+                     MalformedValueError)
 
 _SOURCE = Path(__file__).with_name("kernel.c")
-_KERNEL_C = _SOURCE.read_bytes()  # deleted once the library is loaded
 # Never -ffast-math, which lets the compiler reorder the arithmetic and
 # the results stop matching the contract, nor -march=native, which would
 # enable FMA and tie the cached library to the CPU that built it.
@@ -222,188 +215,17 @@ def _held(cls, *matrices):
     return cls(*[view(data, shape) for data, shape in matrices])
 
 
-# kernel.c's exp_table: the bits of the tail of 2**(j/128), then those of
-# its head H less j << 45, for j = 0..127 (scripts/exp_table.py).
-_EXP_TABLE = array("Q", bytes.fromhex(
-    _KERNEL_C.partition(b"exp_table[2 * 128] = {")[2].partition(b"};")[0]
-    .replace(b"0x", b"").replace(b",", b"").decode()))
-if sys.byteorder == "little":
-    _EXP_TABLE.byteswap()
-_EXP_TAIL = array("d", _EXP_TABLE[0::2].tobytes()).tolist()
-_EXP_HEAD = array("d", array("Q", [bits + (j << 45) for j, bits in enumerate(
-    _EXP_TABLE[1::2])]).tobytes()).tolist()
-# 128/ln2, 1.5 * 2**52, ln2/128 split in two, and glibc's C2..C5.
-_INV_LN2_N, _SHIFT = float.fromhex("0x1.71547652b82fep7"), 1.5 * 2.0**52
-_NEG_LN2_HI_N = float.fromhex("-0x1.62e42fefa0000p-8")
-_NEG_LN2_LO_N = float.fromhex("-0x1.cf79abc9e3b3ap-47")
-_C2, _C3, _C4, _C5 = map(float.fromhex, (
-    "0x1.ffffffffffdbdp-2", "0x1.555555555543cp-3", "0x1.55555cf172b91p-5",
-    "0x1.1111167a4d017p-7"))
-
-
-def exp(x):
-    """``kernel.c``'s ``growbp_exp``: glibc's generic ``exp`` in plain IEEE
-    operations, so the same bits on every host; they equal those of the
-    ``exp`` glibc >= 2.28 runs where it uses no FMA."""
-    a = abs(x)
-    if not a < 1024.0:
-        return 0.0 if x < 0.0 else math.inf if x > 0.0 else 1.0 + x
-    kd = (_INV_LN2_N * x + _SHIFT) - _SHIFT
-    k = int(kd)
-    r = x + kd * _NEG_LN2_HI_N + kd * _NEG_LN2_LO_N
-    r2 = r * r
-    tmp = (_EXP_TAIL[k & 127] + r + r2 * (_C2 + r * _C3)
-           + r2 * r2 * (_C4 + r * _C5))
-    if a < 512.0:
-        scale = math.ldexp(_EXP_HEAD[k & 127], k >> 7)
-        return scale + scale * tmp
-    # exp_special: scale's exponent may leave the double range.
-    if k > 0:
-        scale = math.ldexp(_EXP_HEAD[k & 127], (k >> 7) - 1009)
-        return 2.0**1009 * (scale + scale * tmp)
-    scale = math.ldexp(_EXP_HEAD[k & 127], (k >> 7) + 1022)
-    y = scale + scale * tmp
-    if y < 1.0:
-        lo = scale - y + scale * tmp
-        hi = 1.0 + y
-        lo = 1.0 - hi + y + lo
-        y = (hi + lo) - 1.0
-    return 2.0**-1022 * y
-
-
-def logistic(s):
-    """``1 / (1 + exp(-s))`` with :func:`exp`."""
-    return 1.0 / (1.0 + exp(-s))
-
-
-def layer(w, a):
-    """Activations of the units whose weight rows are ``w`` on inputs ``a``.
-
-    Each row has ``len(a) + 1`` weights, bias last.
-    """
-    n = len(a)
-    out = []
-    for row in w:
-        s = row[0] * a[0]
-        for i in range(1, n):
-            s = s + row[i] * a[i]
-        out.append(logistic(s + row[n]))
-    return out
-
-
-def update(w, a, delta, eta):
-    """Add ``eta * delta[j] * a[i]`` to every weight of row ``j``, and
-    ``eta * delta[j]`` to its bias."""
-    n = len(a)
-    for row, dj in zip(w, delta):
-        for i in range(n):
-            row[i] = row[i] + eta * (dj * a[i])
-        row[n] = row[n] + eta * dj
-
-
-def forward(hw, ow, x):
-    """The hidden and output activations of one pattern, as lists."""
-    hidden = layer(hw, x)
-    return hidden, layer(ow, hidden)
-
-
-def step(hw, ow, x, d, eta):
-    """One online backprop step on pattern ``x`` with targets ``d``.
-
-    Updates the rows of ``hw`` and ``ow`` in place by -eta times the
-    gradient of the pattern's half squared error.
-    """
-    hidden, y = forward(hw, ow, x)
-    e = [(dk - yk) * yk * (1.0 - yk) for dk, yk in zip(d, y)]
-    # The hidden deltas use the output weights before this step.
-    g = []
-    for j, hj in enumerate(hidden):
-        s = ow[0][j] * e[0]
-        for k in range(1, len(e)):
-            s = s + ow[k][j] * e[k]
-        g.append(s * hj * (1.0 - hj))
-    update(ow, hidden, e, eta)
-    update(hw, x, g, eta)
-
-
-def label(v):
-    """The class of an output or target vector: with one value, 1 where it
-    is >= 0.5; with more, the index of the largest, the lowest on ties,
-    and the first NaN where there is one, as numpy's ``argmax`` picks."""
-    if len(v) == 1:
-        return int(v[0] >= 0.5)
-    arg, best = 0, v[0]
-    for k in range(1, len(v)):
-        if best != best:
-            break
-        if not v[k] <= best:
-            arg, best = k, v[k]
-    return arg
-
-
-def evaluate(hw, ow, X, T, Y, E, mean, count):
-    """The body of ``growbp_evaluate`` over the rows ``X`` and ``T``: each
-    row's outputs and error written to its place in ``Y`` and ``E``, where
-    they are not None.  Returns the errors' mean, summed left to right
-    from 0.0 and divided by the count of rows, where ``mean`` is true, and
-    how many rows the net puts in their target's class, where ``count`` is
-    true; each is None where it is not asked for."""
-    total, c = 0.0, 0
-    for i, x in enumerate(X):
-        y = forward(hw, ow, x)[1]
-        if Y is not None:
-            Y[i * len(y):(i + 1) * len(y)] = array("d", y)
-        if E is not None or mean:
-            d = T[i]
-            e = d[0] - y[0]
-            s = e * e
-            for k in range(1, len(y)):
-                e = d[k] - y[k]
-                s = s + e * e
-            s = 0.5 * s
-            if E is not None:
-                E[i] = s
-            total = total + s
-        if count:
-            c += label(y) == label(T[i])
-    return total / len(X) if mean else None, c if count else None
-
-
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def next64(g):
-    """PCG64's next 64-bit output from generator state ``g`` (see
-    :func:`permutation`): a 128-bit LCG step, then XSL-RR."""
+    """PCG64's next 64-bit output from the state ``g`` of a
+    :class:`Generator`: a 128-bit LCG step, then XSL-RR."""
     g[0] = state = (g[0] * _PCG_MULT + g[1]) & _MASK128
     x = ((state >> 64) ^ state) & _MASK64
     rot = state >> 122
     return ((x >> rot) | (x << (64 - rot))) & _MASK64
-
-
-def permutation(g, order):
-    """numpy's ``Generator.permutation(len(order))`` into ``order``: a
-    Fisher-Yates pass from the last index down, each draw in ``[0, i]`` by
-    masked rejection, on 32-bit halves of the output while ``i`` fits in
-    32 bits.  ``g`` is the generator, ``[state, increment, a half is
-    buffered, that half]``, and is updated in place."""
-    order[:] = array("q", range(len(order)))
-    for i in range(len(order) - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        while True:
-            if i > _MASK32:
-                value = next64(g)
-            elif g[2]:
-                g[2], value = 0, g[3]
-            else:
-                value = next64(g)
-                g[2], g[3] = 1, value >> 32
-                value &= _MASK32
-            value &= mask
-            if value <= i:
-                break
-        order[i], order[value] = order[value], order[i]
 
 
 # numpy's SeedSequence constants.
@@ -475,9 +297,6 @@ class Generator:
     def permutation(self, n):
         """A random order of ``range(n)``, as an ``array('q')``."""
         order = array("q", [0]) * n
-        if _lib is None:
-            permutation(self.state, order)
-            return order
         state, inc, buffered, half = self.state
         g = (ctypes.c_uint64 * 6)(state >> 64, state & _MASK64, inc >> 64,
                                   inc & _MASK64, buffered, half)
@@ -539,8 +358,26 @@ def _bind(lib):
     return lib
 
 
+class _Unbuilt:
+    """The library where ``kernel.c`` could not be built: the first use of
+    any of its functions raises a :class:`KernelBuildError` that says why,
+    so what needs no kernel, such as ``growbp render``, still runs.  The
+    reason is the last line a failed compiler wrote to stderr, else what
+    ``why`` says."""
+
+    def __init__(self, why):
+        lines = (getattr(why, "stderr", None) or b"").decode(
+            errors="replace").strip().splitlines()
+        self.reason = lines[-1].strip() if lines else str(why)
+
+    def __getattr__(self, name):
+        raise KernelBuildError(f"cannot build growbp's kernel with "
+                               f"{' '.join(_COMPILE)}: {self.reason}")
+
+
 def _load(source):
-    """The compiled ``source``, kernel.c, or None where it cannot be built."""
+    """The compiled ``source``, kernel.c, or an :class:`_Unbuilt` stand-in
+    where it cannot be built."""
     # The first extension suffix names the interpreter's ABI, as in
     # ".cpython-311-x86_64-linux-gnu.so".
     key = hashlib.sha256(b"\0".join([
@@ -555,27 +392,25 @@ def _load(source):
     import shutil
 
     if shutil.which(_COMPILE[0]) is None:
-        return None
+        return _Unbuilt(f"{_COMPILE[0]} not found on PATH")
     import subprocess
     import tempfile
 
     try:
         return _bind(ctypes.CDLL(_compile(source, _cache_dir(), name)))
-    except subprocess.SubprocessError:
-        return None
+    except subprocess.SubprocessError as exc:
+        return _Unbuilt(exc)
     except OSError:
         pass  # the cache directory cannot be written
     with tempfile.TemporaryDirectory(prefix="growbp-",
                                      ignore_cleanup_errors=True) as private:
         try:
             return _bind(ctypes.CDLL(_compile(source, private, name)))
-        except (OSError, subprocess.SubprocessError):
-            return None
+        except (OSError, subprocess.SubprocessError) as exc:
+            return _Unbuilt(exc)
 
 
-_lib = _load(_KERNEL_C)
-del _KERNEL_C
-BACKEND = "python" if _lib is None else "c"
+_lib = _load(_SOURCE.read_bytes())
 
 
 def check_fit(net, part, what):
@@ -603,15 +438,6 @@ def train_epoch(net, train, eta, rng=None):
         raise TypeError(f"rng must be None or a growbp.kernel.Generator, "
                         f"got {rng!r}")
     order = None if rng is None else rng.permutation(len(train))
-    if _lib is None:
-        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
-        X, T, eta = train.X.tolist(), train.T.tolist(), float(eta)
-        for i in range(len(X)) if order is None else order:
-            step(hw, ow, X[i], T[i], eta)
-        # Same-length slice assignment: the views keep the buffers in place.
-        net.hidden_weights.obj[:] = array("d", chain.from_iterable(hw))
-        net.output_weights.obj[:] = array("d", chain.from_iterable(ow))
-        return net
     if _lib.growbp_epoch(
             *net.addresses, *train.addresses,
             None if order is None else order.buffer_info()[0], len(train),
@@ -622,17 +448,13 @@ def train_epoch(net, train, eta, rng=None):
 
 def _evaluate(net, X, T, addresses, outputs=False, errors=False,
               mean=False, count=False):
-    """``growbp_evaluate``, or :func:`evaluate` on the Python backend, of
-    ``net`` on the 2-D views ``X`` and ``T`` (None for outputs alone) at
-    ``addresses``: ``(outputs, errors, mean, count)``, the first two as
-    ``array('d')``, each None and not made unless asked for."""
+    """``growbp_evaluate`` of ``net`` on the 2-D views ``X`` and ``T``
+    (None for outputs alone) at ``addresses``: ``(outputs, errors, mean,
+    count)``, the first two as ``array('d')``, each None and not made
+    unless asked for."""
     n = len(X)
     Y = _ZERO * (n * net.n_outputs) if outputs else None
     E = _ZERO * n if errors else None
-    if _lib is None:
-        return (Y, E, *evaluate(
-            net.hidden_weights.tolist(), net.output_weights.tolist(),
-            X.tolist(), None if T is None else T.tolist(), Y, E, mean, count))
     m = _MEAN() if mean else None
     c = _COUNT() if count else None
     if _lib.growbp_evaluate(
@@ -647,8 +469,9 @@ def _evaluate(net, X, T, addresses, outputs=False, errors=False,
 def forward_outputs(net, X):
     """Evaluate the network on a matrix of inputs, one row per pattern.
 
-    Row ``i`` of the result, a 2-D :func:`view`, equals the outputs
-    :func:`forward` gives for ``X[i]``, bitwise.
+    Row ``i`` of the result, a 2-D :func:`view`, holds the outputs of
+    pattern ``X[i]`` alone, bitwise: the 8-row blocks of the pass do not
+    change them.
     """
     X, (n, width) = matrix(X, ArityMismatchError)
     if width != net.n_inputs:
@@ -681,7 +504,7 @@ def average_error(net, part):
 
 def classified(net, part):
     """How many patterns of ``part`` the net puts in their target's class,
-    each class given by :func:`label`."""
+    each class given by ``kernel.c``'s ``label``."""
     check_fit(net, part, "efficiency")
     return _evaluate(net, part.X, part.T, part.addresses, count=True)[3]
 
@@ -690,13 +513,12 @@ def parse_rows(data, start, sep, rows, n_inputs, n_outputs):
     """The ``rows`` data rows of a file's ASCII bytes ``data`` from offset
     ``start`` on, split on ``sep`` (None for runs of blanks, or ``","``),
     read in place by ``growbp_parse`` into row-major ``array('d')`` inputs
-    and targets, ``(X, T)``.  None on the Python kernel or where
-    ``growbp_parse`` doubts the rows: the caller's Python reader then
-    reads them and raises the error of the first bad row."""
+    and targets, ``(X, T)``.  None where ``growbp_parse`` doubts the rows:
+    the caller's Python reader then reads them and raises the error of the
+    first bad row."""
     # Every value takes a character, and all but the last a separator or
     # a line end after it; rows that cannot fit are not allocated.
-    if _lib is None or (
-            2 * rows * (n_inputs + n_outputs) - 1 > len(data) - start):
+    if 2 * rows * (n_inputs + n_outputs) - 1 > len(data) - start:
         return None
     X = _ZERO * (rows * n_inputs)
     T = _ZERO * (rows * n_outputs)

@@ -2,7 +2,7 @@
 
 The output width decides how a pattern is classified, as in the Proben1
 encoding: a single 0/1 output is thresholded at 0.5, and two or more
-one-hot outputs take the argmax (``growbp.kernel.label``).  Efficiency
+one-hot outputs take the argmax (``label`` in ``kernel.c``).  Efficiency
 is the percentage of patterns in a partition whose predicted class
 equals the target class.  Overall efficiency pools the correct counts
 over all three partitions; it is NOT the mean of the three

@@ -28,8 +28,8 @@ from .network import Network, add_hidden_unit, check_init_range, init_network
 STOP_ACCEPTED = "accepted"
 STOP_H_MAX = "h_max_reached"
 
-# Set when a sweep is interrupted, until the next sweep starts: a phase, on
-# any thread, then raises KeyboardInterrupt before its next epoch.
+# Set while an interrupted sweep ends: a phase, on any thread, then raises
+# KeyboardInterrupt before its next epoch.
 interrupted = False
 
 

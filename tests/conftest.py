@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growbp import kernel
 from growbp.dataset import DatasetHeader, Partition, SplitDataset
 
 
@@ -37,28 +36,6 @@ def make_blob_dataset(n_train=30, n_valid=10, n_test=10, n_inputs=2,
         valid=Partition(X[a:b], T[a:b]),
         test=Partition(X[b:], T[b:]),
     )
-
-
-@pytest.fixture
-def each_backend():
-    """Loop over it to run a test body once per kernel backend.
-
-    The first pass runs on the backend in use (the compiled kernel
-    wherever it was built), the second on the pure-Python fallback.  A
-    finished loop puts the backend in use back, so a test can loop again,
-    as a hypothesis property does once per example.
-    """
-    patch = pytest.MonkeyPatch()
-
-    class Backends:
-        def __iter__(self):
-            yield kernel.BACKEND
-            patch.setattr(kernel, "_lib", None)
-            yield "python"
-            patch.undo()
-
-    yield Backends()
-    patch.undo()
 
 
 @pytest.fixture

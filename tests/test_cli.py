@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growbp
+from growbp import trainer
 from growbp.cli import (
     TRAIN_OPTIONS,
     ExperimentConfig,
@@ -48,6 +49,7 @@ from growbp.trainer import (
     PhaseRecord,
     TrainConfig,
     constructive_train,
+    train_epoch,
 )
 
 
@@ -257,8 +259,7 @@ class TestRunExperiment:
         run_experiment(cfg, log=lambda *a: None)
         assert snapshot(outdir, skip=()) == first
 
-    def test_parallel_jobs_match_serial(self, blob_dataset, tmp_path,
-                                        each_backend):
+    def test_parallel_jobs_match_serial(self, blob_dataset, tmp_path):
         # Up to more threads than cores, switching as often as the
         # interpreter allows, so any state the seeds shared would show.
         path = write_blob_file(blob_dataset, tmp_path)
@@ -266,16 +267,42 @@ class TestRunExperiment:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in each_backend:
-                for n_jobs in (1, 2, 5):
-                    outdir = tmp_path / str(len(runs))
-                    cfg = quick_config(path, outdir, sweep_seeds=range(5),
-                                       n_jobs=n_jobs)
-                    run_experiment(cfg, log=lambda *a: None)
-                    runs.append(snapshot(outdir))
+            for n_jobs in (1, 2, 5):
+                outdir = tmp_path / str(len(runs))
+                cfg = quick_config(path, outdir, sweep_seeds=range(5),
+                                   n_jobs=n_jobs)
+                run_experiment(cfg, log=lambda *a: None)
+                runs.append(snapshot(outdir))
         finally:
             sys.setswitchinterval(interval)
         assert all(run == runs[0] for run in runs)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_interrupted_sweep_leaves_no_stop_flag(self, blob_dataset,
+                                                   tmp_path, monkeypatch,
+                                                   n_jobs):
+        # A library caller that catches the interrupt can train again: the
+        # flag that stops the sweep's phases is down once the sweep ends.
+        epochs = []
+
+        def interrupting_epoch(*args):
+            epochs.append(train_epoch(*args))
+            if len(epochs) == 4:
+                raise KeyboardInterrupt
+
+        path = write_blob_file(blob_dataset, tmp_path)
+        cfg = quick_config(path, tmp_path / "res", sweep_seeds=range(4),
+                           n_jobs=n_jobs)
+        monkeypatch.setattr(trainer, "interrupted", False)  # put back after
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "train_epoch", interrupting_epoch)
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(cfg, log=lambda *a: None)
+        try:
+            history = constructive_train(blob_dataset, cfg.train_config(0))[1]
+        except KeyboardInterrupt:
+            pytest.fail("the interrupted sweep left the stop flag up")
+        assert history.phases[-1].epochs_cumulative > 0
 
     def test_parallel_jobs_never_fork(self, blob_dataset, tmp_path,
                                       monkeypatch):

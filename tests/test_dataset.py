@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from growbp import dataset, kernel
+from growbp import dataset
 from growbp.dataset import (
     DatasetHeader,
     Partition,
@@ -37,6 +38,17 @@ from growbp.errors import (
 )
 from growbp.profiles import BUNDLED, bundled_dataset_path
 from test_decimal import SHAPES, decimals
+
+
+def doubted():
+    """Makes the loaders read as where ``growbp_parse`` doubts the rows:
+    through the per-row reader alone."""
+    return mock.patch.object(dataset, "parse_rows", lambda *args: None)
+
+
+# The two ways the loaders read data rows: the compiled parse, and the
+# per-row reader.
+READERS = (contextlib.nullcontext, doubted)
 
 CANCER1_HEADER = [
     "bool_in=0",
@@ -160,14 +172,15 @@ class TestParseDataset:
             parse_dataset(tiny_dt(rows=rows))
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_presets_take_the_compiled_pass(self, name, each_backend):
+    def test_presets_take_the_compiled_pass(self, name):
         path = bundled_dataset_path(name)
         with mock.patch.object(dataset, "_matrix_by_row",
                                wraps=dataset._matrix_by_row) as by_row:
             want = load_dataset(path)
-        assert by_row.called == (kernel.BACKEND == "python")
-        for _ in each_backend:
-            assert_same_dataset(load_dataset(path), want)
+        assert not by_row.called
+        for reader in READERS:
+            with reader():
+                assert_same_dataset(load_dataset(path), want)
 
     def test_load_from_disk(self, tmp_path):
         p = tmp_path / "tiny.dt"
@@ -222,8 +235,7 @@ class TestParseDataset:
 
     @pytest.mark.parametrize("kind", ["proben1", "raw-csv"])
     def test_load_frees_the_files_bytes_before_the_partitions(self, tmp_path,
-                                                              kind,
-                                                              each_backend):
+                                                              kind):
         # At its peak a load holds the file's bytes and the parsed X and T,
         # or X and T and the partitions' copies of them, never all three;
         # the Python reader holds one decoded line at a time, not them all.
@@ -247,16 +259,18 @@ class TestParseDataset:
                 {"training_examples": 40, "validation_examples": 1480,
                  "test_examples": 1480, "target_columns": 1}))
             load = load_raw_csv
-        for _ in each_backend:
-            load(p)  # imports and caches whatever the first load needs
-            tracemalloc.start()
-            try:
-                ds = load(p)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert ds.header.total == 3000
-            assert peak < p.stat().st_size + 1.5 * (X.nbytes + T.nbytes)
+        for reader in READERS:
+            with reader():
+                load(p)  # imports and caches whatever the first load needs
+                tracemalloc.start()
+                try:
+                    ds = load(p)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert ds.header.total == 3000
+                assert peak < (p.stat().st_size
+                               + 1.5 * (X.nbytes + T.nbytes))
 
     def test_error_names_the_file_once(self, tmp_path):
         p = tmp_path / "tiny.dt"
@@ -550,19 +564,19 @@ class TestBulkParse:
 
     @given(bodies(), st.data())
     @settings(per_example, max_examples=300)
-    def test_equals_the_per_row_loop_bitwise(self, each_backend, case, data):
+    def test_equals_the_per_row_loop_bitwise(self, case, data):
         rows, sep, n_inputs, width = case
         args = data.draw(texts(rows, sep)), sep, n_inputs, width, len(rows)
         want = read_by_row(*args)
-        for backend in each_backend:
-            with mock.patch.object(dataset, "_matrix_by_row",
-                                   wraps=dataset._matrix_by_row) as by_row:
+        for reader in READERS:
+            with reader(), mock.patch.object(
+                    dataset, "_matrix_by_row",
+                    wraps=dataset._matrix_by_row) as by_row:
                 got = read(*args)
-            # Valid rows never take the slow path on the compiled backend.
-            assert by_row.called == (backend == "python")
+            # Valid rows take the slow path only where the parse doubts.
+            assert by_row.called == (reader is doubted)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    @pytest.mark.skipif(kernel._lib is None, reason="no compiled kernel")
     @given(st.lists(decimals() | st.sampled_from(SHAPES), min_size=3,
                     max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -577,7 +591,7 @@ class TestBulkParse:
 
     @given(bodies(), st.data())
     @settings(per_example, max_examples=400)
-    def test_faults_raise_as_the_per_row_loop(self, each_backend, case, data):
+    def test_faults_raise_as_the_per_row_loop(self, case, data):
         rows, sep, n_inputs, width = case
         rows = [list(tokens) for tokens in rows]
         declared = len(rows)
@@ -607,15 +621,16 @@ class TestBulkParse:
             refused_as_non_ascii(args[0])
             return
         want = outcome(read_by_row, *args)
-        for _ in each_backend:
-            assert outcome(read, *args) == want
+        for reader in READERS:
+            with reader():
+                assert outcome(read, *args) == want
 
     @pytest.mark.parametrize("sep", [None, ","])
     @pytest.mark.parametrize("kind, token", [
         (kind, token) for kind in sorted(FAULT_TOKENS)
         for token in FAULT_TOKENS[kind]])
-    def test_each_fault_token_raises_as_the_per_row_loop(self, each_backend,
-                                                         kind, token, sep):
+    def test_each_fault_token_raises_as_the_per_row_loop(self, kind, token,
+                                                         sep):
         # In an input column, except a target fault, and in a target
         # column of the middle row.
         for column in (2,) if kind == "target" else (0, 2):
@@ -626,13 +641,13 @@ class TestBulkParse:
                 refused_as_non_ascii(args[0])
                 continue
             want = raised(read_by_row, *args)
-            for _ in each_backend:
-                assert raised(read, *args) == want
+            for reader in READERS:
+                with reader():
+                    assert raised(read, *args) == want
 
     @pytest.mark.parametrize("sep", [None, ","])
     @pytest.mark.parametrize("joint", JOINTS)
-    def test_each_joint_reads_as_the_per_row_loop(self, each_backend, joint,
-                                                  sep):
+    def test_each_joint_reads_as_the_per_row_loop(self, joint, sep):
         # Joining the middle row's second and third numbers.
         rows = [["0.1", "0.2", "1", "0"] for _ in range(3)]
         rows[1][1:3] = [joint.join(rows[1][1:3])]
@@ -641,8 +656,9 @@ class TestBulkParse:
             refused_as_non_ascii(args[0])
             return
         want = outcome(read_by_row, *args)
-        for _ in each_backend:
-            assert outcome(read, *args) == want
+        for reader in READERS:
+            with reader():
+                assert outcome(read, *args) == want
 
     @staticmethod
     def text(rows, sep):
@@ -651,13 +667,14 @@ class TestBulkParse:
         return "names=0\n" + "\n".join(map(joiner.join, rows)) + "\n"
 
     @pytest.mark.parametrize("rows", [2, 4])
-    def test_a_row_count_other_than_declared_raises(self, each_backend,
-                                                    rows):
+    def test_a_row_count_other_than_declared_raises(self, rows):
         text = tiny_dt(rows=["0.1 0.2 1 0"] * rows)
-        for _ in each_backend:
-            with pytest.raises(CountMismatchError) as exc:
-                parse_dataset(text)
-            assert str(exc.value) == f"expected 7 data rows, found {rows}"
+        for reader in READERS:
+            with reader():
+                with pytest.raises(CountMismatchError) as exc:
+                    parse_dataset(text)
+                assert str(exc.value) == (
+                    f"expected 7 data rows, found {rows}")
 
     @pytest.mark.parametrize("rows, sep, end, fallback", [
         (["0.1 0.2 1 0", "0.3 0.4 0 1", "0.5 0.6 1 0"], None, "\r\n", False),
@@ -674,28 +691,30 @@ class TestBulkParse:
         (["0.1,0.2,1,0", f"0.3,{LONG_TOKEN},0,1", "0.5,0.6,1,0"], ",",
          "\r\n", True),
     ])
-    def test_line_ends_blanks_and_long_numbers(self, each_backend, rows,
-                                               sep, end, fallback):
+    def test_line_ends_blanks_and_long_numbers(self, rows, sep, end,
+                                               fallback):
         args = "names=0" + end + end.join(rows), sep, 2, 4, 3
         want = read_by_row(*args)
-        for backend in each_backend:
-            with mock.patch.object(dataset, "_matrix_by_row",
-                                   wraps=dataset._matrix_by_row) as by_row:
+        for reader in READERS:
+            with reader(), mock.patch.object(
+                    dataset, "_matrix_by_row",
+                    wraps=dataset._matrix_by_row) as by_row:
                 got = read(*args)
-            assert by_row.called == (fallback or backend == "python")
+            assert by_row.called == (fallback or reader is doubted)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_lines_of_blanks_still_count(self, each_backend):
+    def test_lines_of_blanks_still_count(self):
         # A fault after lines of blanks names its line as numbered_lines
         # counts them, with \r\n line ends as with \n.
         rows = ["0.1 0.2 1 0", " \t", "", "\t", "0.1 0.2 1 0"] + (
             ["0.1 0.2 1 0"] * 4 + ["0.1 0.2 1 x"])
         for end in ("\n", "\r\n"):
             text = tiny_dt(rows=rows).replace("\n", end)
-            for _ in each_backend:
-                with pytest.raises(MalformedValueError) as exc:
-                    parse_dataset(text)
-                assert str(exc.value) == "line 17: non-numeric value"
+            for reader in READERS:
+                with reader():
+                    with pytest.raises(MalformedValueError) as exc:
+                        parse_dataset(text)
+                    assert str(exc.value) == "line 17: non-numeric value"
 
     @pytest.mark.parametrize("early, late, want", [
         ("nan 0.2 1 0", "0.1 0.2 1", (NonFiniteError, 10)),
@@ -813,19 +832,19 @@ class TestRawCsv:
         # test row b=8 with train span [2, 4]
         assert np.isclose(ds.test.X[0, 1], 3.0)
 
-    def test_takes_the_compiled_pass(self, tmp_path, each_backend):
+    def test_takes_the_compiled_pass(self, tmp_path):
         csv_path = self.write_csv(tmp_path)
         with mock.patch.object(dataset, "_matrix_by_row",
                                wraps=dataset._matrix_by_row) as by_row:
             want = load_raw_csv(csv_path)
-        assert by_row.called == (kernel.BACKEND == "python")
-        for _ in each_backend:
-            assert_same_dataset(load_raw_csv(csv_path), want)
+        assert not by_row.called
+        for reader in READERS:
+            with reader():
+                assert_same_dataset(load_raw_csv(csv_path), want)
 
     @given(st.data())
     @settings(per_example, max_examples=100)
-    def test_scales_each_column_on_the_training_rows(self, tmp_path,
-                                                      each_backend, data):
+    def test_scales_each_column_on_the_training_rows(self, tmp_path, data):
         # Bitwise the per-column reference, with constant columns and later
         # rows outside the training rows' range among the draws.
         width, n_targets = data.draw(st.integers(1, 6)), data.draw(
@@ -851,14 +870,14 @@ class TestRawCsv:
             dict(zip(dataset.MANIFEST_KEYS, (*sizes, n_targets)))))
         want = [array("d", [v for row in rows for v in row]).tobytes()
                 for rows in (scaled_by_column(features, sizes[0]), targets)]
-        for _ in each_backend:
-            ds = load_raw_csv(csv_path)
-            parts = (ds.train, ds.valid, ds.test)
-            assert [b"".join(p.X.tobytes() for p in parts),
-                    b"".join(p.T.tobytes() for p in parts)] == want
+        for reader in READERS:
+            with reader():
+                ds = load_raw_csv(csv_path)
+                parts = (ds.train, ds.valid, ds.test)
+                assert [b"".join(p.X.tobytes() for p in parts),
+                        b"".join(p.T.tobytes() for p in parts)] == want
 
-    def test_scales_the_parsed_rows_in_place(self, tmp_path, each_backend,
-                                             monkeypatch):
+    def test_scales_the_parsed_rows_in_place(self, tmp_path, monkeypatch):
         # From the end of the parse on, a load holds the parsed rows, and
         # then the partitions' copies of them too: twice the rows.  The
         # file's bytes, about half the rows here, go before the scaling,
@@ -881,16 +900,17 @@ class TestRawCsv:
             return X, T
 
         monkeypatch.setattr(dataset, "_matrix", parsed)
-        for _ in each_backend:
-            load_raw_csv(csv_path)  # imports whatever the first load needs
-            tracemalloc.start()
-            try:
-                ds = load_raw_csv(csv_path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert ds.header.total == n
-            assert peak < 2.25 * rows
+        for reader in READERS:
+            with reader():
+                load_raw_csv(csv_path)  # imports what the first load needs
+                tracemalloc.start()
+                try:
+                    ds = load_raw_csv(csv_path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert ds.header.total == n
+                assert peak < 2.25 * rows
 
     def test_single_target_column(self, tmp_path):
         ds = load_raw_csv(self.write_csv(tmp_path, n_targets=1))

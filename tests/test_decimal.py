@@ -11,7 +11,6 @@ includes ``kernel.c`` calls it.
 import ctypes
 import importlib.util
 import re
-import shutil
 import subprocess
 from array import array
 from pathlib import Path
@@ -123,8 +122,6 @@ def c_read(tmp_path_factory):
     """``read_decimal`` of ``kernel.c``, built as the kernel is, over a
     list of tokens: for each, its bits where it reads the whole token,
     else None."""
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     tmp = tmp_path_factory.mktemp("decimal")
     (tmp / "decimal.c").write_text(
         f'#include "{kernel._SOURCE}"\n'

@@ -8,7 +8,6 @@ and says so in its changelog.
 """
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -125,24 +124,16 @@ def test_render_reproduces_stored_files(name, tmp_path, capsys):
 NO_FMA = "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"
 
 
-@pytest.mark.parametrize("backend", ["c", "python"])
-def test_golden_bytes_hold_with_glibcs_exp_without_fma(backend, tmp_path):
-    # The kernels compute exp themselves, so the C library's choice of exp
-    # reaches no result.  The Python backend runs with no gcc on PATH.
-    if backend == "c" and shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
+def test_golden_bytes_hold_with_glibcs_exp_without_fma(tmp_path):
+    # The kernel computes exp itself, so the C library's choice of exp
+    # reaches no result.
     env = dict(os.environ, GLIBC_TUNABLES=NO_FMA,
                PYTHONPATH=str(Path(growbp.__file__).resolve().parents[1]))
-    if backend == "python":
-        (tmp_path / "bin").mkdir()
-        env.update(PATH=str(tmp_path / "bin"),
-                   XDG_CACHE_HOME=str(tmp_path / "cache"))
     code = (
         "import sys\n"
         "from pathlib import Path\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-        "import growbp.kernel, test_golden as g\n"
-        "print(growbp.kernel.BACKEND)\n"
+        "import test_golden as g\n"
         f"tmp = Path({str(tmp_path)!r})\n"
         "for name in g.RUNS:\n"
         "    g.assert_same_files(name, g.result_files(name, tmp))\n"
@@ -153,7 +144,6 @@ def test_golden_bytes_hold_with_glibcs_exp_without_fma(backend, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == backend
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """The order contract of ``growbp.kernel``, checked bitwise.
 
 The scalar reference below is written with plain loops over Python
-floats, independently of the Python kernel: each sum starts from its
-first product, runs left to right and adds the bias last.  The entry
-points ``train_epoch``, ``forward_outputs`` and ``pattern_errors`` are
-checked against it on both backends, and the compiled kernel is also
-checked against the Python one, which is its fallback.  numpy is the
-oracle for the random streams, the errors' row sums and the class rule;
-the mean of the errors is checked against a plain left-to-right loop.
+floats, independently of ``oracle``, ``kernel.c`` transcribed: each sum
+starts from its first product, runs left to right and adds the bias
+last.  The entry points ``train_epoch``, ``forward_outputs`` and
+``pattern_errors`` are checked against it, and the compiled kernel is
+also checked against the oracle.  numpy is the reference for the random
+streams, the errors' row sums and the class rule; the mean of the errors
+is checked against a plain left-to-right loop.
 """
 
 import copy
@@ -21,17 +21,21 @@ import shutil
 import subprocess
 import sys
 from array import array
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import growbp
+import oracle
+import test_golden
 from growbp import kernel as kernel_module
+from growbp import metrics, trainer
 from growbp.dataset import Partition
 from growbp.errors import (ArityMismatchError, EmptySetError,
                            MalformedValueError)
@@ -42,7 +46,7 @@ from growbp.trainer import average_error, train_epoch
 
 
 def ref_sigmoid(s):
-    return 1.0 / (1.0 + kernel_module.exp(-s))
+    return 1.0 / (1.0 + oracle.exp(-s))
 
 
 def ref_dot(row, inputs):
@@ -92,11 +96,19 @@ def one_step(net, x, d, eta):
     return train_epoch(net, Partition([x], [d]), eta)
 
 
-def python_forward(net, x):
-    """The Python kernel's hidden and output activations of one pattern."""
-    return kernel_module.forward(net.hidden_weights.tolist(),
-                                 net.output_weights.tolist(),
-                                 np.asarray(x, dtype=np.float64).tolist())
+def oracle_forward(net, x):
+    """The oracle's hidden and output activations of one pattern."""
+    return oracle.forward(net.hidden_weights.tolist(),
+                          net.output_weights.tolist(),
+                          np.asarray(x, dtype=np.float64).tolist())
+
+
+def oracle_evaluate(net, part):
+    """The oracle's outputs, errors, mean error and count of ``net`` on
+    ``part``."""
+    return oracle.evaluate(net.hidden_weights.tolist(),
+                           net.output_weights.tolist(), part.X.tolist(),
+                           part.T.tolist())
 
 
 # Shapes up to h=8 and three outputs; weight scales up to 1000 drive
@@ -106,9 +118,6 @@ def python_forward(net, x):
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3))
 scales = st.sampled_from([0.5, 2.0, 30.0, 1000.0])
 seeds = st.integers(0, 2**32 - 1)
-# Settings for a property that loops over the each_backend fixture.
-per_example = settings(
-    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def random_net(rng, shape, scale):
@@ -118,9 +127,8 @@ def random_net(rng, shape, scale):
 
 
 @given(shapes, scales, seeds, st.sampled_from([0.05, 0.7, 3.0, 1e4]))
-@settings(per_example, max_examples=200)
-def test_step_matches_scalar_reference(each_backend, shape, scale, seed,
-                                       eta):
+@settings(deadline=None, max_examples=200)
+def test_step_matches_scalar_reference(shape, scale, seed, eta):
     rng = np.random.default_rng(seed)
     start = random_net(rng, shape, scale)
     x = rng.uniform(-1, 1, shape[0])
@@ -128,17 +136,19 @@ def test_step_matches_scalar_reference(each_backend, shape, scale, seed,
     want_hw, want_ow = ref_step(start.hidden_weights.tolist(),
                                 start.output_weights.tolist(),
                                 x.tolist(), d.tolist(), eta)
-    for _ in each_backend:
-        net = start.copy()
-        one_step(net, x, d, eta)
-        assert bits(net.hidden_weights) == bits(want_hw)
-        assert bits(net.output_weights) == bits(want_ow)
+    net = start.copy()
+    one_step(net, x, d, eta)
+    hw, ow = start.hidden_weights.tolist(), start.output_weights.tolist()
+    oracle.step(hw, ow, x.tolist(), d.tolist(), eta)
+    for got in (net.hidden_weights, hw):
+        assert bits(got) == bits(want_hw)
+    for got in (net.output_weights, ow):
+        assert bits(got) == bits(want_ow)
 
 
 @given(shapes, seeds, st.integers(1, 12), seeds)
-@settings(per_example, max_examples=60)
-def test_epoch_equals_loop_of_steps(each_backend, shape, seed, rows,
-                                    order_seed):
+@settings(deadline=None, max_examples=60)
+def test_epoch_equals_loop_of_steps(shape, seed, rows, order_seed):
     rng = np.random.default_rng(seed)
     start = random_net(rng, shape, 2.0)
     part = Partition(rng.uniform(0, 1, (rows, shape[0])),
@@ -148,14 +158,13 @@ def test_epoch_equals_loop_of_steps(each_backend, shape, seed, rows,
     hw, ow = start.hidden_weights.tolist(), start.output_weights.tolist()
     for i in order:
         hw, ow = ref_step(hw, ow, X[i], T[i], 0.7)
-    for _ in each_backend:
-        a, b = start.copy(), start.copy()
-        train_epoch(a, part, 0.7, Generator(order_seed))
-        for i in order:
-            one_step(b, X[i], T[i], 0.7)
-        for net in (a, b):
-            assert bits(net.hidden_weights) == bits(hw)
-            assert bits(net.output_weights) == bits(ow)
+    a, b = start.copy(), start.copy()
+    train_epoch(a, part, 0.7, Generator(order_seed))
+    for i in order:
+        one_step(b, X[i], T[i], 0.7)
+    for net in (a, b):
+        assert bits(net.hidden_weights) == bits(hw)
+        assert bits(net.output_weights) == bits(ow)
 
 
 @given(shapes, scales, seeds, st.integers(1, 20))
@@ -166,7 +175,7 @@ def test_batch_forward_matches_per_pattern(shape, scale, seed, rows):
     X = rng.uniform(-1, 1, (rows, shape[0]))
     Y = np.asarray(forward_outputs(net, X))
     for i in range(rows):
-        hidden, output = python_forward(net, X[i])
+        hidden, output = oracle_forward(net, X[i])
         want_hidden, want_output = ref_forward(net.hidden_weights.tolist(),
                                                net.output_weights.tolist(),
                                                X[i].tolist())
@@ -188,16 +197,16 @@ def test_zero_output_growth_keeps_batch_outputs(shape, seed):
 @pytest.mark.parametrize("s", [-800.0, -745.2, -709.79, -709.78, -36.5,
                                0.0, 36.5, 800.0, math.inf, -math.inf,
                                math.nan])
-def test_sigmoid_equals_expit(s, each_backend):
+def test_sigmoid_equals_expit(s):
     # The hidden unit's net input is exactly 1.0 * s + 0.0 = s, and so is
     # the output unit's on the hidden activation.
     w = np.array([[1.0, 0.0]])
-    hidden, _ = python_forward(Network(w, np.zeros((1, 2))), [s])
+    hidden, _ = oracle_forward(Network(w, np.zeros((1, 2))), [s])
     assert bits(hidden) == bits([expit(s)])
     net = Network(w, w.copy())
-    for _ in each_backend:
-        Y = forward_outputs(net, [[s], [-s]])
-        assert bits(Y) == bits([[expit(expit(s))], [expit(expit(-s))]])
+    want = bits([[expit(expit(s))], [expit(expit(-s))]])
+    assert bits(forward_outputs(net, [[s], [-s]])) == want
+    assert bits([oracle_forward(net, [v])[1] for v in (s, -s)]) == want
 
 
 def test_long_sums_keep_order():
@@ -206,13 +215,13 @@ def test_long_sums_keep_order():
     x = rng.uniform(-1, 1, 3000)
     want = ref_forward(net.hidden_weights.tolist(),
                        net.output_weights.tolist(), x.tolist())
-    hidden, output = python_forward(net, x)
+    hidden, output = oracle_forward(net, x)
     assert bits(hidden) == bits(want[0])
     assert bits(output) == bits(want[1])
     assert bits(forward_outputs(net, x[None, :])) == bits(want[1])
 
 
-# The compiled kernel against the Python one.  Weight scales up to 1e300
+# The compiled kernel against the oracle.  Weight scales up to 1e300
 # and etas up to 1e300 push weights past the float range, so later steps
 # run on +-inf and NaN weights.
 big_scales = st.sampled_from([0.5, 30.0, 1000.0, 1e300])
@@ -241,12 +250,12 @@ def nan_bits(a):
     return a.tobytes()
 
 
-def python_epoch(net, part, order, eta):
-    """The Python step applied pattern by pattern; new weight rows."""
+def oracle_epoch(net, part, order, eta):
+    """The oracle's step applied pattern by pattern; new weight rows."""
     hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
     X, T = part.X.tolist(), part.T.tolist()
     for i in order:
-        kernel_module.step(hw, ow, X[i], T[i], eta)
+        oracle.step(hw, ow, X[i], T[i], eta)
     return hw, ow
 
 
@@ -265,32 +274,31 @@ def test_epoch_matches_python_steps(shape, scale, seed, rows, eta,
     for _ in range(3):  # later epochs start from saturated weights
         order = (range(rows) if order_seed is None
                  else shuffles[0].permutation(rows))
-        want_hw, want_ow = python_epoch(net, part, order, eta)
+        want_hw, want_ow = oracle_epoch(net, part, order, eta)
         train_epoch(net, part, eta, shuffles[1])
         assert nan_bits(net.hidden_weights) == nan_bits(want_hw)
         assert nan_bits(net.output_weights) == nan_bits(want_ow)
 
 
 @given(shapes, seeds, st.integers(1, 12))
-@settings(per_example, max_examples=40)
+@settings(deadline=None, max_examples=40)
 def test_epoch_draws_one_permutation_or_goes_in_file_order(
-        each_backend, shape, seed, rows):
+        shape, seed, rows):
     rng = np.random.default_rng(seed)
     start = random_net(rng, shape, 2.0)
     part = Partition(rng.uniform(0, 1, (rows, shape[0])),
                      rng.integers(0, 2, (rows, shape[2])).astype(float))
-    for _ in each_backend:
-        drawn, twin = Generator(seed), Generator(seed)
-        shuffled, in_order = start.copy(), start.copy()
-        train_epoch(shuffled, part, 0.7, drawn)
-        train_epoch(in_order, part, 0.7)
-        for net, order in ((shuffled, twin.permutation(rows)),
-                           (in_order, range(rows))):
-            want_hw, want_ow = python_epoch(start, part, order, 0.7)
-            assert bits(net.hidden_weights) == bits(want_hw)
-            assert bits(net.output_weights) == bits(want_ow)
-        # The epoch took exactly one permutation from the stream.
-        assert drawn.state == twin.state
+    drawn, twin = Generator(seed), Generator(seed)
+    shuffled, in_order = start.copy(), start.copy()
+    train_epoch(shuffled, part, 0.7, drawn)
+    train_epoch(in_order, part, 0.7)
+    for net, order in ((shuffled, twin.permutation(rows)),
+                       (in_order, range(rows))):
+        want_hw, want_ow = oracle_epoch(start, part, order, 0.7)
+        assert bits(net.hidden_weights) == bits(want_hw)
+        assert bits(net.output_weights) == bits(want_ow)
+    # The epoch took exactly one permutation from the stream.
+    assert drawn.state == twin.state
 
 
 # kernel.c evaluates rows in blocks of 8 and pads the last one with zero
@@ -317,25 +325,22 @@ def make_infinite(rng, net):
        st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
 @example((3, 2, 2), 30.0, 0, 0, False)
-@settings(per_example, max_examples=150)
-def test_batch_forward_matches_python_forward(each_backend, shape, scale,
-                                              seed, rows, infinite):
+@settings(deadline=None, max_examples=150)
+def test_batch_forward_matches_python_forward(shape, scale, seed, rows,
+                                              infinite):
     rng = np.random.default_rng(seed)
     hw, ow, X, _ = random_arrays(rng, shape, scale, rows)
     net = Network(hw, ow)
     if infinite:
         make_infinite(rng, net)
-    for _ in each_backend:
-        Y = forward_outputs(net, X)
-        assert Y.shape == (rows, shape[2])
-        # Every view lists, one of no rows as [].
-        assert len(Y.tolist()) == rows
-        Y = np.asarray(Y)
-        assert Y.shape == (rows, shape[2])
-        for i in range(rows):
-            assert nan_bits(Y[i]) == nan_bits(kernel_module.forward(
-                net.hidden_weights.tolist(), net.output_weights.tolist(),
-                X[i].tolist())[1])
+    Y = forward_outputs(net, X)
+    assert Y.shape == (rows, shape[2])
+    # Every view lists, one of no rows as [].
+    assert len(Y.tolist()) == rows
+    Y = np.asarray(Y)
+    assert Y.shape == (rows, shape[2])
+    for i in range(rows):
+        assert nan_bits(Y[i]) == nan_bits(oracle_forward(net, X[i])[1])
 
 
 # Net inputs at the edges of exp's ranges: past |s| < 512 a block of
@@ -344,7 +349,7 @@ def test_batch_forward_matches_python_forward(each_backend, shape, scale,
 @pytest.mark.parametrize("s", [-600.0, 600.0, 1e-20, math.nan, math.inf,
                                -math.inf])
 @pytest.mark.parametrize("rows", [8, 13])
-def test_block_with_a_lane_out_of_exp_range(s, rows, each_backend):
+def test_block_with_a_lane_out_of_exp_range(s, rows):
     # The first hidden unit's net input is the row's input, and the first
     # output unit's is that unit's activation, 2.6e-261 for s = -600; the
     # other lanes lie in the main range.  The odd lane goes through every
@@ -356,16 +361,14 @@ def test_block_with_a_lane_out_of_exp_range(s, rows, each_backend):
     for lane in range(rows):
         X = rng.uniform(-5.0, 5.0, (rows, 1))
         X[lane, 0] = s
-        want = [kernel_module.forward(hw.tolist(), ow.tolist(), x)[1]
+        want = [oracle.forward(hw.tolist(), ow.tolist(), x)[1]
                 for x in X.tolist()]
-        for _ in each_backend:
-            assert nan_bits(forward_outputs(net, X)) == nan_bits(want)
+        assert nan_bits(forward_outputs(net, X)) == nan_bits(want)
 
 
 def exp_table_row(y):
     """The row j of ``kernel.c``'s ``exp_table`` that ``exp(y)`` reads."""
-    kd = (kernel_module._INV_LN2_N * y + kernel_module._SHIFT
-          - kernel_module._SHIFT)
+    kd = oracle._INV_LN2_N * y + oracle._SHIFT - oracle._SHIFT
     return int(kd) & 127
 
 
@@ -377,8 +380,8 @@ def exp_table_row(y):
 # rows in a block of 5: +-2**-54, where exp is 1 + x, -0.0, and +-511.99
 # near the main range's end.
 @given(seeds)
-@settings(per_example, max_examples=25)
-def test_every_exp_table_row_in_both_lanes_of_a_pair(each_backend, seed):
+@settings(deadline=None, max_examples=25)
+def test_every_exp_table_row_in_both_lanes_of_a_pair(seed):
     rng = np.random.default_rng(seed)
     j = np.arange(128)
 
@@ -395,9 +398,8 @@ def test_every_exp_table_row_in_both_lanes_of_a_pair(each_backend, seed):
     assert len(rows) % 8 == 5
     hw, ow = [[1.0, 0.0]], [[1.0, 0.0]]
     net = Network(hw, ow)
-    want = [kernel_module.forward(hw, ow, [x])[1] for x in rows]
-    for _ in each_backend:
-        assert bits(forward_outputs(net, [[x] for x in rows])) == bits(want)
+    want = [oracle.forward(hw, ow, [x])[1] for x in rows]
+    assert bits(forward_outputs(net, [[x] for x in rows])) == bits(want)
 
 
 def ref_pattern_error(net, x, d):
@@ -410,33 +412,35 @@ def ref_pattern_error(net, x, d):
 
 
 # Up to 12 outputs: from eight on, numpy's row sums reblock, so only the
-# kernel's own order can match across the backends.
+# kernel's own order can match the oracle.
 wide_shapes = st.tuples(st.integers(1, 40), st.integers(1, 8),
                         st.integers(1, 12))
 
 
 @given(wide_shapes, big_scales, seeds, block_rows, st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
-@settings(per_example, max_examples=150)
-def test_pattern_errors_equal_on_both_backends(each_backend, shape, scale,
-                                               seed, rows, infinite):
+@settings(deadline=None, max_examples=150)
+def test_pattern_errors_equal_on_both_backends(shape, scale, seed, rows,
+                                               infinite):
+    # The compiled pass against the oracle, kernel.c transcribed, and the
+    # scalar reference.
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
     if infinite:
         make_infinite(rng, net)
-    got = [kernel_module.pattern_errors(net, part) for _ in each_backend]
+    got = kernel_module.pattern_errors(net, part)
     want = [ref_pattern_error(net, X[i].tolist(), T[i].tolist())
             for i in range(rows)]
-    assert len(got[0]) == rows
-    assert nan_bits(got[0]) == nan_bits(got[1]) == nan_bits(want)
+    assert len(got) == rows
+    assert nan_bits(got) == nan_bits(oracle_evaluate(net, part)[1]) == (
+        nan_bits(want))
 
 
 @given(st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 7)),
        scales, seeds, st.integers(1, 40))
-@settings(per_example, max_examples=100)
-def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
-                                            seed, rows):
+@settings(deadline=None, max_examples=100)
+def test_average_error_keeps_numpy_row_sums(shape, scale, seed, rows):
     # Up to seven outputs numpy sums a row's squares left to right, as
     # the kernel does.
     rng = np.random.default_rng(seed)
@@ -444,8 +448,7 @@ def test_average_error_keeps_numpy_row_sums(each_backend, shape, scale,
     net, part = Network(hw, ow), Partition(X, T)
     E = T - np.asarray(forward_outputs(net, X))
     want = left_to_right_mean(0.5 * (E * E).sum(axis=1))
-    for _ in each_backend:
-        assert bits(average_error(net, part)) == bits(want)
+    assert bits(average_error(net, part)) == bits(want)
 
 
 # The entry points that take a partition, each called on one that does
@@ -468,8 +471,7 @@ FIT_CHECKED = {
     (0, 3, 2, EmptySetError, "empty pattern set"),
 ], ids=["3-1", "1-1", "2-2", "empty", "empty-3-2"])
 def test_unfit_partitions_fail_before_the_kernel(
-        entry, rows, n_inputs, n_targets, error, message, monkeypatch,
-        each_backend):
+        entry, rows, n_inputs, n_targets, error, message, monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the kernel ran")
 
@@ -477,16 +479,12 @@ def test_unfit_partitions_fail_before_the_kernel(
         def __getattr__(self, name):
             return no_kernel
 
-    if kernel_module._lib is not None:
-        monkeypatch.setattr(kernel_module, "_lib", NoLib())
-    for name in ("step", "forward", "evaluate"):
-        monkeypatch.setattr(kernel_module, name, no_kernel)
+    monkeypatch.setattr(kernel_module, "_lib", NoLib())
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
     part = Partition(np.ones((rows, n_inputs)), np.ones((rows, n_targets)))
-    for _ in each_backend:
-        with pytest.raises(error, match=message):
-            FIT_CHECKED[entry](net, part)
+    with pytest.raises(error, match=message):
+        FIT_CHECKED[entry](net, part)
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
@@ -498,13 +496,12 @@ def test_unfit_partitions_fail_before_the_kernel(
     np.arange(4), 0, np.random.RandomState(0), np.random.default_rng(0),
     SimpleNamespace(permutation=lambda n: np.full(n, 10**9)),
 ], ids=["order", "seed", "random-state", "numpy-generator", "look-alike"])
-def test_epoch_takes_only_a_growbp_generator(rng, each_backend):
+def test_epoch_takes_only_a_growbp_generator(rng):
     net = Network(np.ones((2, 3)), np.ones((1, 3)))
     before = bits(net.hidden_weights) + bits(net.output_weights)
     part = Partition(np.ones((4, 2)), np.ones((4, 1)))
-    for _ in each_backend:
-        with pytest.raises(TypeError, match="growbp.kernel.Generator"):
-            train_epoch(net, part, 0.7, rng)
+    with pytest.raises(TypeError, match="growbp.kernel.Generator"):
+        train_epoch(net, part, 0.7, rng)
     assert bits(net.hidden_weights) + bits(net.output_weights) == before
 
 
@@ -536,11 +533,14 @@ def test_every_c_entry_point_is_bound_to_its_prototype():
 
 
 def test_evaluation_pass_has_one_call_site():
-    # _evaluate alone calls growbp_evaluate, and on the Python backend
-    # its twin evaluate.
+    # _evaluate alone calls growbp_evaluate, and no second, Python path
+    # runs anywhere in the package in the library's place.
     source = Path(kernel_module.__file__).read_text()
     assert source.count("_lib.growbp_evaluate(") == 1
-    assert len(re.findall(r"(?<![\w.])(?<!def )evaluate\(", source)) == 1
+    for path in Path(kernel_module.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "_lib is None" not in text, path.name
+        assert "BACKEND" not in text, path.name
 
 
 def test_kernel_alone_holds_the_matrices():
@@ -562,8 +562,6 @@ def _address(lib, name):
 
 
 def test_compiled_library_exports_only_prefixed_names():
-    if kernel_module._lib is None:
-        pytest.skip("no gcc on PATH: the Python kernel is in use")
     lib = kernel_module._lib
     for name in EXPORTS:
         assert _address(lib, name) is not None, name
@@ -582,8 +580,6 @@ def test_compiled_library_exports_only_prefixed_names():
 
 
 def test_parse_reads_nothing_past_its_length():
-    if kernel_module._lib is None:
-        pytest.skip("no gcc on PATH: the Python kernel is in use")
     parse = kernel_module._lib.growbp_parse
     X, T = (ctypes.c_double * 1)(), (ctypes.c_double * 1)()
     # Up to offset 9 the row is "0.5 1"; a read past it would see the
@@ -602,11 +598,10 @@ def test_parse_rows_allocates_only_rows_the_buffer_can_hold():
     # before any allocation.
     parse_rows = kernel_module.parse_rows
     assert parse_rows(b"0 1\n", 0, None, 10**12, 1, 1) is None
-    if kernel_module._lib is not None:
-        assert parse_rows(b"0 1", 0, None, 1, 1, 1) == (array("d", [0.0]),
-                                                         array("d", [1.0]))
-        # growbp_parse doubts any byte that is not ASCII.
-        assert parse_rows("0 1\xa0".encode(), 0, None, 1, 1, 1) is None
+    assert parse_rows(b"0 1", 0, None, 1, 1, 1) == (array("d", [0.0]),
+                                                     array("d", [1.0]))
+    # growbp_parse doubts any byte that is not ASCII.
+    assert parse_rows("0 1\xa0".encode(), 0, None, 1, 1, 1) is None
 
 
 def test_build_flags_keep_the_order_contract():
@@ -627,8 +622,6 @@ FUSED = re.compile(r"v?fn?m(add|sub)|fml[as]")
 def test_compiled_library_has_no_fused_multiply_add():
     # -ffp-contract=off keeps every product rounded on its own; vector
     # code or an -m flag must not bring a fused instruction back.
-    if kernel_module._lib is None:
-        pytest.skip("the Python kernel is in use")
     if shutil.which("objdump") is None:
         pytest.skip("needs objdump")
     proc = subprocess.run(["objdump", "-d", kernel_module._lib._name],
@@ -642,17 +635,9 @@ def test_compiled_library_has_no_fused_multiply_add():
     assert [m for m in mnemonics if FUSED.match(m)] == []
 
 
-def test_compiled_whenever_gcc_is_found():
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH: the Python kernel is in use")
-    assert kernel_module.BACKEND == "c"
-
-
 def test_kernel_c_compiles_without_warnings(tmp_path):
     # Stricter than kernel._COMPILE, which names the cached library and so
     # stays as it is: here every warning is an error.
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
     source = Path(kernel_module.__file__).with_name("kernel.c")
     proc = subprocess.run(
         ["gcc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
@@ -719,78 +704,106 @@ def test_serial_run_loads_no_pool_and_no_build_modules(tmp_path):
 
 # numpy cannot be imported after this prelude.
 NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+# Prints a function of the library, which only a loaded library has.
+LOADED = "import growbp.kernel as k; print(k._lib.growbp_epoch.__name__)"
 
 
-def heart1_golden(tmp_path, prelude="", gcc=False):
-    """Run ``prelude``, then the heart1 golden sweep with an empty cache
-    and, unless ``gcc``, no ``gcc`` on ``PATH``; it must reproduce the
-    golden bytes.  Returns the backend it ran on."""
-    (tmp_path / "bin").mkdir()
-    path = os.environ.get("PATH", "") if gcc else str(tmp_path / "bin")
-    out = run_python(
-        prelude +
-        "import sys, tempfile\n"
+def test_compiled_kernel_needs_no_numpy(tmp_path):
+    # The heart1 golden sweep, built into an empty cache.
+    run_python(
+        NO_NUMPY +
+        "import tempfile\n"
         "from pathlib import Path\n"
         f"sys.path.insert(0, {str(TESTS)!r})\n"
-        "import growbp.kernel, test_golden\n"
-        "print(growbp.kernel.BACKEND)\n"
+        "import test_golden\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
         "    test_golden.assert_same_files(\n"
         "        'heart1', test_golden.result_files('heart1', Path(tmp)))\n",
-        XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=path)
-    return out
+        XDG_CACHE_HOME=str(tmp_path / "cache"))
 
 
-def heart1_golden_without_gcc(tmp_path, prelude=""):
-    assert heart1_golden(tmp_path, prelude) == "python\n"
-    assert not (tmp_path / "cache").exists()
+def test_oracle_sweep_keeps_golden_bytes(tmp_path, monkeypatch):
+    # The heart1 golden sweep with each epoch and evaluation pass taken by
+    # the oracle: of the library, only the parse may run.
+    def epoch(net, part, eta, rng):
+        assert rng is None  # the golden sweep trains in file order
+        hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
+        for x, d in zip(part.X.tolist(), part.T.tolist()):
+            oracle.step(hw, ow, x, d, eta)
+        net.hidden_weights.obj[:] = array("d", chain.from_iterable(hw))
+        net.output_weights.obj[:] = array("d", chain.from_iterable(ow))
+        return net
+
+    monkeypatch.setattr(trainer, "train_epoch", epoch)
+    monkeypatch.setattr(trainer, "average_error",
+                        lambda net, part: oracle_evaluate(net, part)[2])
+    monkeypatch.setattr(metrics, "classified",
+                        lambda net, part: oracle_evaluate(net, part)[3])
+    monkeypatch.setattr(kernel_module, "_lib", SimpleNamespace(
+        growbp_parse=kernel_module._lib.growbp_parse))
+    test_golden.assert_same_files(
+        "heart1", test_golden.result_files("heart1", tmp_path))
 
 
-def test_fallback_without_compiler_keeps_golden_bytes(tmp_path):
-    heart1_golden_without_gcc(tmp_path)
+def growbp_cli(tmp_path, path, *args):
+    """Run ``growbp ARGS`` with an empty cache and ``path`` as ``PATH``;
+    its exit status and stderr lines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PATH=path,
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-m", "growbp.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    return proc.returncode, proc.stderr.splitlines()
 
 
-def test_fallback_needs_no_numpy(tmp_path):
-    heart1_golden_without_gcc(tmp_path, NO_NUMPY)
+BUILD_FAILED = ("error: cannot build growbp's kernel with "
+                + " ".join(kernel_module._COMPILE) + ": ")
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
-def test_compiled_kernel_needs_no_numpy(tmp_path):
-    assert heart1_golden(tmp_path, NO_NUMPY, gcc=True) == "c\n"
+def test_no_compiler_fails_the_first_kernel_call(tmp_path):
+    # One line and status 2, and nothing written; rendering a stored
+    # result needs no kernel.
+    (tmp_path / "bin").mkdir()
+    out = tmp_path / "out"
+    assert growbp_cli(tmp_path, str(tmp_path / "bin"), "train", "heart1",
+                      "--output", str(out)) == (
+        2, [BUILD_FAILED + "gcc not found on PATH"])
+    assert not out.exists() and not (tmp_path / "cache").exists()
+    assert growbp_cli(tmp_path, str(tmp_path / "bin"), "render", str(
+        TESTS / "golden" / "heart1" / "histories.jsonl")) == (0, [])
 
 
-def test_fallback_needs_no_scipy(tmp_path):
-    heart1_golden_without_gcc(
-        tmp_path,
-        "import sys\n"
-        "class NoScipy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.partition('.')[0] == 'scipy':\n"
-        "            raise ImportError(f'{name} is blocked')\n"
-        "sys.meta_path.insert(0, NoScipy())\n")
+def test_failing_compiler_fails_the_first_kernel_call(tmp_path):
+    # The compiler's last line of stderr names what went wrong.
+    (tmp_path / "bin").mkdir()
+    shim = tmp_path / "bin" / "gcc"
+    shim.write_text("#!/bin/sh\necho 'gcc: building failed' >&2\n"
+                    "echo 'cc1: out of memory' >&2\nexit 1\n")
+    shim.chmod(0o755)
+    path = os.pathsep.join([str(tmp_path / "bin"), os.environ["PATH"]])
+    assert growbp_cli(tmp_path, path, "train", "heart1", "--output",
+                      str(tmp_path / "out")) == (
+        2, [BUILD_FAILED + "cc1: out of memory"])
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 def test_build_is_cached_and_atomic(tmp_path):
     cache = tmp_path / "cache"
-    code = "import growbp.kernel as k; print(k.BACKEND)"
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache))
     # Two interpreters building into the same empty cache at once.
-    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+    procs = [subprocess.Popen([sys.executable, "-c", LOADED], env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True) for _ in range(2)]
     for proc in procs:
         out, err = proc.communicate(timeout=300)
-        assert (out, err, proc.returncode) == ("c\n", "", 0)
+        assert (out, err, proc.returncode) == ("growbp_epoch\n", "", 0)
     built = os.listdir(cache / "growbp")
     assert len(built) == 1 and built[0].startswith("kernel-")
     # A cache hit starts no compiler, so it needs none on PATH.
     (tmp_path / "bin").mkdir()
-    assert run_python(code, XDG_CACHE_HOME=str(cache),
-                      PATH=str(tmp_path / "bin")) == "c\n"
+    assert run_python(LOADED, XDG_CACHE_HOME=str(cache),
+                      PATH=str(tmp_path / "bin")) == "growbp_epoch\n"
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 def test_build_deletes_other_versions_libraries(tmp_path):
     cache = tmp_path / "cache" / "growbp"
     cache.mkdir(parents=True)
@@ -803,14 +816,13 @@ def test_build_deletes_other_versions_libraries(tmp_path):
         ["notes.txt", "tmpabc123.so", this])
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 def test_unwritable_cache_builds_privately(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     (tmp_path / "tmp").mkdir()
-    out = run_python("import growbp.kernel as k; print(k.BACKEND)",
-                     XDG_CACHE_HOME=str(blocker), TMPDIR=str(tmp_path / "tmp"))
-    assert out == "c\n"
+    out = run_python(LOADED, XDG_CACHE_HOME=str(blocker),
+                     TMPDIR=str(tmp_path / "tmp"))
+    assert out == "growbp_epoch\n"
     assert os.listdir(tmp_path / "tmp") == []
 
 
@@ -851,15 +863,13 @@ block_edges = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129,
 
 @given(st.one_of(block_edges, st.integers(1, 9000)), st.integers(1, 3),
        seeds)
-@settings(per_example, max_examples=60)
-def test_average_error_is_the_left_to_right_mean(each_backend, rows, n_out,
-                                                 seed):
+@settings(deadline=None, max_examples=60)
+def test_average_error_is_the_left_to_right_mean(rows, n_out, seed):
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, (1, 2, n_out), 30.0, rows)
     net, part = Network(hw, ow), Partition(X, T)
-    for _ in each_backend:
-        want = left_to_right_mean(kernel_module.pattern_errors(net, part))
-        assert bits(average_error(net, part)) == bits(want)
+    want = left_to_right_mean(kernel_module.pattern_errors(net, part))
+    assert bits(average_error(net, part)) == bits(want)
 
 
 # Row counts on and next to the 8-row block edges, and longer ones.
@@ -868,10 +878,9 @@ mean_rows = block_rows | st.sampled_from([127, 128, 129, 256, 4001])
 
 @given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
-@settings(per_example, max_examples=150)
-def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
-                                                     scale, seed, rows,
-                                                     infinite):
+@settings(deadline=None, max_examples=150)
+def test_average_error_is_the_mean_of_pattern_errors(shape, scale, seed,
+                                                     rows, infinite):
     # The compiled pass sums the errors as it writes them, or without
     # writing them; a padded row's NaN error must not reach the sum.
     rng = np.random.default_rng(seed)
@@ -879,15 +888,12 @@ def test_average_error_is_the_mean_of_pattern_errors(each_backend, shape,
     net, part = Network(hw, ow), Partition(X, T)
     if infinite:
         make_infinite(rng, net)
-    for _ in each_backend:
-        E = kernel_module.pattern_errors(net, part)
-        want = left_to_right_mean(E)
-        assert nan_bits(kernel_module.average_error(net, part)) == \
-            nan_bits(want)
+    E = kernel_module.pattern_errors(net, part)
+    want = left_to_right_mean(E)
+    assert nan_bits(kernel_module.average_error(net, part)) == \
+        nan_bits(want)
 
 
-@pytest.mark.skipif(kernel_module._lib is None,
-                    reason="no gcc on PATH: the Python kernel is in use")
 @given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
 @settings(deadline=None, max_examples=100)
@@ -916,39 +922,35 @@ EVALUATION_RESULTS = ("outputs", "errors", "mean", "count")
 
 @given(block_shapes, big_scales, seeds, mean_rows, st.booleans())
 @example((40, 8, 12), 30.0, 0, 4001, True)
-@settings(per_example, max_examples=100)
+@settings(deadline=None, max_examples=100)
 def test_evaluation_pass_gives_each_result_as_it_does_alone(
-        each_backend, shape, scale, seed, rows, infinite):
-    # The one dispatch of both backends: all four results asked for at
-    # once are each the result asked for alone, and the mean is the
-    # errors' left-to-right mean.
+        shape, scale, seed, rows, infinite):
+    # The one dispatch: all four results asked for at once are each the
+    # result asked for alone, and each is the oracle's.
     rng = np.random.default_rng(seed)
     hw, ow, X, T = random_arrays(rng, shape, scale, rows)
     net, part = Network(hw, ow), Partition(X, T)
     if infinite:
         make_infinite(rng, net)
-    per_backend = []
-    for _ in each_backend:
-        def evaluate(*names):
-            Y, E, mean, count = kernel_module._evaluate(
-                net, part.X, part.T, part.addresses,
-                **dict.fromkeys(names, True))
-            return [None if Y is None else nan_bits(Y),
-                    None if E is None else nan_bits(E),
-                    None if mean is None else nan_bits(mean), count]
 
-        together = evaluate(*EVALUATION_RESULTS)
-        for i, name in enumerate(EVALUATION_RESULTS):
-            alone = [None] * 4
-            alone[i] = together[i]
-            assert evaluate(name) == alone, name
-        E = np.frombuffer(together[1])
-        assert together[2] == nan_bits(left_to_right_mean(E))
-        per_backend.append(together)
-    assert per_backend[0] == per_backend[1]
+    def evaluate(*names):
+        Y, E, mean, count = kernel_module._evaluate(
+            net, part.X, part.T, part.addresses,
+            **dict.fromkeys(names, True))
+        return [None if Y is None else nan_bits(Y),
+                None if E is None else nan_bits(E),
+                None if mean is None else nan_bits(mean), count]
+
+    together = evaluate(*EVALUATION_RESULTS)
+    for i, name in enumerate(EVALUATION_RESULTS):
+        alone = [None] * 4
+        alone[i] = together[i]
+        assert evaluate(name) == alone, name
+    Y, E, mean, count = oracle_evaluate(net, part)
+    assert together == [nan_bits(Y), nan_bits(E), nan_bits(mean), count]
 
 
-def test_stored_arrays_refuse_resize(each_backend):
+def test_stored_arrays_refuse_resize():
     rng = np.random.default_rng(7)
     net = random_net(rng, (3, 2, 2), 1.0)
     nets = [net, net.copy(), add_hidden_unit(net, 1.0, rng)]
@@ -964,16 +966,15 @@ def test_stored_arrays_refuse_resize(each_backend):
         with pytest.raises(BufferError, match="cannot resize"):
             buffer.extend([0.0] * 2500)
         assert len(buffer) == size
-    for _ in each_backend:
-        for net, twin in zip(nets, twins):
-            train_epoch(net, part, 0.7, Generator(3))
-            train_epoch(twin, twin_part, 0.7, Generator(3))
-            assert bits(net.hidden_weights) == bits(twin.hidden_weights)
-            assert bits(net.output_weights) == bits(twin.output_weights)
-            assert bits(kernel_module.pattern_errors(net, part)) == bits(
-                kernel_module.pattern_errors(twin, twin_part))
-            assert bits(forward_outputs(net, part.X)) == bits(
-                forward_outputs(twin, part.X))
+    for net, twin in zip(nets, twins):
+        train_epoch(net, part, 0.7, Generator(3))
+        train_epoch(twin, twin_part, 0.7, Generator(3))
+        assert bits(net.hidden_weights) == bits(twin.hidden_weights)
+        assert bits(net.output_weights) == bits(twin.output_weights)
+        assert bits(kernel_module.pattern_errors(net, part)) == bits(
+            kernel_module.pattern_errors(twin, twin_part))
+        assert bits(forward_outputs(net, part.X)) == bits(
+            forward_outputs(twin, part.X))
 
 
 @pytest.mark.parametrize("duplicate", [
@@ -1014,16 +1015,15 @@ def numpy_state(rng):
 BIG_SEEDS = [2**32, 2**64 - 1, 2**64, 2**64 + 3, 10**30, 2**200 + 12345]
 
 
-def test_generator_seeds_as_numpy_does(each_backend):
-    for _ in each_backend:
-        for seed in [*range(1001), *BIG_SEEDS]:
-            ours, theirs = Generator(seed), np.random.default_rng(seed)
-            assert ours.state == numpy_state(theirs), seed
-            assert bits(ours.uniform(-1.5, 2.0, 2)) == bits(
-                theirs.uniform(-1.5, 2.0, 2)), seed
-            assert ours.permutation(5).tolist() == (
-                theirs.permutation(5).tolist()), seed
-            assert ours.state == numpy_state(theirs), seed
+def test_generator_seeds_as_numpy_does():
+    for seed in [*range(1001), *BIG_SEEDS]:
+        ours, theirs = Generator(seed), np.random.default_rng(seed)
+        assert ours.state == numpy_state(theirs), seed
+        assert bits(ours.uniform(-1.5, 2.0, 2)) == bits(
+            theirs.uniform(-1.5, 2.0, 2)), seed
+        assert ours.permutation(5).tolist() == (
+            theirs.permutation(5).tolist()), seed
+        assert ours.state == numpy_state(theirs), seed
 
 
 def test_generator_rejects_a_negative_seed():
@@ -1064,17 +1064,16 @@ def test_matrix_copies_doubles_labelled_with_the_native_layout():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 999, *BIG_SEEDS])
-def test_generator_interleaves_draws_as_numpy_does(seed, each_backend):
+def test_generator_interleaves_draws_as_numpy_does(seed):
     # A permutation of n <= 2**32 draws 32-bit halves and may leave one
     # buffered for the next; uniform draws whole words around it.
-    for _ in each_backend:
-        ours, theirs = Generator(seed), np.random.default_rng(seed)
-        for n in (0, 1, 2, 152, 4000, 2, 1, 152, 0, 3):
-            assert ours.permutation(n).tolist() == (
-                theirs.permutation(n).tolist())
-            assert bits(ours.uniform(-0.7, 0.7, n % 5)) == bits(
-                theirs.uniform(-0.7, 0.7, n % 5))
-            assert ours.state == numpy_state(theirs)
+    ours, theirs = Generator(seed), np.random.default_rng(seed)
+    for n in (0, 1, 2, 152, 4000, 2, 1, 152, 0, 3):
+        assert ours.permutation(n).tolist() == (
+            theirs.permutation(n).tolist())
+        assert bits(ours.uniform(-0.7, 0.7, n % 5)) == bits(
+            theirs.uniform(-0.7, 0.7, n % 5))
+        assert ours.state == numpy_state(theirs)
 
 
 def numpy_classes(M):
@@ -1085,9 +1084,8 @@ def numpy_classes(M):
 
 @given(block_shapes, block_rows, seeds, st.booleans())
 @example((40, 8, 12), 4001, 0, True)
-@settings(per_example, max_examples=150)
-def test_classified_count_is_the_argmax_count(each_backend, shape, rows,
-                                              seed, infinite):
+@settings(deadline=None, max_examples=150)
+def test_classified_count_is_the_argmax_count(shape, rows, seed, infinite):
     # Weights, inputs and targets from a few values repeat output rows, so
     # outputs tie, and a zero net input gives exactly 0.5; infinite
     # weights make NaN outputs, where numpy's argmax takes the first.
@@ -1103,8 +1101,8 @@ def test_classified_count_is_the_argmax_count(each_backend, shape, rows,
     Y = np.asarray(forward_outputs(net, X))
     want = int(np.count_nonzero(numpy_classes(Y) == numpy_classes(T)))
     for M in (Y, T):
-        assert [kernel_module.label(row) for row in M.tolist()] == \
+        assert [oracle.label(row) for row in M.tolist()] == \
             numpy_classes(M).tolist()
-    for _ in each_backend:
-        assert kernel_module.classified(net, part) == want
-        assert efficiency(net, part).classified == want
+    assert kernel_module.classified(net, part) == want
+    assert efficiency(net, part).classified == want
+    assert oracle_evaluate(net, part)[3] == want

@@ -4,12 +4,12 @@ import pytest
 from growbp.dataset import Partition
 from growbp.errors import ArityMismatchError, EmptySetError
 from growbp.metrics import EfficiencyReport, efficiency, overall_efficiency
-from growbp.kernel import forward, label
 from growbp.network import Network
+from oracle import forward, label
 
 
 def outputs(net, x):
-    """The Python kernel's outputs for one pattern."""
+    """The oracle's outputs for one pattern."""
     return forward(net.hidden_weights.tolist(), net.output_weights.tolist(),
                    x)[1]
 
@@ -24,8 +24,8 @@ def classify_row(row):
     return label(np.asarray(row, dtype=np.float64).tolist())
 
 
-# The class rule is growbp.kernel.label, the Python twin of kernel.c's
-# label; these cases pin its threshold, argmax and tie rules.
+# The class rule is kernel.c's label, transcribed as oracle.label; these
+# cases pin its threshold, argmax and tie rules.
 class TestClassifyByWidth:
     def test_single_column_thresholds(self):
         assert classes([[0.5], [0.4999], [0.9]]) == [1, 0, 1]

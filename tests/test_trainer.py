@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from growbp import kernel, trainer
 from growbp.cli import ExperimentConfig, load_any
 from growbp.dataset import DatasetHeader, Partition, SplitDataset
@@ -51,12 +52,12 @@ def one_step(net, x, d, eta):
     return train_epoch(net, one_row(x, d), eta)
 
 
-def python_steps(net, X, T, order, eta):
-    """The Python kernel's steps over ``order``; the new weight matrices."""
+def oracle_steps(net, X, T, order, eta):
+    """The oracle's steps over ``order``; the new weight matrices."""
     hw, ow = net.hidden_weights.tolist(), net.output_weights.tolist()
     X, T = np.asarray(X), np.asarray(T)
     for i in order:
-        kernel.step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
+        oracle.step(hw, ow, X[i].tolist(), T[i].tolist(), eta)
     return np.array(hw), np.array(ow)
 
 
@@ -137,13 +138,12 @@ class TestPatternError:
                                                   [0.0, 800.0]]))
         assert average_error(net, one_row([0.3], [1.0, 0.0])) == 1.0
 
-    def test_arity_mismatch(self, each_backend):
+    def test_arity_mismatch(self):
         net = Network(np.zeros((1, 2)), np.zeros((1, 2)))
-        for _ in each_backend:
-            with pytest.raises(ArityMismatchError):
-                average_error(net, one_row([0.3], [1.0, 0.0]))
-            with pytest.raises(ArityMismatchError):
-                average_error(net, one_row([0.3, 0.1], [1.0]))
+        with pytest.raises(ArityMismatchError):
+            average_error(net, one_row([0.3], [1.0, 0.0]))
+        with pytest.raises(ArityMismatchError):
+            average_error(net, one_row([0.3, 0.1], [1.0]))
 
 
 class TestAverageError:
@@ -240,11 +240,10 @@ class TestBackpropStep:
             one_step(net, x, d, 1e-4)
             assert pattern_xi(net, x, d) < before
 
-    def test_target_arity_checked(self, each_backend):
+    def test_target_arity_checked(self):
         net = init_network(3, 2, 1.0, np.random.default_rng(0))
-        for _ in each_backend:
-            with pytest.raises(ArityMismatchError):
-                one_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]), 0.7)
+        with pytest.raises(ArityMismatchError):
+            one_step(net, np.array([0.1, 0.2, 0.3]), np.array([1.0]), 0.7)
 
 
 class TestTrainEpoch:
@@ -253,44 +252,40 @@ class TestTrainEpoch:
         x = rng.uniform(0, 1, 3)
         d = np.array([0.0, 1.0])
         a = random_network(rng, 3, 2, 2)
-        hw, ow = python_steps(a, [x], [d], [0], 0.7)
+        hw, ow = oracle_steps(a, [x], [d], [0], 0.7)
         train_epoch(a, one_row(x, d), 0.7)
         assert np.array_equal(a.hidden_weights, hw)
         assert np.array_equal(a.output_weights, ow)
 
-    def test_epoch_equals_sequential_steps(self, each_backend):
+    def test_epoch_equals_sequential_steps(self):
         rng = np.random.default_rng(9)
         part = Partition(rng.uniform(0, 1, (6, 3)), np.eye(2)[np.arange(6) % 2])
         start = random_network(rng, 3, 2, 2)
         # File order, then one permutation drawn from seed 1's stream.
         for seed, order in ((None, range(6)),
                             (1, np.random.default_rng(1).permutation(6))):
-            hw, ow = python_steps(start, part.X, part.T, order, 0.7)
-            for _ in each_backend:
-                a = start.copy()
-                rng = None if seed is None else kernel.Generator(seed)
-                train_epoch(a, part, 0.7, rng)
-                assert np.array_equal(a.hidden_weights, hw)
-                assert np.array_equal(a.output_weights, ow)
+            hw, ow = oracle_steps(start, part.X, part.T, order, 0.7)
+            a = start.copy()
+            rng = None if seed is None else kernel.Generator(seed)
+            train_epoch(a, part, 0.7, rng)
+            assert np.array_equal(a.hidden_weights, hw)
+            assert np.array_equal(a.output_weights, ow)
 
-    def test_empty_train_set(self, each_backend):
+    def test_empty_train_set(self):
         net = init_network(2, 1, 1.0, np.random.default_rng(0))
-        for _ in each_backend:
-            with pytest.raises(EmptySetError):
-                train_epoch(net, Partition(np.empty((0, 2)),
-                                           np.empty((0, 1))), 0.7)
+        with pytest.raises(EmptySetError):
+            train_epoch(net, Partition(np.empty((0, 2)),
+                                       np.empty((0, 1))), 0.7)
 
     @pytest.mark.parametrize("n_inputs,n_targets", [(3, 1), (2, 2), (1, 1)])
-    def test_arity_checked_before_the_kernel(self, n_inputs, n_targets,
-                                             each_backend):
+    def test_arity_checked_before_the_kernel(self, n_inputs, n_targets):
         net = init_network(2, 1, 1.0, np.random.default_rng(0))
         before = net.copy()
         part = Partition(np.ones((4, n_inputs)), np.ones((4, n_targets)))
-        for _ in each_backend:
-            with pytest.raises(ArityMismatchError):
-                train_epoch(net, part, 0.7, np.random.default_rng(0))
-            assert np.array_equal(net.hidden_weights, before.hidden_weights)
-            assert np.array_equal(net.output_weights, before.output_weights)
+        with pytest.raises(ArityMismatchError):
+            train_epoch(net, part, 0.7, np.random.default_rng(0))
+        assert np.array_equal(net.hidden_weights, before.hidden_weights)
+        assert np.array_equal(net.output_weights, before.output_weights)
 
 
 class TestTrainPhase:
@@ -337,8 +332,6 @@ class TestTrainPhase:
         assert record.epochs_cumulative == 10 + used
 
 
-    @pytest.mark.skipif(kernel._lib is None,
-                        reason="no gcc on PATH: the Python kernel is in use")
     def test_file_order_phase_enters_the_kernel_twice_per_epoch(
             self, blob_dataset, monkeypatch):
         # Each kernel call gives up the GIL, so on threads each is a
@@ -407,23 +400,21 @@ def reference_phase(net, data, cfg, rng=None, epochs_before=0):
 
 class TestPhaseAgainstReference:
     @pytest.mark.parametrize("shuffle", [False, True])
-    def test_same_histories_and_weights(self, shuffle, monkeypatch,
-                                        each_backend):
+    def test_same_histories_and_weights(self, shuffle, monkeypatch):
         data = load_any(ExperimentConfig("heart1"))
         cfgs = [TrainConfig(**{**PRESETS["heart1"], "h_max": 3},
                             report_only=True, shuffle=shuffle, seed=seed)
                 for seed in (0, 1)]
-        for _ in each_backend:
-            for cfg in cfgs:
-                got = constructive_train(data, cfg)
-                with monkeypatch.context() as m:
-                    m.setattr(trainer, "train_phase", reference_phase)
-                    want = constructive_train(data, cfg)
-                assert got[1] == want[1]
-                assert len(got[1].phases) == 3
-                for name in ("hidden_weights", "output_weights"):
-                    assert (getattr(got[0], name).tobytes()
-                            == getattr(want[0], name).tobytes())
+        for cfg in cfgs:
+            got = constructive_train(data, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(trainer, "train_phase", reference_phase)
+                want = constructive_train(data, cfg)
+            assert got[1] == want[1]
+            assert len(got[1].phases) == 3
+            for name in ("hidden_weights", "output_weights"):
+                assert (getattr(got[0], name).tobytes()
+                        == getattr(want[0], name).tobytes())
 
     def test_returned_network_shares_no_memory(self, blob_dataset,
                                                monkeypatch):
@@ -468,8 +459,7 @@ class TestPhaseAgainstReference:
                            match="weights must be finite"):
             train_phase(net, blob_dataset, cfg)
 
-    def test_non_finite_weights_with_nan_validation_error_are_rejected(
-            self, each_backend):
+    def test_non_finite_weights_with_nan_validation_error_are_rejected(self):
         # The first epoch makes a hidden weight infinite, so the
         # validation error is NaN and never improves on the start.
         data = SplitDataset(DatasetHeader(1, 1, 1, 1, 1),
@@ -478,13 +468,12 @@ class TestPhaseAgainstReference:
                             Partition([[0.0]], [[1.0]]))
         net = Network(np.full((1, 2), 1e-300), np.ones((1, 2)))
         cfg = TrainConfig(eta=1e300, patience=2)
-        for _ in each_backend:
-            with pytest.raises(MalformedValueError,
-                               match="weights must be finite"):
-                train_phase(net, data, cfg)
+        with pytest.raises(MalformedValueError,
+                           match="weights must be finite"):
+            train_phase(net, data, cfg)
 
     def test_interrupted_flag_stops_the_phase_before_its_next_epoch(
-            self, blob_dataset, each_backend, monkeypatch):
+            self, blob_dataset, monkeypatch):
         # An interrupted sweep sets the flag while a seed is mid-phase on
         # another thread: the phase raises before training again.
         epochs = []
@@ -498,13 +487,11 @@ class TestPhaseAgainstReference:
         monkeypatch.setattr(trainer, "interrupted", False)  # put back after
         net = init_network(2, 2, 1.0, np.random.default_rng(0))
         cfg = TrainConfig(epochs_per_phase=50, patience=50)
-        for _ in each_backend:
-            epochs.clear()
-            with pytest.raises(KeyboardInterrupt):
-                train_phase(net, blob_dataset, cfg)
-            assert len(epochs) == 3
-            trainer.interrupted = False
-            assert train_phase(net, blob_dataset, cfg)[1] == 50
+        with pytest.raises(KeyboardInterrupt):
+            train_phase(net, blob_dataset, cfg)
+        assert len(epochs) == 3
+        trainer.interrupted = False
+        assert train_phase(net, blob_dataset, cfg)[1] == 50
 
 
 class TestConstructiveTrain:
